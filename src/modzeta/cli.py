@@ -33,15 +33,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _parse_float(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"{flag} expects numbers; got {text!r}") from None
+
+
 def _parse_complex(text: str) -> complex:
     if "," in text:
         re_s, im_s = text.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    return complex(float(text), 0.0)
+        return complex(_parse_float(re_s, "--b"), _parse_float(im_s, "--b"))
+    return complex(_parse_float(text, "--b"), 0.0)
 
 
 def _parse_form(text: str):
-    parts = [float(p) for p in text.split(",")]
+    parts = [_parse_float(p, "--form") for p in text.split(",")]
     if len(parts) != 3:
         raise DomainError("--form expects a,b,c")
     return tuple(parts)
@@ -97,7 +104,7 @@ def _eval_quantity(args) -> dict:
         return out
     if q == "mellin_eps_sub":
         t = int(_need(args, "t"))
-        b = float(_need(args, "b"))
+        b = _parse_float(_need(args, "b"), "--b")
         record(t=t, b=b)
         sv = qmod.mellin_eps_sub(t, b)
         out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(sv.value.imag)}

@@ -556,12 +556,15 @@ def guinand_gap(w: float, u: float) -> float:
 
         LHS(u) - [ (1/2) xi(2w) (u^{w-1} - u^{-w})
                  + (1/2) xi(-2w) (u^{-w-1} - u^{w}) ].
+
+    xi(-2w) is evaluated as xi(1 + 2w): at integer w the direct form meets a
+    gamma pole times a trivial zero of zeta, whose limit is finite.
     """
     if u <= 0:
         raise DomainError("guinand_gap requires u > 0")
     lhs = guinand_lhs_bessel(w, u)
     rhs = 0.5 * xi_completed(2 * w) * (u ** (w - 1) - u ** (-w)) + 0.5 * xi_completed(
-        -2 * w
+        1 + 2 * w
     ) * (u ** (-w - 1) - u ** w)
     return lhs - rhs
 

@@ -270,8 +270,6 @@ class SymScalar:
     def pi_term(cls, q, pi_power: int, zeta_arg: int = 0) -> "SymScalar":
         return cls({(pi_power, zeta_arg): Fraction(q)})
 
-    zero_value = None  # set after class body
-
     # -- views --------------------------------------------------------------
     @property
     def terms(self) -> tuple[tuple[int, int, Fraction], ...]:
@@ -375,6 +373,3 @@ class SymScalar:
 
     def __repr__(self) -> str:
         return f"SymScalar({self._terms!r})"
-
-
-SymScalar.zero_value = SymScalar()

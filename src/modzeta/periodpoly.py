@@ -1,8 +1,14 @@
 """Exact period polynomials, rational period functions and cocycle algebra.
 
-All objects live over Gaussian combinations of the SymScalar basis
-(``re + i im`` with each part a sum of ``q pi^a zeta(m)`` monomials), so
-every identity in this module is checked with zero tolerance.
+Coefficients lie in the Q(i)-span of the SymScalar basis ``pi^a zeta(m)``.
+A ``Poly`` keeps one integer vector (index = power) per basis key
+``(pi_power, zeta_arg, i_exponent)``, ``i_exponent`` 0 or 1, over a common
+denominator, in a canonical form; ``Poly.coeffs`` rebuilds the ``SymComplex``
+coefficients on demand.  Products follow the SymScalar rule (pi powers add,
+at most one zeta factor) with ``i * i = -1``.  The stroke by ``(a b; c d)``
+applies one cached integer matrix, row k ``(a tau + b)^k (c tau + d)^(n-k)``,
+to each vector.  Rational functions are equal when ``num1 den2 == num2
+den1``, so every identity here is checked exactly, with zero tolerance.
 
 Two pictures of the same polynomials appear.  On the real axis ``x``
 (where the q-series live) the degree-(2t-2) obstruction polynomial has
@@ -101,17 +107,6 @@ class SymComplex:
 
     __rmul__ = __mul__
 
-    def times_i_power(self, k: int) -> "SymComplex":
-        """Multiply by i^k exactly."""
-        k %= 4
-        if k == 0:
-            return self
-        if k == 1:
-            return SymComplex(-self.im, self.re)
-        if k == 2:
-            return -self
-        return SymComplex(self.im, -self.re)
-
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 
@@ -144,83 +139,126 @@ class SymComplex:
         return f"SymComplex({self.re}, {self.im})"
 
 
-_ZERO = SymComplex()
-_ONE = SymComplex(1)
+def _conv(u, v) -> list:
+    """Product of two integer coefficient vectors."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v, i):
+                out[j] += x * y
+    return out
+
+
+def _canonical(parts: dict, den: int) -> tuple[dict, int]:
+    """Drop zero components and trailing zeros, then divide the vectors and
+    the denominator by their common gcd."""
+    clean = {}
+    g = den
+    for key, vec in parts.items():
+        while vec and not vec[-1]:
+            vec.pop()
+        if vec:
+            clean[key] = tuple(vec)
+            g = math.gcd(g, *vec)
+    if g > 1:
+        clean = {key: tuple(x // g for x in vec) for key, vec in clean.items()}
+        den //= g
+    return clean, den
 
 
 class Poly:
-    """Polynomial with SymComplex coefficients; index = power."""
+    """Polynomial over the Gaussian SymScalar field, built from coefficients
+    (index = power) and stored split by basis monomial."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_parts", "_den")
 
     def __init__(self, coeffs=()):
-        cl = [SymComplex.coerce(c) for c in coeffs]
-        while cl and cl[-1].is_zero():
-            cl.pop()
-        self.coeffs = tuple(cl)
+        found: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+        for k, c in enumerate(coeffs):
+            c = SymComplex.coerce(c)
+            if c is NotImplemented:
+                raise TypeError("Poly coefficients must be SymComplex, SymScalar, int or Fraction")
+            for e, part in enumerate((c.re, c.im)):
+                for a, m, q in part.terms:
+                    found.setdefault((a, m, e), {})[k] = q
+        den = math.lcm(*(q.denominator for row in found.values() for q in row.values()))
+        parts = {key: [int(row.get(k, 0) * den) for k in range(max(row) + 1)] for key, row in found.items()}
+        self._parts, self._den = _canonical(parts, den)
+
+    @classmethod
+    def _from_parts(cls, parts: dict, den: int = 1) -> "Poly":
+        p = object.__new__(cls)
+        p._parts, p._den = _canonical(parts, den)
+        return p
 
     @classmethod
     def monomial(cls, c, k: int) -> "Poly":
         return cls([0] * k + [c])
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of SymComplex (index = power)."""
+        n = self.degree + 1
+        split = ([{} for _ in range(n)], [{} for _ in range(n)])
+        for (a, m, e), vec in self._parts.items():
+            for k, x in enumerate(vec):
+                if x:
+                    split[e][k][(a, m)] = Fraction(x, self._den)
+        return tuple(SymComplex(SymScalar(re), SymScalar(im)) for re, im in zip(*split))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return max(map(len, self._parts.values()), default=0) - 1  # -1 for zero
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._parts
 
     def __add__(self, o: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(
-            [
-                (self.coeffs[k] if k < len(self.coeffs) else _ZERO)
-                + (o.coeffs[k] if k < len(o.coeffs) else _ZERO)
-                for k in range(n)
-            ]
-        )
+        den = math.lcm(self._den, o._den)
+        s, t = den // self._den, den // o._den
+        parts = {key: [x * s for x in vec] for key, vec in self._parts.items()}
+        for key, vec in o._parts.items():
+            acc = parts.setdefault(key, [])
+            acc.extend([0] * (len(vec) - len(acc)))
+            for k, x in enumerate(vec):
+                acc[k] += x * t
+        return Poly._from_parts(parts, den)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._from_parts({key: [-x for x in vec] for key, vec in self._parts.items()}, self._den)
 
     def __sub__(self, o: "Poly") -> "Poly":
         return self + (-o)
 
     def __mul__(self, o) -> "Poly":
         if not isinstance(o, Poly):
-            c = SymComplex.coerce(o)
-            return Poly([ci * c for ci in self.coeffs])
-        if self.is_zero() or o.is_zero():
-            return Poly()
-        out = [_ZERO] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+            o = Poly([o])
+        size = self.degree + o.degree + 1
+        parts: dict = {}
+        for (a1, m1, e1), u in self._parts.items():
+            for (a2, m2, e2), v in o._parts.items():
+                if m1 and m2:
+                    raise DomainError("Poly: product of two zeta(odd) monomials leaves the basis")
+                acc = parts.setdefault((a1 + a2, m1 or m2, e1 ^ e2), [0] * size)
+                sign = -1 if e1 & e2 else 1  # i * i = -1
+                for k, x in enumerate(_conv(u, v)):
+                    acc[k] += sign * x
+        return Poly._from_parts(parts, self._den * o._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        out = Poly([_ONE])
-        base = self
-        while n > 0:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        out = Poly([1])
+        for _ in range(n):
+            out = out * self
         return out
 
     def __eq__(self, o) -> bool:
-        return isinstance(o, Poly) and self.coeffs == o.coeffs
+        return isinstance(o, Poly) and self._den == o._den and self._parts == o._parts
 
     def eval_exact(self, tau: Fraction) -> SymComplex:
         tau = Fraction(tau)
-        acc = _ZERO
-        power = Fraction(1)
-        for c in self.coeffs:
-            acc = acc + c * SymComplex(SymScalar.rational(power))
-            power *= tau
-        return acc
+        return sum((c * SymComplex(tau ** k) for k, c in enumerate(self.coeffs)), SymComplex())
 
     def eval_numeric(self, tau: complex) -> complex:
         acc = 0j
@@ -231,11 +269,19 @@ class Poly:
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
+        return Poly._from_parts(
+            {key: [k * x for k, x in enumerate(vec)][1:] for key, vec in self._parts.items()}, self._den
+        )
 
     def twist_to_tau(self) -> "Poly":
         """Substitute x -> -i tau: coefficient of power k picks up (-i)^k."""
-        return Poly([c.times_i_power(-k) for k, c in enumerate(self.coeffs)])
+        n = self.degree + 1
+        parts: dict = {}
+        for (a, m, e), vec in self._parts.items():
+            for k, x in enumerate(vec):
+                r = (e - k) % 4  # i^e (-i)^k = i^r
+                parts.setdefault((a, m, r & 1), [0] * n)[k] += -x if r >= 2 else x
+        return Poly._from_parts(parts, self._den)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -295,7 +341,7 @@ class RationalPeriodFunction:
 
     @classmethod
     def from_poly(cls, p: Poly, weight: int) -> "RationalPeriodFunction":
-        return cls(p, Poly([_ONE]), weight)
+        return cls(p, Poly([1]), weight)
 
     def __add__(self, o: "RationalPeriodFunction") -> "RationalPeriodFunction":
         if self.weight != o.weight:
@@ -325,53 +371,54 @@ class RationalPeriodFunction:
             self.num.twist_to_tau(), self.den.twist_to_tau(), self.weight
         )
 
-    def is_zero_function(self) -> bool:
-        return self.equals(RationalPeriodFunction.from_poly(Poly(), self.weight))
+    is_zero_function = is_zero
 
     def equals(self, o: "RationalPeriodFunction") -> bool:
-        """Exact equality by evaluation at more rational points than the
-        cross-multiplied degree bound (soundness by degree counting)."""
-        if self.weight != o.weight:
-            return False
-        bound = max(
-            self.num.degree + max(o.den.degree, 0),
-            o.num.degree + max(self.den.degree, 0),
-            0,
-        )
-        needed = bound + 1
-        tau = Fraction(2)
-        seen = 0
-        while seen < needed:
-            dv1 = self.den.eval_exact(tau)
-            dv2 = o.den.eval_exact(tau)
-            if not (dv1.is_zero() or dv2.is_zero()):
-                lhs = self.num.eval_exact(tau) * dv2
-                rhs = o.num.eval_exact(tau) * dv1
-                if lhs != rhs:
-                    return False
-                seen += 1
-            tau += 1
-        return True
+        """Exact equality as rational functions: num1 den2 = num2 den1."""
+        return self.weight == o.weight and self.num * o.den == o.num * self.den
+
+
+_STROKE_MATRICES: dict = {}
+
+
+def _stroke_columns(g: GroupElement, n: int) -> tuple:
+    """Columns of the integer matrix whose row k holds the coefficients of
+    (a tau + b)^k (c tau + d)^(n-k), cached per (g, n)."""
+    key = (g.a, g.b, g.c, g.d, n)
+    cols = _STROKE_MATRICES.get(key)
+    if cols is None:
+        tops, bots = [[1]], [[1]]
+        for _ in range(n):
+            tops.append(_conv(tops[-1], [g.b, g.a]))
+            bots.append(_conv(bots[-1], [g.d, g.c]))
+        cols = tuple(zip(*(_conv(tops[k], bots[n - k]) for k in range(n + 1))))
+        if len(_STROKE_MATRICES) >= 1024:
+            _STROKE_MATRICES.clear()
+        _STROKE_MATRICES[key] = cols
+    return cols
+
+
+def _substitute(p: Poly, g: GroupElement, n: int) -> Poly:
+    """(c tau + d)^n p(g tau) for n >= deg p, one matrix product per component."""
+    cols = _stroke_columns(g, n)
+    return Poly._from_parts(
+        {key: [sum(map(int.__mul__, vec, col)) for col in cols] for key, vec in p._parts.items()},
+        p._den,
+    )
 
 
 def stroke(f: RationalPeriodFunction, g: GroupElement) -> RationalPeriodFunction:
     """(f|g)(tau) = (c tau + d)^r f((a tau + b)/(c tau + d)), exact."""
     if f.is_zero():
         return f
-    top = Poly([g.b, g.a])     # a tau + b
-    bot = Poly([g.d, g.c])     # c tau + d
     n_deg = f.num.degree
     d_deg = f.den.degree
-    num_h = Poly()
-    for k, c in enumerate(f.num.coeffs):
-        num_h = num_h + Poly([c]) * (top ** k) * (bot ** (n_deg - k))
-    den_h = Poly()
-    for k, c in enumerate(f.den.coeffs):
-        den_h = den_h + Poly([c]) * (top ** k) * (bot ** (d_deg - k))
     power = f.weight + d_deg - n_deg
-    if power >= 0:
-        return RationalPeriodFunction(num_h * (bot ** power), den_h, f.weight)
-    return RationalPeriodFunction(num_h, den_h * (bot ** (-power)), f.weight)
+    return RationalPeriodFunction(
+        _substitute(f.num, g, n_deg + max(power, 0)),
+        _substitute(f.den, g, d_deg + max(-power, 0)),
+        f.weight,
+    )
 
 
 def _generator_name(g: GroupElement) -> str:
@@ -414,15 +461,14 @@ class ESResult:
         return self.first and self.second
 
 
-def eichler_shimura_check(p_s: RationalPeriodFunction, with_pt_zero: bool = True) -> ESResult:
+def eichler_shimura_check(p_s: RationalPeriodFunction) -> ESResult:
     """Check P_S|(1+S) = 0 and P_S|(1+TS+(TS)^2) = 0 exactly.
 
-    ``with_pt_zero`` records that the second relation is the cusp-form
-    statement (its derivation assumes the P(T) = 0 convention); both
-    relations are always computed, and for the non-cusp cocycles here the
-    second genuinely fails while the full cocycle law still holds.
+    The second relation is the cusp-form statement (its derivation assumes
+    the P(T) = 0 convention); both relations are always computed, and for
+    the non-cusp cocycles here the second genuinely fails while the full
+    cocycle law still holds.
     """
-    del with_pt_zero
     ts = T * S
     first = (p_s + stroke(p_s, S)).is_zero_function()
     second = (p_s + stroke(p_s, ts) + stroke(p_s, ts * ts)).is_zero_function()
@@ -523,10 +569,10 @@ def rbar(t: int) -> RationalPeriodFunction:
     function (1/x times a polynomial) on the x axis."""
     _check_t(t)
     z2t = zeta_even_exact(2 * t)
-    num = pbar(t).to_poly() * Poly.monomial(_ONE, 1)
+    num = pbar(t).to_poly() * Poly.monomial(1, 1)
     num = num + Poly.monomial(SymComplex(Fraction(2 * (-1) ** t) * z2t), 2 * t)
     num = num + Poly([SymComplex(2 * z2t)])
-    return RationalPeriodFunction(num, Poly.monomial(_ONE, 1), 2 * t - 2)
+    return RationalPeriodFunction(num, Poly.monomial(1, 1), 2 * t - 2)
 
 
 def rbar_cocycle(t: int) -> RationalPeriodFunction:
@@ -549,82 +595,35 @@ def p_T(t: int) -> RationalPeriodFunction:
 # Bol's identity
 # ---------------------------------------------------------------------------
 
-class _LinearDenForm:
-    """N(tau) / (c tau + d)^m with exact derivative bookkeeping (the
-    common factor produced by the quotient rule is cancelled each step)."""
-
-    __slots__ = ("num", "m", "lin", "c")
-
-    def __init__(self, num: Poly, m: int, lin: Poly, c):
-        self.num = num
-        self.m = m
-        self.lin = lin
-        self.c = c  # derivative of lin
-
-    def derivative(self) -> "_LinearDenForm":
-        num = self.num.derivative() * self.lin - Fraction(self.m) * SymComplex.coerce(self.c) * self.num
-        return _LinearDenForm(num, self.m + 1, self.lin, self.c)
-
-    def eval_exact(self, tau: Fraction) -> SymComplex:
-        lv = self.lin.eval_exact(tau)
-        num = self.num.eval_exact(tau)
-        if self.m == 0:
-            return num
-        if self.m > 0:
-            den = _ONE
-            for _ in range(self.m):
-                den = den * lv
-            return num.divide_by_gaussian(den)
-        out = num
-        for _ in range(-self.m):
-            out = out * lv
-        return out
-
-
 def bol_check(phi: Poly, g: GroupElement, r: int) -> bool:
     """Verify (D^{r+1} phi)(g tau) = (c tau + d)^{r+2} D^{r+1}
     ((c tau + d)^r phi(g tau)) exactly, D the ordinary derivative.
 
-    phi must be a polynomial so both sides are exact rational functions;
-    they are compared at r+5 rational points clear of the poles.
+    phi must be a polynomial, so both sides have the form N / (c tau + d)^m;
+    they are compared exactly by cross-multiplication.
     """
     if r < 0:
         raise DomainError("bol_check requires r >= 0")
     if not isinstance(phi, Poly):
-        phi = Poly([SymComplex.coerce(c) for c in phi])
+        phi = Poly(phi)
     lin = Poly([g.d, g.c])  # c tau + d
 
-    # left side: psi(g tau), psi = phi^{(r+1)}
+    # left side: psi(g tau) = left / lin^m_left, psi = phi^{(r+1)}
     psi = phi
     for _ in range(r + 1):
         psi = psi.derivative()
-    deg = max(psi.degree, 0)
-    lhs_num = Poly()
-    top = Poly([g.b, g.a])
-    for k, c in enumerate(psi.coeffs):
-        lhs_num = lhs_num + Poly([c]) * (top ** k) * (lin ** (deg - k))
-    lhs = _LinearDenForm(lhs_num, deg, lin, g.c)
+    m_left = max(psi.degree, 0)
+    left = _substitute(psi, g, m_left)
 
-    # right side: start from (c tau + d)^r phi(g tau) = N0 / lin^{deg0 - r}
-    deg0 = max(phi.degree, 0)
-    n0 = Poly()
-    for k, c in enumerate(phi.coeffs):
-        n0 = n0 + Poly([c]) * (top ** k) * (lin ** (deg0 - k))
-    rhs = _LinearDenForm(n0, deg0 - r, lin, g.c)
+    # right side: (c tau + d)^r phi(g tau) = num / lin^m; the quotient rule
+    # keeps that form, (num / lin^m)' = (num' lin - m c num) / lin^(m+1)
+    m = max(phi.degree, 0)
+    num = _substitute(phi, g, m)
+    m -= r
     for _ in range(r + 1):
-        rhs = rhs.derivative()
-    rhs = _LinearDenForm(rhs.num, rhs.m - (r + 2), lin, g.c)
-
-    # compare at r+5 rational points avoiding the pole of lin
-    checked = 0
-    tau = Fraction(2)
-    while checked < r + 5:
-        if not lin.eval_exact(tau).is_zero():
-            if not (lhs.eval_exact(tau) - rhs.eval_exact(tau)).is_zero():
-                return False
-            checked += 1
-        tau += 1
-    return True
+        num, m = num.derivative() * lin - num * (m * g.c), m + 1
+    m -= r + 2
+    return left * lin ** max(m - m_left, 0) == num * lin ** max(m_left - m, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ __all__ = [
     "QExpansion",
     "eps",
     "eps_sub",
-    "eps_sub_real",
     "mellin_eps_sub",
     "lambert_S",
     "psi_bar",
@@ -193,13 +192,6 @@ def eps_sub(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS) -
     c = float(casimir_constant(t))
     val = e.value - c * (1.0 + (1j * b) ** (-2 * t))
     return SeriesValue(val, e.terms, e.tail_bound)
-
-
-def eps_sub_real(t: int, x: float, tol: float = _DEFAULT_TOL) -> float:
-    """eps_sub on the positive real axis (quadrature workhorse)."""
-    if x <= 0:
-        raise DomainError("eps_sub_real requires x > 0")
-    return eps_sub(t, x, tol).value.real
 
 
 def mellin_eps_sub(t: int, b: float, tol: float = 1e-10) -> SeriesValue:

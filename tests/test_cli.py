@@ -68,6 +68,28 @@ def test_missing_parameter_exits_2(capsys):
     assert main(["eval", "eps"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "eps", "--t", "2", "--b", "abc"],
+        ["eval", "eps", "--t", "2", "--b", "1,zz"],
+        ["eval", "mellin_eps_sub", "--t", "2", "--b", "q"],
+        ["eval", "z2_kober", "--form", "1,a,2", "--w", "1"],
+        ["eval", "eps", "--t", "two", "--b", "1"],
+        ["eval", "zp_massive", "--p", "1", "--s", "x", "--w", "1"],
+    ],
+)
+def test_unparsable_number_exits_2(argv, capsys):
+    # typed flags fail inside argparse (SystemExit), the rest in main
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "error" in err
+
+
 def test_convergence_failure_exits_3(capsys):
     # certified direct mode cannot reach 1e-12 at s = 1.5
     assert main(["eval", "z2", "--form", "1,0,1", "--s", "1.2", "--tol", "1e-14"]) in (2, 3)

@@ -289,6 +289,16 @@ def test_guinand_relation(w, u):
     assert abs(guinand_gap(w, u)) < 1e-10
 
 
+@pytest.mark.parametrize("w", [1.0, 2.0])
+@pytest.mark.parametrize("u", [0.6, 1.3, 2.0])
+def test_guinand_relation_at_integer_order(w, u):
+    # xi(-2w) meets a gamma pole at integer w; the relation's limit is finite
+    gap = guinand_gap(w, u)
+    assert abs(gap) < 1e-10
+    for near in (w - 1e-6, w + 1e-6):
+        assert abs(guinand_gap(near, u) - gap) < 1e-10
+
+
 def test_guinand_derivative_form_matches_bessel_form():
     # the half-integer Bessel reduction in derivative form agrees with the
     # straight Bessel sums, settling the reduction question numerically

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modzeta.errors import DomainError
 from modzeta.exactnum import SymScalar, zeta_even_exact, zeta_odd_numeric
@@ -269,3 +271,100 @@ def test_diff_relation_kernel_part():
     for _ in range(3):
         d = d.derivative()
     assert d.is_zero()
+
+
+# ------------------------------------------------- exact algebra, controls
+def _times_minus_i_power(c, k):
+    # (-i)^k c through SymComplex arithmetic, independent of Poly storage
+    for _ in range(k):
+        c = c * SymComplex(0, -1)
+    return c
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_tiny_perturbation_breaks_exact_equality(t):
+    pc = pbar_cocycle(t)
+    assert (pc + stroke(pc, S)).is_zero_function()
+    for k in range(2 * t - 1):
+        for c in (Fraction(1, 10 ** 30), SymScalar.pi_term(1, 2 * t)):
+            bump = RationalPeriodFunction.from_poly(Poly.monomial(c, k), 2 * t - 2)
+            bad = pc + bump
+            assert not bad.equals(pc)
+            assert not (bad - pc).equals(RationalPeriodFunction.from_poly(Poly(), 2 * t - 2))
+            assert not (bad - pc).is_zero_function()
+            if k != t - 1 or k % 2 == 0:
+                # tau^k|(1+S) = tau^k + (-1)^k tau^(2t-2-k) vanishes only
+                # for odd k = t-1
+                assert not (bad + stroke(bad, S)).is_zero_function()
+
+
+_COCYCLES = {"pbar": pbar_cocycle, "rbar": rbar_cocycle, "p_T": p_T}
+_WORD = st.lists(st.sampled_from([S, T, T_INV]), min_size=1, max_size=4)
+
+
+def _product(word):
+    g = IDENTITY
+    for h in word:
+        g = g * h
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_COCYCLES)),
+    t=st.integers(2, 6),
+    w1=_WORD,
+    w2=_WORD,
+)
+def test_stroke_is_a_right_action_property(name, t, w1, w2):
+    f = _COCYCLES[name](t)
+    g, h = _product(w1), _product(w2)
+    lhs = stroke(stroke(f, g), h)
+    rhs = stroke(f, g * h)
+    assert lhs.equals(rhs)
+    assert (lhs - rhs).is_zero_function()
+    other = stroke(f, g)
+    assert other.equals(f) == (other - f).is_zero_function()
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+def test_coefficient_views_match_symcomplex_reference(t):
+    ref = [SymComplex(c) for c in pbar(t).coeffs]
+    assert pbar(t).to_poly().coeffs == tuple(ref)
+    assert pbar_cocycle(t).num.coeffs == tuple(_times_minus_i_power(c, k) for k, c in enumerate(ref))
+    assert pbar_cocycle(t).den.coeffs == (SymComplex(1),)
+    z2t = zeta_even_exact(2 * t)
+    end = SymComplex(Fraction(2 * (-1) ** t) * z2t)
+    assert rbar(t).num.coeffs == (SymComplex(2 * z2t), *ref, end)
+    assert rbar(t).den.coeffs == (SymComplex(0), SymComplex(1))
+    assert rbar_cocycle(t).den.coeffs == (SymComplex(0), SymComplex(0, -1))
+    assert p_T(t).num.coeffs == (SymComplex(2 * z2t),)
+    assert p_T(t).den.coeffs == (SymComplex(0), SymComplex(1), SymComplex(1))
+    # equality is by value, whatever the construction order or denominator
+    assert Poly(ref) == pbar(t).to_poly() == Poly(list(reversed(ref[::-1])))
+    assert (pbar(t).to_poly() + Poly([Fraction(1, 3)])) - Poly([Fraction(1, 3)]) == Poly(ref)
+    assert Poly([Fraction(1, 2), 1]) * 2 == Poly([1, 2])
+    assert Poly(ref) != Poly(ref[:-1])
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_eval_exact_matches_symscalar_reference(t):
+    z2t = zeta_even_exact(2 * t)
+    for x in (Fraction(1), Fraction(3, 2), Fraction(-2, 7)):
+        px = pbar(t).eval_exact(x)
+        assert pbar(t).to_poly().eval_exact(x) == SymComplex(px)
+        end = Fraction(2 * (-1) ** t) * z2t * SymScalar.rational(x ** (2 * t - 1))
+        end = end + 2 * z2t * SymScalar.rational(1 / x)
+        assert rbar(t).eval_exact(x) == SymComplex(px + end)
+        assert p_T(t).eval_exact(x) == SymComplex(2 * z2t * SymScalar.rational(1 / (x + x * x)))
+
+
+def test_poly_product_matches_symcomplex_product():
+    z3 = SymScalar.pi_term(Fraction(-2, 3), 1, 3)
+    z4 = zeta_even_exact(4)
+    zeta_free = [SymComplex(0, 1), SymComplex(Fraction(1, 7), z4), SymComplex(z4, -1)]
+    for a in zeta_free + [SymComplex(z3, z4), SymComplex(1, z3)]:
+        for b in zeta_free:
+            assert (Poly([a, b]) * Poly([b, 1])).coeffs == (a * b, a + b * b, b)
+    # (-i tau)^2 = -tau^2
+    assert (rbar_cocycle(2).den ** 2).coeffs == (SymComplex(0), SymComplex(0), SymComplex(-1))
