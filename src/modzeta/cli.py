@@ -188,7 +188,7 @@ def _eval_quantity(args) -> dict:
         sv = tmod.free_energy_partial(t, xi)
         out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(0.0)}
         out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"terms": 0, "tail_bound": _fmt(sv.tail_bound)}
+        out["truncation"] = {"terms": sv.terms, "tail_bound": _fmt(sv.tail_bound)}
         return out
     if q == "entropy":
         t = int(_need(args, "t"))
@@ -197,7 +197,7 @@ def _eval_quantity(args) -> dict:
         sv = tmod.entropy_partial(t, xi)
         out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(0.0)}
         out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"terms": 0, "tail_bound": _fmt(sv.tail_bound)}
+        out["truncation"] = {"terms": sv.terms, "tail_bound": _fmt(sv.tail_bound)}
         return out
     if q == "mode_sum_F":
         spec = _spectrum_from_arg(args.spectrum or "s3")

@@ -22,6 +22,7 @@ custom finite tables loadable from JSON.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -35,9 +36,9 @@ from .errors import (
     DomainError,
     SingularityError,
 )
-from .epstein import bessel_k, rp_counts
-from .exactnum import gamma_numeric, sigma_range, zeta_negative_exact
-from .qseries import SeriesValue, _quad
+from .epstein import bessel_k
+from .exactnum import _coefficients, gamma_numeric, zeta_negative_exact
+from .qseries import SeriesValue, _certified_sum, _quad
 
 __all__ = [
     "DirichletDatum",
@@ -117,18 +118,11 @@ class DirichletDatum:
 # factories
 # ---------------------------------------------------------------------------
 
-_SIGMA_CACHE: dict[int, list[int]] = {}
-
-
 def _sigma(k):
-    # sequential access pattern: serve from a doubling divisor sieve
+    sigma = _coefficients("sigma", k)
+
     def coef(n: int) -> float:
-        cache = _SIGMA_CACHE.get(k)
-        if cache is None or n >= len(cache):
-            size = max(2 * n + 16, 8192)
-            _SIGMA_CACHE[k] = sigma_range(k, size)
-            cache = _SIGMA_CACHE[k]
-        return float(cache[n])
+        return float(sigma(n))
 
     return coef
 
@@ -209,28 +203,17 @@ def sigma_datum(k: int) -> DirichletDatum:
     )
 
 
-_RP_CACHE: dict[int, list] = {}
-
-
-def _rp(p: int, n: int) -> float:
-    cache = _RP_CACHE.get(p)
-    if cache is None or n >= len(cache):
-        size = max(2 * n + 16, 4096)
-        _RP_CACHE[p] = list(rp_counts(p, size))
-        cache = _RP_CACHE[p]
-    return float(cache[n])
-
-
 def diagonal_epstein_datum(p: int) -> DirichletDatum:
     """Diagonal lattice datum: a_n = r_p(n), lambda_n = n,
     b_n = pi^{p/2} r_p(n), mu_n = pi^2 n, delta = p/2."""
     if p < 1 or p > 4:
         raise DomainError("diagonal_epstein_datum supports 1 <= p <= 4")
     pref = math.pi ** (p / 2.0)
+    rp = _coefficients("rp", p)
     return DirichletDatum(
         name=f"diagonal_epstein_{p}",
-        a=lambda n: _rp(p, n),
-        b=lambda n: pref * _rp(p, n),
+        a=lambda n: float(rp(n)),
+        b=lambda n: pref * float(rp(n)),
         lam=float,
         mu=lambda n: math.pi * math.pi * n,
         delta=p / 2.0,
@@ -332,40 +315,33 @@ def phi_direct(d: DirichletDatum, s: complex, tol: float = 1e-11, max_terms: int
     decay = s.real * q_l - p_a
     if d.finite_n is None and decay <= 1.0:
         raise DomainError("phi_direct: Re s below the certified convergence range")
-    acc = 0j
-    m = 0
-    while m < max_terms:
-        m += 1
-        acc += d.a(m) * complex(d.lam(m)) ** (-s)
+
+    def tail(m: int) -> float:
         if d.finite_n is not None and m >= d.finite_n:
-            return SeriesValue(acc, m, 0.0)
+            return 0.0
         m1 = m + 1
-        tail = c_a * c_l ** (-s.real) * (
-            m1 ** -decay + m1 ** (1 - decay) / (decay - 1)
-        )
-        if tail <= tol:
-            return SeriesValue(acc, m, tail)
-    raise ConvergenceError(f"phi_direct needs more than {max_terms} terms")
+        return c_a * c_l ** (-s.real) * (m1 ** -decay + m1 ** (1 - decay) / (decay - 1))
+
+    terms = (d.a(m) * complex(d.lam(m)) ** (-s) for m in itertools.count(1))
+    return _certified_sum(terms, tail, tol, max_terms, "phi_direct", 0j)
 
 
 def _kernel_sum(coef, seq, low, bound, beta: float, tol: float, max_terms: int = 200_000, finite_n=None) -> SeriesValue:
     c_b, p_b = bound
     c_l, q_l = low
-    acc = 0.0
-    m = 0
-    while m < max_terms:
-        m += 1
-        acc += coef(m) * math.exp(-seq(m) * beta)
+
+    def tail(m: int) -> float:
         if finite_n is not None and m >= finite_n:
-            return SeriesValue(acc, m, 0.0)
+            return 0.0
         m1 = m + 1
         term_bound = c_b * m1 ** p_b * math.exp(-c_l * m1 ** q_l * beta)
         ratio = ((m1 + 1) / m1) ** p_b * math.exp(
             -c_l * beta * ((m1 + 1) ** q_l - m1 ** q_l)
         )
-        if ratio < 1 and term_bound / (1 - ratio) <= tol:
-            return SeriesValue(acc, m, term_bound / (1 - ratio))
-    raise ConvergenceError("heat kernel did not certify its tolerance")
+        return term_bound / (1 - ratio) if ratio < 1 else math.inf
+
+    terms = (coef(m) * math.exp(-seq(m) * beta) for m in itertools.count(1))
+    return _certified_sum(terms, tail, tol, max_terms, "heat kernel")
 
 
 @dataclass(frozen=True)
@@ -445,17 +421,16 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
     c_hi = c_lo  # built-in sequences are exact power laws
     kappa = 2.0 * w * math.sqrt(c_lo)
     pe = p_b + abs(nu) * q / 2.0
-    acc = 0.0
-    n = 0
-    tail = math.inf
     gam_s = float(gamma_numeric(s).real)
-    while n < 100_000:
-        n += 1
-        mu = d.mu(n)
-        acc += 2.0 * d.b(n) * (mu / (w * w)) ** (nu / 2.0) * bessel_k(nu, 2 * w * math.sqrt(mu))
+
+    def terms():
+        for n in itertools.count(1):
+            mu = d.mu(n)
+            yield 2.0 * d.b(n) * (mu / (w * w)) ** (nu / 2.0) * bessel_k(nu, 2 * w * math.sqrt(mu))
+
+    def tail(n: int) -> float:
         if d.finite_n is not None and n >= d.finite_n:
-            tail = 0.0
-            break
+            return 0.0
         n1 = n + 1
         x1 = kappa * n1 ** (q / 2.0)
         head = 2.0 * c_b * (c_hi / (w * w)) ** (abs(nu) / 2.0) * math.sqrt(
@@ -466,13 +441,11 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
         rest = head * (2.0 / q) * kappa ** (-alpha) * float(
             gammaincc(alpha, x1)
         ) * float(gamma_numeric(alpha).real)
-        tail = (first + rest) / abs(gam_s)
-        if tail <= tol:
-            break
-    if tail > tol:
-        raise ConvergenceError(f"berndt_phi tail {tail:.1e} > {tol:.1e}")
-    val = (berndt_R(d, s, w) + acc) / gam_s
-    return SeriesValue(val, n, tail)
+        return (first + rest) / abs(gam_s)
+
+    series = _certified_sum(terms(), tail, tol, 100_000, "berndt_phi")
+    val = (berndt_R(d, s, w) + series.value) / gam_s
+    return SeriesValue(val, series.terms, series.tail_bound)
 
 
 # ---------------------------------------------------------------------------

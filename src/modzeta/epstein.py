@@ -11,21 +11,22 @@ Three evaluation routes are implemented and cross-checked:
   exponentially convergent through half-integer K-Bessels.
 
 The K-Bessel itself is computed from the finite closed form at
-half-integer order and from the integral representation
-``K_nu(x) = int_0^inf exp(-x cosh u) cosh(nu u) du`` otherwise; all series
-truncations use the rigorous bound
+half-integer order and by ``scipy.special.kv`` (the AMOS routines)
+otherwise; all series truncations use the rigorous bound
 ``K_nu(x) <= sqrt(pi/2x) exp(-x + nu^2/(2x))``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import kv
 
 from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError
-from .exactnum import divisor_sigma, gamma_numeric, zeta_numeric
-from .qseries import SeriesValue, _quad, lambert_S, log_deriv_D, lambert_expansion
+from .exactnum import _coefficients, _sieve, gamma_numeric, zeta_numeric
+from .qseries import SeriesValue, _certified_sum, _quad, lambert_S, log_deriv_D, lambert_expansion
 
 __all__ = [
     "BinaryForm",
@@ -109,28 +110,11 @@ def _bessel_k_half_integer(m: int, x: float) -> float:
     return math.sqrt(math.pi / (2 * x)) * math.exp(-x) * acc
 
 
-def _bessel_k_series(nu: float, x: float) -> float:
-    # small-x series via K = pi (I_{-nu} - I_nu) / (2 sin pi nu);
-    # non-integer order only
-    def besseli(v: float, z: float) -> float:
-        acc = 0.0
-        k = 0
-        term = (z / 2) ** v / float(gamma_numeric(v + 1).real)
-        while True:
-            acc += term
-            k += 1
-            term *= (z * z / 4) / (k * (v + k))
-            if abs(term) < 1e-18 * max(abs(acc), 1e-300) or k > 200:
-                return acc
-
-    return math.pi * (besseli(-nu, x) - besseli(nu, x)) / (2 * math.sin(math.pi * nu))
-
-
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel K_nu(x) for x > 0, real order.
 
-    Half-integer orders use the finite closed form; otherwise the integral
-    representation (x >= 0.05) or the small-argument series.
+    Half-integer orders use the finite closed form; every other order goes
+    to ``scipy.special.kv`` (AMOS, ACM TOMS 644).
     """
     if x <= 0:
         raise DomainError("bessel_k requires x > 0")
@@ -138,20 +122,7 @@ def bessel_k(nu: float, x: float) -> float:
     half = nu - 0.5
     if abs(half - round(half)) < 1e-14 and half >= -0.25:
         return _bessel_k_half_integer(int(round(half)), x)
-    if x < 0.05:
-        if abs(nu - round(nu)) < 1e-12:
-            from scipy.special import kv  # integer order at tiny x only
-
-            return float(kv(nu, x))
-        return _bessel_k_series(nu, x)
-    # exp(-x cosh u) below 1e-21 * exp(-x) once x (cosh u - 1) - nu u > 48
-    top = math.acosh(1.0 + (48.0 + 10.0 * nu) / x)
-
-    def f(u: float) -> float:
-        return math.exp(-x * math.cosh(u)) * math.cosh(nu * u)
-
-    val, err = _quad(f, 0.0, top, epsabs=1e-16)
-    return val
+    return float(kv(nu, x))
 
 
 # ---------------------------------------------------------------------------
@@ -254,30 +225,27 @@ def z2_direct(
         raise DomainError("z2_direct needs s > 1 for absolute convergence")
     if tail not in ("bound", "integral"):
         raise DomainError("tail must be 'bound' or 'integral'")
-    if radius is None:
-        if tail == "bound":
-            radius = 8
-            while _z2_tail(form, s, radius) > tol:
-                radius *= 2
-                if radius > 1 << 13:
-                    need = radius
-                    while _z2_tail(form, s, need) > tol:
-                        need *= 2
-                    raise ConvergenceError(
-                        "z2_direct cannot certify the tolerance at a workable radius",
-                        suggestion=need,
-                    )
-        else:
-            radius = 600
+    if radius is not None and radius < 1:
+        raise DomainError("z2_direct radius must be >= 1")
     if tail == "bound":
-        bound = _z2_tail(form, s, radius)
-        if bound > tol:
-            need = radius
-            while _z2_tail(form, s, need) > tol:
-                need *= 2
+        # double from the given (or smallest) radius until the shell bound
+        # certifies tol; past 2^60 the search stops, short of float overflow
+        need = 8 if radius is None else radius
+        while _z2_tail(form, s, need) > tol:
+            if need > 1 << 60:
+                raise ConvergenceError(
+                    f"z2_direct: no radius up to 2^60 certifies {tol:.2e} at s = {s}",
+                    suggestion="tail='integral'",
+                )
+            need *= 2
+        if need > (1 << 13 if radius is None else radius):
             raise ConvergenceError(
-                f"z2_direct tail bound {bound:.2e} exceeds {tol:.2e}", suggestion=need
+                f"z2_direct needs radius {need} to certify {tol:.2e}", suggestion=need
             )
+        radius = need
+        bound = _z2_tail(form, s, radius)
+    elif radius is None:
+        radius = 600
     m = np.arange(-radius, radius + 1)
     mm, nn = np.meshgrid(m, m, indexing="ij")
     q = form.a * mm * mm + 2 * form.b * mm * nn + form.c * nn * nn
@@ -300,31 +268,28 @@ def z2_direct(
 # Kober / Bessel expansion of the binary Epstein function
 # ---------------------------------------------------------------------------
 
-def _sigma_real(k: float, n: int) -> float:
-    if abs(k - round(k)) < 1e-12 and round(k) >= 0:
-        return float(divisor_sigma(int(round(k)), n))
-    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
-
-
-def _bessel_series(w: float, u: float, v: float, target: float, max_terms: int = 4000):
+def _bessel_series(w: float, u: float, v: float, target: float, max_terms: int = 4000) -> SeriesValue:
     """sum_n sigma_{2w}(n) n^{-w} cos(2 pi v n) K_w(2 pi u n) with a
     certified truncation (sigma_{2w}(n) n^{-w} <= 2 n^{1/2+|w|})."""
-    acc = 0.0
-    n = 0
-    terms = 0
-    while n < max_terms:
-        n += 1
-        terms = n
-        acc += _sigma_real(2 * w, n) * n ** (-w) * math.cos(2 * math.pi * v * n) * bessel_k(
-            w, 2 * math.pi * u * n
-        )
+    k = 2 * w
+    if abs(k - round(k)) < 1e-12 and round(k) >= 0:
+        sigma = _coefficients("sigma", int(round(k)))
+    else:  # a non-integer order seldom repeats: a table for this call only
+        sigma = _coefficients("sigma", k, {})
+    terms = (
+        float(sigma(n)) * n ** (-w) * math.cos(2 * math.pi * v * n)
+        * bessel_k(w, 2 * math.pi * u * n)
+        for n in itertools.count(1)
+    )
+
+    def tail(n: int) -> float:
         nxt = n + 1
         bound = 2 * nxt ** (0.5 + abs(w)) * bessel_k_bound(w, 2 * math.pi * u * nxt)
         # geometric majorant for the rest of the tail
         ratio = math.exp(-2 * math.pi * u) * ((nxt + 1) / nxt) ** (0.5 + abs(w))
-        if ratio < 1 and bound / (1 - ratio) <= target:
-            return acc, terms, bound / (1 - ratio)
-    raise ConvergenceError(f"Bessel series did not certify {target:.1e} in {max_terms} terms")
+        return bound / (1 - ratio) if ratio < 1 else math.inf
+
+    return _certified_sum(terms, tail, target, max_terms, "Bessel series")
 
 
 def z2_kober(form, w: float, target_tol: float = 1e-12) -> SeriesValue:
@@ -343,7 +308,7 @@ def z2_kober(form, w: float, target_tol: float = 1e-12) -> SeriesValue:
         8.0 * math.pi ** (w + 0.5) * math.sqrt(u)
         / (float(gamma_numeric(w + 0.5).real) * delta ** ((2 * w + 1) / 4.0))
     )
-    bess, terms, tail = _bessel_series(w, u, v, target_tol / scale_mag)
+    bess = _bessel_series(w, u, v, target_tol / scale_mag)
     rhs = (
         0.25 * u ** (-w) * float(gamma_numeric(w).real) * math.pi ** (-w) * float(zeta_numeric(2 * w).real)
         + 0.25
@@ -351,12 +316,12 @@ def z2_kober(form, w: float, target_tol: float = 1e-12) -> SeriesValue:
         * float(gamma_numeric(w + 0.5).real)
         * math.pi ** (-w - 0.5)
         * float(zeta_numeric(2 * w + 1).real)
-        + bess
+        + bess.value
     )
     scale = 8.0 * math.pi ** (w + 0.5) * math.sqrt(u) / (
         float(gamma_numeric(w + 0.5).real) * delta ** ((2 * w + 1) / 4.0)
     )
-    return SeriesValue(scale * rhs, terms, abs(scale) * tail)
+    return SeriesValue(scale * rhs, bess.terms, abs(scale) * bess.tail_bound)
 
 
 def z2_quartic(xi: float, tol: float = 1e-11) -> SeriesValue:
@@ -405,25 +370,20 @@ def z2_quartic(xi: float, tol: float = 1e-11) -> SeriesValue:
 
 def rp_counts(p: int, n_max: int) -> np.ndarray:
     """r_p(0..n_max): number of representations as a sum of p squares,
-    by convolution over one coordinate at a time (exact integers)."""
-    if p < 1:
-        raise DomainError("rp_counts requires p >= 1")
-    one = np.zeros(n_max + 1, dtype=object)
-    one[0] = 1
-    k = 1
-    while k * k <= n_max:
-        one[k * k] = 2
-        k += 1
-    out = one.copy()
-    for _ in range(p - 1):
-        new = np.zeros(n_max + 1, dtype=object)
-        for i in range(n_max + 1):
-            if out[i]:
-                top = n_max - i
-                j = 0
-                while j * j <= top:
-                    new[i + j * j] += out[i] * (one[j * j] if j else 1)
-                    j += 1
+    by convolution over one coordinate at a time: each square j^2 adds a
+    shifted int64 slice, exact while the point count of the enclosing cube
+    fits in int64 (checked)."""
+    if p < 1 or n_max < 0:
+        raise DomainError("rp_counts requires p >= 1 and n_max >= 0")
+    roots = math.isqrt(n_max)
+    if (2 * roots + 1) ** p >= 2 ** 63:
+        raise DomainError("rp_counts: counts would overflow int64")
+    out = np.zeros(n_max + 1, dtype=np.int64)
+    out[0] = 1
+    for _ in range(p):
+        new = out.copy()
+        for j in range(1, roots + 1):
+            new[j * j:] += 2 * out[: n_max + 1 - j * j]
         out = new
     return out
 
@@ -506,13 +466,13 @@ def zp_massive(p: int, s: float, w: float, target_tol: float = 1e-11) -> SeriesV
 
     # truncation: r_p(n) <= 3^p n^{p/2}; Bessel bound gives geometric decay
     n_max = int((50.0 / (2 * math.pi * w)) ** 2) + 8
-    counts = rp_counts(p, n_max)
+    counts = _sieve("rp", p, n_max)
     acc = 0.0
     pref = 2.0 * math.pi ** s / gs.real
     for n in range(1, n_max + 1):
         if counts[n]:
             root = math.sqrt(n)
-            acc += int(counts[n]) * (root / w) ** nu * bessel_k(nu, 2 * math.pi * w * root)
+            acc += counts[n] * (root / w) ** nu * bessel_k(nu, 2 * math.pi * w * root)
     nxt = math.sqrt(n_max + 1)
     tail = (
         abs(pref)
@@ -546,8 +506,8 @@ def xi_completed(z: float) -> float:
 
 def guinand_lhs_bessel(w: float, u: float, tol: float = 1e-13) -> float:
     """S(u) - (1/u) S(1/u) with S(u) = sum sigma_{2w}(n) n^{-w} K_w(2 pi n u)."""
-    s_u, _, _ = _bessel_series(w, u, 0.0, tol)
-    s_inv, _, _ = _bessel_series(w, 1.0 / u, 0.0, tol)
+    s_u = _bessel_series(w, u, 0.0, tol).value
+    s_inv = _bessel_series(w, 1.0 / u, 0.0, tol).value
     return s_u - s_inv / u
 
 
@@ -579,29 +539,34 @@ def _derivative_bessel_sum(t: int, u: float, tol: float = 1e-13, max_terms: int 
     the derivative applied exactly to each exponential term (this is the
     half-integer Bessel reduction in derivative form).
     """
-    # ((1/u) d/du)^{t-1} of u^{-1} e^{-cu}: maintain Laurent coefficients
-    acc = 0.0
-    n = 0
     pref = math.sqrt(math.pi / 2) * (-1) ** (t - 1) * (2 * math.pi) ** (0.5 - t) * u ** (
         t - 0.5
     )
-    while n < max_terms:
-        n += 1
-        c = 2 * math.pi * n
-        coeffs = {-1: 1.0}  # u^{-1}
-        for _ in range(t - 1):
-            new: dict[int, float] = {}
-            for j, a in coeffs.items():
-                new[j - 2] = new.get(j - 2, 0.0) + j * a
-                new[j - 1] = new.get(j - 1, 0.0) - c * a
-            coeffs = new
-        term = sum(a * u ** j for j, a in coeffs.items()) * math.exp(-c * u)
-        acc += divisor_sigma(2 * t - 1, n) * n ** (1 - 2 * t) * term
-        if abs(pref) * 2 * (n + 1) ** (0.5 + t) * math.exp(-2 * math.pi * u * (n + 1)) * (
-            1 + c
-        ) ** t < tol and n > 3:
-            break
-    return pref * acc
+
+    sigma = _coefficients("sigma", 2 * t - 1)
+
+    def terms():
+        # ((1/u) d/du)^{t-1} of u^{-1} e^{-cu}: maintain Laurent coefficients
+        for n in itertools.count(1):
+            c = 2 * math.pi * n
+            coeffs = {-1: 1.0}  # u^{-1}
+            for _ in range(t - 1):
+                new: dict[int, float] = {}
+                for j, a in coeffs.items():
+                    new[j - 2] = new.get(j - 2, 0.0) + j * a
+                    new[j - 1] = new.get(j - 1, 0.0) - c * a
+                coeffs = new
+            term = sum(a * u ** j for j, a in coeffs.items()) * math.exp(-c * u)
+            yield sigma(n) * n ** (1 - 2 * t) * term
+
+    def tail(n: int) -> float:
+        if n <= 3:
+            return math.inf
+        return abs(pref) * 2 * (n + 1) ** (0.5 + t) * math.exp(-2 * math.pi * u * (n + 1)) * (
+            1 + 2 * math.pi * n
+        ) ** t
+
+    return pref * _certified_sum(terms(), tail, tol, max_terms, "derivative Bessel sum").value
 
 
 def guinand_lhs_derivative(t: int, u: float) -> float:

@@ -11,6 +11,10 @@ Numeric side: Riemann zeta on the strip ``-10 <= Re s <= 30``,
 output), the reflection formula for ``Re s < -1/2``, and the complex gamma
 function.  Odd-zeta constants are precomputed by an accelerated alternating
 series and cached for SymScalar evaluation.
+
+Divisor side: ``divisor_sigma`` (pointwise, the reference) and the one
+cache of sigma_k and r_p tables, keyed by kind and integer order, that
+every series reads its coefficients from.
 """
 from __future__ import annotations
 
@@ -221,7 +225,10 @@ def divisor_sigma(k: int, n: int) -> int:
 
 
 def sigma_range(k: int, n_max: int) -> list[int]:
-    """[sigma_k(1), ..., sigma_k(n_max)] by a divisor sieve (index 0 unused)."""
+    """[sigma_k(1), ..., sigma_k(n_max)] by a divisor sieve (index 0 unused).
+
+    Each entry adds its divisors' powers in increasing order, so a real
+    ``k`` gives the same floats as the direct divisor sum."""
     if n_max < 1:
         raise DomainError("sigma_range: n_max must be >= 1")
     out = [0] * (n_max + 1)
@@ -230,6 +237,47 @@ def sigma_range(k: int, n_max: int) -> list[int]:
         for m in range(d, n_max + 1, d):
             out[m] += dk
     return out
+
+
+_SIEVES: dict[tuple[str, int], list[int]] = {}
+
+
+def _sieve(kind: str, order, n: int, store: dict = _SIEVES) -> list:
+    """Coefficient table covering index ``n``: sigma_order (kind "sigma",
+    built by ``sigma_range``) or r_order (kind "rp", built by
+    ``epstein.rp_counts``).
+
+    Integer orders share the module cache.  A non-integer sigma order
+    seldom repeats, so its caller passes a store of its own.  The first build
+    covers the request and later builds double, so sequential access costs
+    O(log n) builds.
+    """
+    table = store.get((kind, order))
+    if table is None or n >= len(table):
+        size = n if table is None else max(n, 2 * (len(table) - 1))
+        if kind == "sigma":
+            table = sigma_range(order, size)
+        else:
+            from . import epstein  # rp_counts lives with the lattice sums
+
+            table = epstein.rp_counts(order, size).tolist()
+        store[(kind, order)] = table
+    return table
+
+
+def _coefficients(kind: str, order, store: dict = _SIEVES):
+    """Per-term view n -> table[n] of a ``_sieve`` table.  It keeps the
+    table it was last given (entries never change, tables only grow) and
+    asks ``_sieve`` again only for an index beyond it."""
+    table = ()
+
+    def at(n: int):
+        nonlocal table
+        if n >= len(table):
+            table = _sieve(kind, order, n, store)
+        return table[n]
+
+    return at
 
 
 # ---------------------------------------------------------------------------

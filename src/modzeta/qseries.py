@@ -32,8 +32,9 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .errors import ConvergenceError, DomainError, InconsistencyError, UnsupportedError
 from .exactnum import (
+    _coefficients,
+    _sieve,
     bernoulli,
-    divisor_sigma,
     gamma_numeric,
     require_finite,
     zeta_even_exact,
@@ -120,6 +121,29 @@ class SeriesValue:
         return complex(self.value).real
 
 
+def _certified_sum(terms, tail, tol: float, max_terms: int, what: str, acc=0.0) -> SeriesValue:
+    """Add ``terms`` in order onto ``acc`` until the majorant ``tail(n)`` of
+    everything after term n is <= tol; return SeriesValue(sum, n, tail(n)).
+
+    Raises ConvergenceError when ``max_terms`` terms do not certify tol.
+    """
+    for n, term in zip(range(1, max_terms + 1), terms):
+        acc += term
+        bound = tail(n)
+        if bound <= tol:
+            return SeriesValue(acc, n, bound)
+    raise ConvergenceError(
+        f"{what} did not certify {tol:.1e} in {max_terms} terms", suggestion=2 * max_terms
+    )
+
+
+def _powers(q, qn):
+    """qn q, qn q^2, ... by repeated multiplication."""
+    while True:
+        qn *= q
+        yield qn
+
+
 def _point(p) -> complex:
     if isinstance(p, HalfPlanePoint):
         return complex(p.b)
@@ -159,20 +183,11 @@ def _sum_lambert(a_power: int, b2: complex, tol: float, max_terms: int) -> Serie
     """sum_{n>=1} n^a q^{2n} / (1 - q^{2n}) with a certified tail bound."""
     q2 = require_finite(cmath.exp(-2 * math.pi * b2))
     r = abs(q2)
-    acc = 0.0 + 0.0j
-    qn = 1.0 + 0.0j
     inv = 1.0 / (1.0 - r)
-    n = 0
-    while n < max_terms:
-        n += 1
-        qn *= q2
-        acc += (n ** a_power) * qn / (1.0 - qn)
-        tail = _power_series_tail(inv, a_power, r, n)
-        if tail <= tol:
-            return SeriesValue(acc, n, tail)
-    raise ConvergenceError(
-        f"Lambert series needs more than {max_terms} terms at |q^2| = {r:.3g}",
-        suggestion=2 * max_terms,
+    terms = ((n ** a_power) * qn / (1.0 - qn) for n, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
+    return _certified_sum(
+        terms, lambda n: _power_series_tail(inv, a_power, r, n), tol, max_terms,
+        "Lambert series", 0.0 + 0.0j,
     )
 
 
@@ -234,27 +249,19 @@ def lambert_S(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS)
     b = _point(p)
     q2 = cmath.exp(-2 * math.pi * b)
     r = abs(q2)
-    acc = 0.0 + 0.0j
-    qn = 1.0 + 0.0j
     inv = 1.0 / (1.0 - r)
-    n = 0
-    lam = None
-    while n < max_terms:
-        n += 1
-        qn *= q2
-        acc += qn / ((n ** (2 * t - 1)) * (1.0 - qn))
-        tail = _power_series_tail(inv, 0.0, r, n)
-        if tail <= tol:
-            lam = SeriesValue(acc, n, tail)
-            break
-    if lam is None:
-        raise ConvergenceError(f"lambert_S needs more than {max_terms} terms")
+    k = 2 * t - 1
+    terms = (qn / ((n ** k) * (1.0 - qn)) for n, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
+    lam = _certified_sum(
+        terms, lambda n: _power_series_tail(inv, 0.0, r, n), tol, max_terms, "lambert_S", 0.0 + 0.0j
+    )
     # divisor-form cross check: sigma_{2t-1}(m)/m^{2t-1} <= zeta(2t-1) < 1.21
+    sigma = _sieve("sigma", k, lam.terms)
     div = 0.0 + 0.0j
     qn = 1.0 + 0.0j
     for m in range(1, lam.terms + 1):
         qn *= q2
-        div += (divisor_sigma(2 * t - 1, m) / m ** (2 * t - 1)) * qn
+        div += (sigma[m] / m ** k) * qn
     div_tail = _power_series_tail(1.21, 0.0, r, lam.terms)
     gap = abs(div - lam.value)
     if gap > max(1e-12, 10 * (lam.tail_bound + div_tail)):
@@ -300,9 +307,11 @@ class QExpansion:
 def lambert_expansion(t: int) -> QExpansion:
     """q-expansion of S_t: coefficients sigma_{2t-1}(m)/m^{2t-1}."""
     _check_t(t)
+    k = 2 * t - 1
+    sigma = _coefficients("sigma", k)
 
     def coef(m: int) -> float:
-        return divisor_sigma(2 * t - 1, m) / m ** (2 * t - 1)
+        return sigma(m) / m ** k
 
     return QExpansion(0.0, coef, 1.21, 0.0, label=f"S_{t}")
 
@@ -310,9 +319,10 @@ def lambert_expansion(t: int) -> QExpansion:
 def eps_expansion(t: int) -> QExpansion:
     """q-expansion of eps_t: constant -B_2t/4t, coefficients sigma_{2t-1}(m)."""
     _check_t(t)
+    sigma = _coefficients("sigma", 2 * t - 1)
 
     def coef(m: int) -> float:
-        return float(divisor_sigma(2 * t - 1, m))
+        return float(sigma(m))
 
     if t == 1:
         bound_c, bound_p = 1.0, 2.0          # sigma_1(m) <= m^2
@@ -334,19 +344,13 @@ def log_deriv_D(f, k: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_T
     b = _point(p)
     q2 = cmath.exp(-2 * math.pi * b)
     r = abs(q2)
-    acc = complex(f.const) if k == 0 else 0.0 + 0.0j
-    qn = 1.0 + 0.0j
     cbound = f.bound_c * (2.0 ** k)
     power = f.bound_p + k
-    m = 0
-    while m < max_terms:
-        m += 1
-        qn *= q2
-        acc += f.coef(m) * ((2 * m) ** k) * qn
-        tail = _power_series_tail(cbound, power, r, m)
-        if tail <= tol:
-            return SeriesValue(acc, m, tail)
-    raise ConvergenceError(f"log_deriv_D needs more than {max_terms} terms")
+    terms = (f.coef(m) * ((2 * m) ** k) * qn for m, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
+    return _certified_sum(
+        terms, lambda m: _power_series_tail(cbound, power, r, m), tol, max_terms, "log_deriv_D",
+        complex(f.const) if k == 0 else 0.0 + 0.0j,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,18 @@ half-integer Bessel survives the s -> 0 limit) close the loop.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .epstein import bessel_k
-from .errors import DomainError
-from .exactnum import sigma_range, zeta_negative_exact, zeta_odd_numeric
+from .errors import ConvergenceError, DomainError
+from .exactnum import _coefficients, zeta_negative_exact, zeta_odd_numeric
 from .qseries import (
     SeriesValue,
+    _certified_sum,
+    _powers,
     casimir_constant,
     eps,
 )
@@ -159,38 +162,24 @@ SINGLE_MODE = SpectrumSpec("single-mode", table=((1, 1.0),))
 
 
 # ---------------------------------------------------------------------------
-# divisor q-series helpers (cached sieves)
+# divisor q-series (sigma_k from the shared sieve cache in exactnum)
 # ---------------------------------------------------------------------------
 
-_SIG_CACHE: dict[int, list[int]] = {}
-
-
-def _sig(k: int, n: int) -> int:
-    cache = _SIG_CACHE.get(k)
-    if cache is None or n >= len(cache):
-        _SIG_CACHE[k] = sigma_range(k, max(2 * n + 16, 2048))
-        cache = _SIG_CACHE[k]
-    return cache[n]
-
-
-def _divisor_series(k: int, weight: float, q2: float, tol: float = 1e-16) -> float:
+def _divisor_series(k: int, weight: float, q2: float, tol: float = 1e-16) -> SeriesValue:
     """sum_n sigma_k(n) n^{-weight} q2^n with a simple certified cutoff."""
-    acc = 0.0
-    n = 0
-    qn = 1.0
-    bound_pow = k - weight + 1.0
-    while True:
-        n += 1
-        qn *= q2
-        acc += _sig(k, n) * float(n) ** (-weight) * qn
+    bound_pow = max(k - weight + 1.0, 0.0)
+    sigma = _coefficients("sigma", k)
+
+    def tail(n: int) -> float:
         n1 = n + 1
-        ratio = q2 * ((n1 + 1) / n1) ** max(bound_pow, 0.0)
-        if ratio < 1.0:
-            tail = 1.3 * n1 ** max(bound_pow, 0.0) * q2 ** n1 / (1 - ratio)
-            if tail <= tol:
-                return acc
-        if n > 200_000:
-            raise DomainError("divisor series failed to converge")
+        ratio = q2 * ((n1 + 1) / n1) ** bound_pow
+        return 1.3 * n1 ** bound_pow * q2 ** n1 / (1 - ratio) if ratio < 1.0 else math.inf
+
+    terms = (
+        sigma(n) * float(n) ** (-weight) * qn
+        for n, qn in enumerate(_powers(q2, 1.0), 1)
+    )
+    return _certified_sum(terms, tail, tol, 200_000, "divisor series")
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +191,9 @@ def free_energy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
     xi = _xi(pt)
     q2 = math.exp(-2.0 * math.pi / xi)
     series = _divisor_series(2 * t - 1, 1.0, q2, tol)
-    val = float(casimir_constant(t)) - xi / (2 * math.pi) * series
-    return SeriesValue(val, 0, tol)
+    scale = xi / (2 * math.pi)
+    val = float(casimir_constant(t)) - scale * series.value
+    return SeriesValue(val, series.terms, scale * series.tail_bound)
 
 
 def entropy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
@@ -212,9 +202,11 @@ def entropy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
     xi = _xi(pt)
     q2 = math.exp(-2.0 * math.pi / xi)
     g = _divisor_series(2 * t - 1, 1.0, q2, tol)
-    e = eps(t, 1.0 / xi, tol).value.real
+    e = eps(t, 1.0 / xi, tol)
     return SeriesValue(
-        -g / (2 * math.pi) - (e - float(casimir_constant(t))) / xi, 0, tol
+        -g.value / (2 * math.pi) - (e.value.real - float(casimir_constant(t))) / xi,
+        g.terms + e.terms,
+        g.tail_bound / (2 * math.pi) + e.tail_bound / xi,
     )
 
 
@@ -242,7 +234,8 @@ def f3_modesum(pt, tol: float = 1e-15) -> SeriesValue:
     xi = _xi(pt)
     q2 = math.exp(-2.0 * math.pi / xi)
     u = _divisor_series(3, 1.0, q2, tol)
-    return SeriesValue(1.0 / 240.0 - xi / (2 * math.pi) * u, 0, tol)
+    scale = xi / (2 * math.pi)
+    return SeriesValue(1.0 / 240.0 - scale * u.value, u.terms, scale * u.tail_bound)
 
 
 def f3_epstein(pt, tol: float = 1e-15) -> SeriesValue:
@@ -255,18 +248,21 @@ def f3_epstein(pt, tol: float = 1e-15) -> SeriesValue:
     with chi, T, U the sigma_3 series of weights 3, 2, 1 in q'."""
     xi = _xi(pt)
     q2p = math.exp(-2.0 * math.pi * xi)
-    chi = _divisor_series(3, 3.0, q2p, tol)
-    t_series = _divisor_series(3, 2.0, q2p, tol)
-    u_series = _divisor_series(3, 1.0, q2p, tol)
+    chi, t_series, u_series = (_divisor_series(3, weight, q2p, tol) for weight in (3.0, 2.0, 1.0))
     z3 = zeta_odd_numeric(3)
     val = (
         -(xi ** 4) / 720.0
         + xi * z3 / (8 * math.pi ** 3)
-        + xi * chi / (4 * math.pi ** 3)
-        + xi * xi * t_series / (2 * math.pi ** 2)
-        + xi ** 3 * u_series / (2 * math.pi)
+        + xi * chi.value / (4 * math.pi ** 3)
+        + xi * xi * t_series.value / (2 * math.pi ** 2)
+        + xi ** 3 * u_series.value / (2 * math.pi)
     )
-    return SeriesValue(val, 0, tol)
+    tail = (
+        xi * chi.tail_bound / (4 * math.pi ** 3)
+        + xi * xi * t_series.tail_bound / (2 * math.pi ** 2)
+        + xi ** 3 * u_series.tail_bound / (2 * math.pi)
+    )
+    return SeriesValue(val, chi.terms + t_series.terms + u_series.terms, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +282,10 @@ def _mode_cutoff(spec: SpectrumSpec, beta: float, tol: float) -> int:
         if bound <= tol:
             return n
         if n > 1_000_000:
-            raise DomainError("mode sum failed to converge")
+            raise ConvergenceError(
+                f"mode sum needs more than 1000000 modes at beta = {beta:.3g}",
+                suggestion=2_000_000,
+            )
 
 
 def mode_sum_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-14) -> SeriesValue:
@@ -317,13 +316,13 @@ def thermal_zeta_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-12
         if not d:
             continue
         w = beta * n / (2 * math.pi)
-        m = 0
-        mode = 0.0
-        while True:
-            m += 1
-            mode += math.sqrt(w / m) * bessel_k(0.5, 2 * math.pi * m * w)
-            if math.exp(-(m + 1) * beta * n) / (m + 1) < tol * beta / (4 * max(d, 1.0)):
-                break
-        acc += d * mode
+        mode = _certified_sum(
+            (math.sqrt(w / m) * bessel_k(0.5, 2 * math.pi * m * w) for m in itertools.count(1)),
+            lambda m: math.exp(-(m + 1) * beta * n) / (m + 1),
+            tol * beta / (4 * max(d, 1.0)),
+            200_000,
+            f"thermal-zeta mode {n}",
+        )
+        acc += d * mode.value
     casimir = 0.5 * float(spec.zeta_m_minus_half())
     return SeriesValue(casimir - 2.0 * acc / beta, n_max, tol)

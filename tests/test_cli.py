@@ -95,6 +95,22 @@ def test_convergence_failure_exits_3(capsys):
     assert main(["eval", "z2", "--form", "1,0,1", "--s", "1.2", "--tol", "1e-14"]) in (2, 3)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "free_energy", "--t", "2", "--xi", "1e5"],
+        ["eval", "f3", "--xi", "1e-5"],
+        ["eval", "mode_sum_F", "--beta", "1e-9"],
+        ["eval", "z2", "--form", "1,0,1", "--s", "1.0000001"],
+    ],
+)
+def test_non_convergence_exits_3_without_traceback(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and err.startswith("error:")
+
+
 def test_verify_exit_zero_and_report(capsys):
     code = main(["verify", "bol"])
     out = capsys.readouterr().out

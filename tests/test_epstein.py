@@ -2,6 +2,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy.special import kv
 
@@ -53,6 +54,18 @@ def test_bessel_against_library_oracle():
         assert abs(bessel_k(nu, x) - float(kv(nu, x))) < 1e-10 * float(kv(nu, x))
 
 
+def test_bessel_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = random.Random(2024)
+    # the quadrature route this replaced was 2.2e-9 off at (6.4, 44)
+    cases = [(6.4, 44.0), (5.9, 44.0), (0.0, 1e-3), (1.0, 0.3), (2.0, 650.0), (-3.7, 0.02)]
+    cases += [(rng.uniform(-8.0, 8.0), 10 ** rng.uniform(-3.0, 2.3)) for _ in range(200)]
+    for nu, x in cases:
+        want = float(mpmath.besselk(nu, x))
+        assert abs(bessel_k(nu, x) - want) <= 1e-12 * want, (nu, x)
+
+
 def test_bessel_heaviside_integral():
     # int_0^inf y^{s-1} K_w(2 pi y) dy = (1/4) pi^{-s} G((s+w)/2) G((s-w)/2)
     s, w = 3.0, 1.0
@@ -97,6 +110,8 @@ def test_z2_direct_certified_mode_errors():
     assert exc.value.suggestion is not None
     with pytest.raises(DomainError):
         z2_direct((1, 0, 1), 0.9)
+    with pytest.raises(DomainError):
+        z2_direct((1, 0, 1), 3.0, radius=0)  # doubling 0 would never end
     with pytest.raises(DomainError):
         BinaryForm(1.0, 2.0, 1.0)  # indefinite
 
@@ -264,6 +279,21 @@ def test_zp_massive_pole_guard():
         zp_massive(2, 2.0, -1.0)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_rp_counts_matches_lattice_count(p):
+    axis = np.arange(-14, 15)  # 15^2 > 200 reaches every vector with m.m <= 200
+    norms = sum(g * g for g in np.meshgrid(*[axis] * p, indexing="ij")).ravel()
+    brute = np.bincount(norms[norms <= 200], minlength=201)
+    counts = rp_counts(p, 200)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == brute.tolist()
+
+
+def test_rp_counts_refuses_int64_overflow():
+    with pytest.raises(DomainError):
+        rp_counts(40, 10_000)
+
+
 def test_rp_counts_small_values():
     r2 = rp_counts(2, 10)
     assert list(r2[:6]) == [1, 4, 4, 0, 4, 8]
@@ -306,3 +336,11 @@ def test_guinand_derivative_form_matches_bessel_form():
         lhs = guinand_lhs_derivative(t, u)
         rhs = guinand_lhs_bessel(t - 0.5, u)
         assert abs(lhs - rhs) < 1e-9
+
+
+def test_guinand_derivative_form_raises_at_its_term_cap():
+    # at u = 0.002 the 2000-term cap falls short of the tolerance; the old
+    # loop returned that truncated sum, 2.5e-5 away from the Bessel route
+    with pytest.raises(ConvergenceError) as exc:
+        guinand_lhs_derivative(2, 0.002)
+    assert exc.value.suggestion is not None

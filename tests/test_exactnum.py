@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modzeta import exactnum
 from modzeta.errors import DomainError, SingularityError
 from modzeta.exactnum import (
     SymScalar,
+    _coefficients,
+    _sieve,
     alternating_zeta,
     bernoulli,
     divisor_sigma,
@@ -162,6 +165,43 @@ def test_sigma_range_matches_pointwise():
     r = sigma_range(3, 200)
     for n in (1, 2, 17, 36, 128, 200):
         assert r[n] == divisor_sigma(3, n)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 5, 7])
+def test_sieve_cache_matches_divisor_sigma_out_of_order(k):
+    rng = random.Random(k)
+    requests = [rng.randint(1, 3000) for _ in range(40)] + [3000, 1, 1500]
+    sigma = _coefficients("sigma", k)
+    for n in requests:
+        assert _sieve("sigma", k, n)[n] == divisor_sigma(k, n)
+        assert sigma(n) == divisor_sigma(k, n)
+    table = _sieve("sigma", k, 3000)
+    assert all(table[n] == divisor_sigma(k, n) for n in range(1, 3001))
+
+
+def test_sieve_first_build_covers_request_then_doubles(monkeypatch):
+    built = []
+    real = exactnum.sigma_range
+
+    def recording(k, n_max):
+        built.append(n_max)
+        return real(k, n_max)
+
+    monkeypatch.setattr(exactnum, "sigma_range", recording)
+    store = {}
+    for n in (10, 5, 11, 100, 30, 201):
+        assert _sieve("sigma", 2, n, store)[n] == divisor_sigma(2, n)
+    assert built == [10, 20, 100, 201]
+
+
+@pytest.mark.parametrize("k", [2.6, -1.4, 0.37, 5.0000001])
+def test_non_integer_sigma_table_is_the_direct_divisor_sum(k):
+    store = {}
+    sigma = _coefficients("sigma", k, store)
+    for n in range(1, 301):
+        assert sigma(n) == sum(d ** k for d in range(1, n + 1) if n % d == 0)
+    assert list(store) == [("sigma", k)]
+    assert ("sigma", k) not in exactnum._SIEVES
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from modzeta.errors import ConvergenceError, DomainError, UnsupportedError
 from modzeta.exactnum import bernoulli, zeta_even_exact, zeta_odd_numeric
 from modzeta.qseries import (
     HalfPlanePoint,
+    _certified_sum,
     QExpansion,
     casimir_constant,
     eps,
@@ -27,6 +28,45 @@ from modzeta.qseries import (
 )
 
 Z3 = zeta_odd_numeric(3)
+
+
+# ---------------------------------------------------------- certified sums
+def test_certified_sum_stops_at_first_certified_term():
+    pulled = []
+
+    def terms():
+        n = 0
+        while True:
+            n += 1
+            pulled.append(n)
+            yield 0.5 ** n
+
+    tails = []
+
+    def tail(n):
+        tails.append(n)
+        return 0.5 ** n  # exact remainder of the geometric series
+
+    sv = _certified_sum(terms(), tail, 0.5 ** 10, 100, "geometric")
+    assert (sv.value, sv.terms, sv.tail_bound) == (1 - 0.5 ** 10, 10, 0.5 ** 10)
+    assert pulled == tails == list(range(1, 11))
+    # the start value is added first, in the caller's type
+    sv = _certified_sum(iter([1.0, 2.0]), lambda n: 0.0 if n == 2 else 1.0, 0.0, 5, "pair", 0j)
+    assert sv.value == 3 + 0j and isinstance(sv.value, complex)
+
+
+def test_certified_sum_raises_past_max_terms():
+    pulled = []
+
+    def terms():
+        while True:
+            pulled.append(1)
+            yield 1.0
+
+    with pytest.raises(ConvergenceError) as exc:
+        _certified_sum(terms(), lambda n: math.inf, 1e-12, 25, "divergent")
+    assert len(pulled) == 25
+    assert exc.value.suggestion == 50
 
 
 # ------------------------------------------------------------------ points

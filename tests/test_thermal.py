@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modzeta.errors import DomainError
+from modzeta.errors import ConvergenceError, DomainError
 from modzeta.thermal import (
     S3_SPEC,
     SINGLE_MODE,
@@ -150,3 +150,34 @@ def test_spectrum_spec_validation_and_json():
     assert back.degeneracy(7) == 49.0
     tab = SpectrumSpec.from_json(SINGLE_MODE.to_json())
     assert tab.degeneracy(1) == 1.0 and tab.degeneracy(2) == 0.0
+
+
+# ------------------------------------------------------------- certificates
+@pytest.mark.parametrize(
+    "fn,args,value",
+    [
+        (free_energy_partial, (2, 1.0), 0.0038669465907372105),
+        (entropy_partial, (2, 2.0), -0.03962372000005982),
+        (f3_modesum, (1.0,), 0.0038669465907372105),
+        (f3_epstein, (1.0,), 0.0038669465907372087),
+    ],
+)
+def test_partial_quantities_report_their_series_certificates(fn, args, value):
+    sv = fn(*args)
+    assert sv.value == value
+    assert sv.terms > 0
+    assert 0.0 < sv.tail_bound <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: free_energy_partial(2, 1e5),
+        lambda: f3_epstein(1e-5),
+        lambda: mode_sum_free_energy(S3_SPEC, 1e-9),
+    ],
+)
+def test_thermal_non_convergence_is_a_convergence_error(call):
+    with pytest.raises(ConvergenceError) as exc:
+        call()
+    assert exc.value.suggestion is not None
