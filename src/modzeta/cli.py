@@ -1,10 +1,18 @@
 """Command-line front end: evaluate quantities, run verification suites,
 benchmark the series acceleration, emit tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3
-convergence/singularity failure.  Numeric output is rendered with 17
-significant digits and fixed summation orders, so identical invocations
-produce byte-identical output.
+Every command is table-driven: ``QUANTITIES`` (eval), ``BENCH_PAIRS``
+(bench) and ``TABLES`` (table) are its registries, and ``COMMANDS`` maps
+each command to the function that runs it and the one that renders it.
+
+Every float flag, and each number inside ``--b`` and ``--form``, must be a
+finite number; ``--tol``, when given, goes to the route's own tolerance
+argument (absent, the route keeps its default).
+
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad or
+missing input), 3 convergence/singularity failure or an overflow inside a
+route.  Numeric output is rendered with 17 significant digits and fixed
+summation orders, so identical invocations produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -15,12 +23,16 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
 
 from . import epstein as emod
 from . import periodpoly as pmod
 from . import qseries as qmod
 from . import thermal as tmod
-from .errors import ConvergenceError, DomainError, ModzetaError, SingularityError
+from .errors import DomainError, ModzetaError
+from .exactnum import bernoulli
 from .verify import run_suites, suite_names
 
 EXIT_OK = 0
@@ -33,298 +45,302 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_float(text: str, flag: str) -> float:
+def _radius(points: int) -> int:
+    """R of a square lattice sum over the (2R+1)^2 - 1 nonzero points."""
+    return (math.isqrt(points + 1) - 1) // 2
+
+
+def _number(text: str, flag: str) -> float:
+    """The one parser of float input: a finite float, else DomainError."""
     try:
-        return float(text)
+        x = float(text)
     except ValueError:
         raise DomainError(f"{flag} expects numbers; got {text!r}") from None
-
-
-def _parse_complex(text: str) -> complex:
-    if "," in text:
-        re_s, im_s = text.split(",", 1)
-        return complex(_parse_float(re_s, "--b"), _parse_float(im_s, "--b"))
-    return complex(_parse_float(text, "--b"), 0.0)
-
-
-def _parse_form(text: str):
-    parts = [_parse_float(p, "--form") for p in text.split(",")]
-    if len(parts) != 3:
-        raise DomainError("--form expects a,b,c")
-    return tuple(parts)
+    if not math.isfinite(x):
+        raise DomainError(f"{flag} expects finite numbers; got {text!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
 
-def _spectrum_from_arg(arg: str) -> tmod.SpectrumSpec:
-    if arg == "s3":
-        return tmod.S3_SPEC
-    if arg == "single-mode":
-        return tmod.SINGLE_MODE
-    with open(arg, "r", encoding="utf-8") as fh:
-        return tmod.SpectrumSpec.from_json(json.load(fh))
-
-
 def _need(args, name):
-    val = getattr(args, name, None)
+    val = getattr(args, name)
     if val is None:
         raise DomainError(f"quantity {args.quantity!r} requires --{name}")
     return val
 
 
-def _eval_quantity(args) -> dict:
-    q = args.quantity
-    out: dict = {"quantity": q, "params": {}}
-
-    def record(**kw):
-        out["params"].update({k: v for k, v in kw.items() if v is not None})
-
-    if q in ("eps", "eps_sub", "S", "psi_bar", "phi_bar"):
-        t = int(_need(args, "t"))
-        if args.b is not None:
-            b = _parse_complex(args.b)
-        elif args.x is not None:  # real-axis point, x = b
-            b = complex(float(args.x))
-        else:
-            b = complex(1.0 / float(_need(args, "xi")))
-        record(t=t, b=[b.real, b.imag])
-        fn = {
-            "eps": qmod.eps,
-            "eps_sub": qmod.eps_sub,
-            "S": qmod.lambert_S,
-            "psi_bar": qmod.psi_bar,
-            "phi_bar": qmod.phi_bar,
-        }[q]
-        sv = fn(t, b)
-        out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(sv.value.imag)}
-        out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"terms": sv.terms, "tail_bound": _fmt(sv.tail_bound)}
-        return out
-    if q == "mellin_eps_sub":
-        t = int(_need(args, "t"))
-        b = _parse_float(_need(args, "b"), "--b")
-        record(t=t, b=b)
-        sv = qmod.mellin_eps_sub(t, b)
-        out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(sv.value.imag)}
-        out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"terms": 0, "tail_bound": _fmt(sv.tail_bound)}
-        return out
-    if q in ("pbar", "rbar"):
-        t = int(_need(args, "t"))
-        record(t=t)
-        if q == "pbar":
-            poly = pmod.pbar(t)
-            out["exact"] = {
-                str(k): str(c) for k, c in enumerate(poly.coeffs) if not c.is_zero()
-            }
-            if args.x is not None:
-                v = poly.eval_numeric(float(args.x))
-                record(x=float(args.x))
-                out["value"] = {"re": _fmt(v), "im": _fmt(0.0)}
-        else:
-            rp = pmod.rbar(t)
-            out["exact"] = {
-                str(k - 1): str(c.re) for k, c in enumerate(rp.num.coeffs) if not c.is_zero()
-            }
-            if args.x is not None:
-                v = rp.eval_numeric(complex(float(args.x)))
-                record(x=float(args.x))
-                out["value"] = {"re": _fmt(v.real), "im": _fmt(v.imag)}
-        out["est_error"] = _fmt(0.0)
-        out["truncation"] = {"terms": 2 * t - 1, "tail_bound": _fmt(0.0)}
-        return out
-    if q == "z2":
-        form = _parse_form(_need(args, "form"))
-        s = float(_need(args, "s"))
-        record(form=list(form), s=s)
-        sv = emod.z2_direct(form, s, tol=args.tol or 1e-10, tail=args.tail)
-        out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(0.0)}
-        out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"radius": int(math.isqrt(sv.terms + 1) // 2), "tail_bound": _fmt(sv.tail_bound)}
-        return out
-    if q == "z2_kober":
-        form = _parse_form(_need(args, "form"))
-        w = float(_need(args, "w"))
-        record(form=list(form), w=w)
-        sv = emod.z2_kober(form, w, target_tol=args.tol or 1e-12)
-        out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(0.0)}
-        out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"terms": sv.terms, "tail_bound": _fmt(sv.tail_bound)}
-        return out
-    if q == "z2_quartic":
-        xi = float(_need(args, "xi"))
-        record(xi=xi)
-        sv = emod.z2_quartic(xi)
-        out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(0.0)}
-        out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"terms": 0, "tail_bound": _fmt(sv.tail_bound)}
-        return out
-    if q == "zp_massive":
-        p = int(_need(args, "p"))
-        s = float(_need(args, "s"))
-        w = float(_need(args, "w"))
-        record(p=p, s=s, w=w)
-        sv = emod.zp_massive(p, s, w, target_tol=args.tol or 1e-11)
-        out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(0.0)}
-        out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"terms": sv.terms, "tail_bound": _fmt(sv.tail_bound)}
-        return out
-    if q in ("f3", "f3_epstein", "f3_modesum"):
-        xi = float(_need(args, "xi"))
-        record(xi=xi)
-        a = tmod.f3_epstein(xi).value.real
-        b = tmod.f3_modesum(xi).value.real
-        val = b if q != "f3_epstein" else a
-        out["value"] = {"re": _fmt(val), "im": _fmt(0.0)}
-        out["est_error"] = _fmt(max(abs(a - b), 1e-15))
-        out["truncation"] = {"terms": 0, "tail_bound": _fmt(abs(a - b))}
-        return out
-    if q == "free_energy":
-        t = int(_need(args, "t"))
-        xi = float(_need(args, "xi"))
-        record(t=t, xi=xi)
-        sv = tmod.free_energy_partial(t, xi)
-        out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(0.0)}
-        out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"terms": sv.terms, "tail_bound": _fmt(sv.tail_bound)}
-        return out
-    if q == "entropy":
-        t = int(_need(args, "t"))
-        xi = float(_need(args, "xi"))
-        record(t=t, xi=xi)
-        sv = tmod.entropy_partial(t, xi)
-        out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(0.0)}
-        out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"terms": sv.terms, "tail_bound": _fmt(sv.tail_bound)}
-        return out
-    if q == "mode_sum_F":
-        spec = _spectrum_from_arg(args.spectrum or "s3")
-        beta = float(_need(args, "beta"))
-        record(spectrum=spec.label, beta=beta)
-        sv = tmod.mode_sum_free_energy(spec, beta)
-        out["value"] = {"re": _fmt(sv.value.real), "im": _fmt(0.0)}
-        out["est_error"] = _fmt(sv.tail_bound)
-        out["truncation"] = {"terms": sv.terms, "tail_bound": _fmt(sv.tail_bound)}
-        return out
-    raise KeyError(q)
+def _flag(name: str):
+    return name, lambda args: _need(args, name)
 
 
-EVAL_QUANTITIES = (
-    "eps eps_sub mellin_eps_sub S psi_bar phi_bar pbar rbar z2 z2_kober "
-    "z2_quartic zp_massive f3 f3_epstein f3_modesum free_energy entropy mode_sum_F"
-).split()
+def _float_flag(name: str):
+    return name, lambda args: _number(_need(args, name), f"--{name}")
+
+
+def _point(args) -> complex:
+    """--b as 're' or 're,im', else --x (a real-axis point), else 1/--xi."""
+    if args.b is not None:
+        if "," in args.b:
+            re_s, im_s = args.b.split(",", 1)
+            return complex(_number(re_s, "--b"), _number(im_s, "--b"))
+        return complex(_number(args.b, "--b"), 0.0)
+    if args.x is not None:
+        return complex(_number(args.x, "--x"))
+    xi = _number(_need(args, "xi"), "--xi")
+    if xi <= 0:
+        raise DomainError("--xi must be > 0")
+    return complex(1.0 / xi)
+
+
+def _form(args) -> list:
+    parts = [_number(p, "--form") for p in _need(args, "form").split(",")]
+    if len(parts) != 3:
+        raise DomainError("--form expects a,b,c")
+    return parts
+
+
+def _spectrum(args) -> tmod.SpectrumSpec:
+    arg = args.spectrum or "s3"
+    if arg == "s3":
+        return tmod.S3_SPEC
+    if arg == "single-mode":
+        return tmod.SINGLE_MODE
+    try:
+        with open(arg, "r", encoding="utf-8") as fh:
+            return tmod.SpectrumSpec.from_json(json.load(fh))
+    # unreadable file, bad JSON (ValueError), or entries of the wrong type
+    except (OSError, ValueError, TypeError) as exc:
+        raise DomainError(f"--spectrum {arg}: {exc}") from None
+
+
+def _tol(args) -> float:
+    tol = _number(args.tol, "--tol")
+    if tol <= 0:
+        raise DomainError("--tol must be > 0")
+    return tol
+
+
+def _tol_as(keyword: str):
+    """Route keywords: --tol, when given, as ``keyword``; absent, the route
+    keeps its own default."""
+    return lambda args: {} if args.tol is None else {keyword: _tol(args)}
+
+
+_T, _XI = _flag("t"), _float_flag("xi")
+_X = ("x", lambda args: None if args.x is None else _number(args.x, "--x"))
+_B, _FORM = ("b", _point), ("form", _form)
+
+
+def _fields(value, error: float, tail: float, **cost) -> dict:
+    """Output fields: the value (if any), its error figure, and the
+    truncation (what the evaluation cost, and its tail)."""
+    out = {"est_error": _fmt(error), "truncation": {**cost, "tail_bound": _fmt(tail)}}
+    if value is not None:
+        z = complex(value)
+        out["value"] = {"re": _fmt(z.real), "im": _fmt(z.imag)}
+    return out
+
+
+def _series(sv, params) -> dict:
+    return _fields(sv.value, sv.tail_bound, sv.tail_bound, terms=sv.terms)
+
+
+def _lattice(sv, params) -> dict:
+    return _fields(sv.value, sv.tail_bound, sv.tail_bound, radius=_radius(sv.terms))
+
+
+def _gap(pair, params) -> dict:
+    """The first route's value; the gap to the second is its error figure."""
+    gap = abs(pair[0] - pair[1])
+    return _fields(pair[0], max(gap, 1e-15), gap, terms=0)
+
+
+def _exact(pair, params) -> dict:
+    """Exact coefficients, and the numeric value at --x when given."""
+    return {"exact": pair[0], **_fields(pair[1], 0.0, 0.0, terms=2 * params["t"] - 1)}
+
+
+def _f3_pair(first, second):
+    return lambda xi, **tol: (first(xi, **tol).value.real, second(xi, **tol).value.real)
+
+
+def _pbar(t, x):
+    poly = pmod.pbar(t)
+    coeffs = {str(k): str(c) for k, c in enumerate(poly.coeffs) if not c.is_zero()}
+    return coeffs, None if x is None else poly.eval_numeric(x)
+
+
+def _rbar(t, x):
+    rp = pmod.rbar(t)
+    # numerator coefficient k multiplies x^{k-1}: the extended form starts at 1/x
+    coeffs = {str(k - 1): str(c.re) for k, c in enumerate(rp.num.coeffs) if not c.is_zero()}
+    return coeffs, None if x is None else rp.eval_numeric(complex(x))
+
+
+@dataclass(frozen=True)
+class Quantity:
+    """An ``eval`` quantity: the flags it reads, as (name, reader) pairs in
+    route-argument order; the route; how its result is shown; and the
+    route keywords taken from the remaining flags."""
+
+    params: tuple
+    route: Callable
+    render: Callable = _series
+    options: Callable = _tol_as("tol")
+
+
+QUANTITIES = {
+    "eps": Quantity((_T, _B), qmod.eps),
+    "eps_sub": Quantity((_T, _B), qmod.eps_sub),
+    "mellin_eps_sub": Quantity((_T, _float_flag("b")), qmod.mellin_eps_sub),
+    "S": Quantity((_T, _B), qmod.lambert_S),
+    "psi_bar": Quantity((_T, _B), qmod.psi_bar),
+    "phi_bar": Quantity((_T, _B), qmod.phi_bar),
+    "pbar": Quantity((_T, _X), _pbar, _exact, lambda args: {}),
+    "rbar": Quantity((_T, _X), _rbar, _exact, lambda args: {}),
+    "z2": Quantity(
+        (_FORM, _float_flag("s")), emod.z2_direct, _lattice,
+        # without --tol the CLI asks 1e-10 of direct sums (the route's default is 1e-12)
+        lambda args: {"tol": 1e-10 if args.tol is None else _tol(args), "tail": args.tail},
+    ),
+    "z2_kober": Quantity((_FORM, _float_flag("w")), emod.z2_kober, options=_tol_as("target_tol")),
+    "z2_quartic": Quantity((_XI,), emod.z2_quartic),
+    "zp_massive": Quantity(
+        (_flag("p"), _float_flag("s"), _float_flag("w")), emod.zp_massive, options=_tol_as("target_tol")
+    ),
+    "f3": Quantity((_XI,), _f3_pair(tmod.f3_modesum, tmod.f3_epstein), _gap),
+    "f3_epstein": Quantity((_XI,), _f3_pair(tmod.f3_epstein, tmod.f3_modesum), _gap),
+    "f3_modesum": Quantity((_XI,), _f3_pair(tmod.f3_modesum, tmod.f3_epstein), _gap),
+    "free_energy": Quantity((_T, _XI), tmod.free_energy_partial),
+    "entropy": Quantity((_T, _XI), tmod.entropy_partial),
+    "mode_sum_F": Quantity((("spectrum", _spectrum), _float_flag("beta")), tmod.mode_sum_free_energy),
+}
+EVAL_QUANTITIES = list(QUANTITIES)
+
+
+def _eval(args) -> dict:
+    q = QUANTITIES[args.quantity]
+    params = {name: read(args) for name, read in q.params}
+    doc = q.render(q.route(*params.values(), **q.options(args)), params)
+    # params as shown: a complex b as [re, im], a spectrum by its label
+    shown = {
+        k: [v.real, v.imag] if isinstance(v, complex) else getattr(v, "label", v)
+        for k, v in params.items() if v is not None
+    }
+    return {"quantity": args.quantity, "params": shown, **doc}
+
+
+def _render_eval(doc: dict, args) -> tuple[str, int]:
+    if args.format == "json":
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n", EXIT_OK
+    val = doc.get("value", {})
+    if args.format == "csv":
+        header = ["quantity", "value_re", "value_im", "est_error"]
+        row = [doc["quantity"], val.get("re", ""), val.get("im", ""), doc["est_error"]]
+        return _rows_text(header, [row], "csv"), EXIT_OK
+    lines = [f"{doc['quantity']}  params={json.dumps(doc['params'], sort_keys=True)}"]
+    for k in sorted(doc.get("exact", {}), key=int):
+        lines.append(f"  x^{k}: {doc['exact'][k]}")
+    if val:
+        lines.append(f"  value = {val['re']} + {val['im']} i")
+    lines.append(f"  est_error = {doc['est_error']}")
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
 
-def _bench_rows(target: str) -> list[dict]:
+# target -> its two routes as (method, route(tol), size is a lattice radius)
+BENCH_PAIRS = {
+    "kober-vs-direct": (  # exponent s = w + 1/2 = 3, u = 1
+        ("kober", lambda tol: emod.z2_kober((1, 0, 1), 2.5, target_tol=tol), False),
+        ("direct", lambda tol: emod.z2_direct((1, 0, 1), 3.0, tol=tol), True),
+    ),
+    "massive-vs-direct": (
+        ("massive", lambda tol: emod.zp_massive(2, 3.0, 0.8, target_tol=tol), False),
+        ("direct", lambda tol: emod.zp_brute(2, 3.0, 0.8, tol=tol), True),
+    ),
+    "qseries-vs-mellin": (
+        ("qseries", lambda tol: qmod.eps_sub(2, 1.0, tol=tol), False),
+        ("mellin", lambda tol: qmod.mellin_eps_sub(2, 1.0, tol=max(tol, 1e-9)), False),
+    ),
+}
+BENCH_TARGETS = list(BENCH_PAIRS)
+
+
+def _bench(args) -> tuple[list, list]:
     rows = []
-    tols = [1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
-    if target == "kober-vs-direct":
-        form, w = (1, 0, 1), 2.5  # exponent s = 3, u = 1
-        for tol in tols:
+    for tol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+        for method, route, lattice in BENCH_PAIRS[args.target]:
             t0 = time.perf_counter()
-            k = emod.z2_kober(form, w, target_tol=tol)
-            dt_k = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            d = emod.z2_direct(form, w + 0.5, tol=tol)
-            dt_d = time.perf_counter() - t0
-            radius = int((math.isqrt(d.terms + 1) - 1) // 2)
-            rows.append({"tolerance": tol, "method": "kober", "terms_or_radius": k.terms, "points": k.terms, "wall_time_s": dt_k, "value": k.value.real})
-            rows.append({"tolerance": tol, "method": "direct", "terms_or_radius": radius, "points": d.terms, "wall_time_s": dt_d, "value": d.value.real})
-        return rows
-    if target == "massive-vs-direct":
-        p, s, w = 2, 3.0, 0.8
-        for tol in tols:
-            t0 = time.perf_counter()
-            zm = emod.zp_massive(p, s, w, target_tol=tol)
-            dt_m = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            zb = emod.zp_brute(p, s, w, tol=tol)
-            dt_b = time.perf_counter() - t0
-            radius = int((math.isqrt(zb.terms + 1) - 1) // 2)
-            rows.append({"tolerance": tol, "method": "massive", "terms_or_radius": zm.terms, "points": zm.terms, "wall_time_s": dt_m, "value": zm.value.real})
-            rows.append({"tolerance": tol, "method": "direct", "terms_or_radius": radius, "points": zb.terms, "wall_time_s": dt_b, "value": zb.value.real})
-        return rows
-    if target == "qseries-vs-mellin":
-        t_, b = 2, 1.0
-        for tol in tols:
-            t0 = time.perf_counter()
-            e = qmod.eps_sub(t_, b, tol=tol)
-            dt_q = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            m = qmod.mellin_eps_sub(t_, b, tol=max(tol, 1e-9))
-            dt_m = time.perf_counter() - t0
-            rows.append({"tolerance": tol, "method": "qseries", "terms_or_radius": e.terms, "points": e.terms, "wall_time_s": dt_q, "value": e.value.real})
-            rows.append({"tolerance": tol, "method": "mellin", "terms_or_radius": 0, "points": 0, "wall_time_s": dt_m, "value": m.value.real})
-        return rows
-    raise KeyError(target)
-
-
-BENCH_TARGETS = ["kober-vs-direct", "massive-vs-direct", "qseries-vs-mellin"]
+            sv = route(tol)
+            dt = time.perf_counter() - t0
+            size = _radius(sv.terms) if lattice else sv.terms
+            rows.append([tol, method, size, sv.terms, dt, sv.value.real])
+    return ["tolerance", "method", "terms_or_radius", "points", "wall_time_s", "value"], rows
 
 
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
 
-def _table_rows(name: str) -> tuple[list[str], list[list]]:
-    if name == "period-polynomials":
-        header = ["t", "x_power", "coefficient_exact", "coefficient_numeric"]
-        rows = []
-        for t in range(2, 9):
-            for k, c in enumerate(pmod.pbar(t).coeffs):
-                if not c.is_zero():
-                    rows.append([t, k, str(c), _fmt(c.numeric())])
-        return header, rows
-    if name == "moments":
-        header = ["t", "k", "exact", "quadrature"]
-        rows = []
-        for t in range(2, 7):
-            for k in range(0, 2 * t - 1):
-                quad_val = qmod.moment(t, k).value.real
-                if k % 2 == 1:
-                    j = (k + 1) // 2
-                    from fractions import Fraction
-
-                    from .exactnum import bernoulli
-
-                    exact = Fraction((-1) ** j) * bernoulli(2 * j) * bernoulli(
-                        2 * t - 2 * j
-                    ) / (8 * j * (t - j))
-                    exact_s = str(exact)
-                elif 0 < k < 2 * t - 2:
-                    exact_s = "0"
-                else:
-                    exact_s = ""
-                rows.append([t, k, exact_s, _fmt(quad_val)])
-        return header, rows
-    if name == "lerch-values":
-        header = ["t", "psi_bar_at_1_exact", "S_t_at_i_numeric"]
-        rows = []
-        for t in (2, 4, 6, 8):
-            exact = pmod.rbar(t).eval_exact(1)
-            # at the self-dual point psi_bar(1) = R(1)/2 for even t
-            half = exact * pmod.SymComplex(__import__("fractions").Fraction(1, 2))
-            val = half.numeric().real / (4 * math.pi)
-            rows.append([t, str(half.re), _fmt(val)])
-        return header, rows
-    if name == "f3-grid":
-        header = ["xi", "f3_epstein", "f3_modesum", "difference"]
-        rows = []
-        for xi in (0.3, 0.5, 0.8, 1.0, 1.7, 3.0, 5.0):
-            a = tmod.f3_epstein(xi).value.real
-            b = tmod.f3_modesum(xi).value.real
-            rows.append([_fmt(xi), _fmt(a), _fmt(b), _fmt(a - b)])
-        return header, rows
-    raise KeyError(name)
+def _period_polynomial_rows():
+    for t in range(2, 9):
+        for k, c in enumerate(pmod.pbar(t).coeffs):
+            if not c.is_zero():
+                yield [t, k, str(c), _fmt(c.numeric())]
 
 
-TABLE_NAMES = ["period-polynomials", "moments", "lerch-values", "f3-grid"]
+def _moment_rows():
+    for t in range(2, 7):
+        for k in range(0, 2 * t - 1):
+            quad_val = qmod.moment(t, k).value.real
+            if k % 2 == 1:
+                j = (k + 1) // 2
+                exact = Fraction((-1) ** j) * bernoulli(2 * j) * bernoulli(
+                    2 * t - 2 * j
+                ) / (8 * j * (t - j))
+                exact_s = str(exact)
+            elif 0 < k < 2 * t - 2:
+                exact_s = "0"
+            else:
+                exact_s = ""
+            yield [t, k, exact_s, _fmt(quad_val)]
+
+
+def _lerch_rows():
+    for t in (2, 4, 6, 8):
+        exact = pmod.rbar(t).eval_exact(1)
+        # at the self-dual point psi_bar(1) = R(1)/2 for even t
+        half = exact * pmod.SymComplex(Fraction(1, 2))
+        val = half.numeric().real / (4 * math.pi)
+        yield [t, str(half.re), _fmt(val)]
+
+
+def _f3_grid_rows():
+    for xi in (0.3, 0.5, 0.8, 1.0, 1.7, 3.0, 5.0):
+        a = tmod.f3_epstein(xi).value.real
+        b = tmod.f3_modesum(xi).value.real
+        yield [_fmt(xi), _fmt(a), _fmt(b), _fmt(a - b)]
+
+
+# name -> (header, row generator)
+TABLES = {
+    "period-polynomials": (["t", "x_power", "coefficient_exact", "coefficient_numeric"], _period_polynomial_rows),
+    "moments": (["t", "k", "exact", "quadrature"], _moment_rows),
+    "lerch-values": (["t", "psi_bar_at_1_exact", "S_t_at_i_numeric"], _lerch_rows),
+    "f3-grid": (["xi", "f3_epstein", "f3_modesum", "difference"], _f3_grid_rows),
+}
+TABLE_NAMES = list(TABLES)
+
+
+def _table(args) -> tuple[list, list]:
+    header, rows = TABLES[args.name]
+    return header, list(rows())  # built here, inside main's error handling
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +355,41 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _rows_to_csv(header, rows) -> str:
+def _rows_text(header, rows, fmt: str) -> str:
+    """Rows as CSV under a header line, or as a JSON list of objects."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
+
+
+def _render_verify(results, args) -> tuple[str, int]:
+    code = EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL
+    if args.format != "text":
+        header = ["suite", "name", "residual", "tol", "passed"]
+        rows = [[r.suite, r.name, _fmt(r.residual), _fmt(r.tol), r.passed] for r in results]
+        return _rows_text(header, rows, args.format), code
+    lines = []
+    for r in results:
+        mark = "PASS" if r.passed else "FAIL"
+        lines.append(f"[{mark}] {r.suite}: {r.name}  (residual {_fmt(r.residual)}, tol {_fmt(r.tol)})")
+    n_fail = sum(1 for r in results if not r.passed)
+    lines.append(f"{len(results)} checks, {n_fail} failed")
+    return "\n".join(lines) + "\n", code
+
+
+def _render_rows(table, args) -> tuple[str, int]:
+    return _rows_text(*table, args.format), EXIT_OK
+
+
+# command -> (run(args) -> result, render(result, args) -> (text, exit code))
+COMMANDS = {
+    "eval": (_eval, _render_eval),
+    "verify": (lambda args: run_suites(args.suite), _render_verify),
+    "bench": (_bench, _render_rows),
+    "table": (_table, _render_rows),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,15 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("quantity", choices=EVAL_QUANTITIES)
     ev.add_argument("--t", type=int)
     ev.add_argument("--b", help="half-plane point, 're' or 're,im'")
-    ev.add_argument("--x", type=float)
-    ev.add_argument("--xi", type=float)
-    ev.add_argument("--s", type=float)
-    ev.add_argument("--w", type=float)
+    ev.add_argument("--x")
+    ev.add_argument("--xi")
+    ev.add_argument("--s")
+    ev.add_argument("--w")
     ev.add_argument("--p", type=int)
     ev.add_argument("--form", help="binary form a,b,c")
-    ev.add_argument("--beta", type=float)
+    ev.add_argument("--beta")
     ev.add_argument("--spectrum", help="s3 | single-mode | path to JSON")
-    ev.add_argument("--tol", type=float)
+    ev.add_argument("--tol", help="tolerance passed to the route (default: the route's own)")
     ev.add_argument("--tail", choices=["bound", "integral"], default="bound",
                     help="tail handling for direct lattice sums")
     ev.add_argument("--format", choices=["json", "csv", "text"], default="text")
@@ -378,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn = sub.add_parser("bench", help="benchmark acceleration vs direct summation")
     bn.add_argument("target", choices=BENCH_TARGETS)
     bn.add_argument("--out")
+    bn.set_defaults(format="csv")
 
     tb = sub.add_parser("table", help="emit a table artifact")
     tb.add_argument("name", choices=TABLE_NAMES)
@@ -387,83 +432,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, render = COMMANDS[args.command]
     try:
-        if args.command == "eval":
-            doc = _eval_quantity(args)
-            if args.format == "json":
-                _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
-            elif args.format == "csv":
-                header = ["quantity", "value_re", "value_im", "est_error"]
-                val = doc.get("value", {})
-                rows = [[doc["quantity"], val.get("re", ""), val.get("im", ""), doc.get("est_error", "")]]
-                _emit(_rows_to_csv(header, rows), args.out)
-            else:
-                lines = [f"{doc['quantity']}  params={json.dumps(doc['params'], sort_keys=True)}"]
-                if "exact" in doc:
-                    for k in sorted(doc["exact"], key=lambda v: int(v)):
-                        lines.append(f"  x^{k}: {doc['exact'][k]}")
-                if "value" in doc:
-                    lines.append(f"  value = {doc['value']['re']} + {doc['value']['im']} i")
-                lines.append(f"  est_error = {doc.get('est_error', '0')}")
-                _emit("\n".join(lines) + "\n", args.out)
-            return EXIT_OK
-
-        if args.command == "verify":
-            results = run_suites(args.suite)
-            ok = all(r.passed for r in results)
-            if args.format == "json":
-                doc = [
-                    {
-                        "suite": r.suite,
-                        "name": r.name,
-                        "residual": _fmt(r.residual),
-                        "tol": _fmt(r.tol),
-                        "passed": r.passed,
-                    }
-                    for r in results
-                ]
-                _emit(json.dumps(doc, indent=2) + "\n", args.out)
-            elif args.format == "csv":
-                header = ["suite", "name", "residual", "tol", "passed"]
-                rows = [[r.suite, r.name, _fmt(r.residual), _fmt(r.tol), r.passed] for r in results]
-                _emit(_rows_to_csv(header, rows), args.out)
-            else:
-                lines = []
-                for r in results:
-                    mark = "PASS" if r.passed else "FAIL"
-                    lines.append(f"[{mark}] {r.suite}: {r.name}  (residual {_fmt(r.residual)}, tol {_fmt(r.tol)})")
-                n_fail = sum(1 for r in results if not r.passed)
-                lines.append(f"{len(results)} checks, {n_fail} failed")
-                _emit("\n".join(lines) + "\n", args.out)
-            return EXIT_OK if ok else EXIT_VERIFY_FAIL
-
-        if args.command == "bench":
-            rows = _bench_rows(args.target)
-            header = ["tolerance", "method", "terms_or_radius", "points", "wall_time_s", "value"]
-            text = _rows_to_csv(header, [[r[h] for h in header] for r in rows])
-            _emit(text, args.out)
-            return EXIT_OK
-
-        if args.command == "table":
-            header, rows = _table_rows(args.name)
-            if args.format == "json":
-                doc = [dict(zip(header, row)) for row in rows]
-                _emit(json.dumps(doc, indent=2) + "\n", args.out)
-            else:
-                _emit(_rows_to_csv(header, rows), args.out)
-            return EXIT_OK
-    except (ConvergenceError, SingularityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (DomainError, KeyError) as exc:
+        result = run(args)
+    except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ModzetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    return EXIT_USAGE
+    except ArithmeticError as exc:  # an overflow or a zero division inside a route
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    text, code = render(result, args)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"usage error: --out: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

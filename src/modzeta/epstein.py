@@ -268,14 +268,20 @@ def z2_direct(
 # Kober / Bessel expansion of the binary Epstein function
 # ---------------------------------------------------------------------------
 
-def _bessel_series(w: float, u: float, v: float, target: float, max_terms: int = 4000) -> SeriesValue:
+def _bessel_series(
+    w: float, u: float, v: float, target: float, max_terms: int = 4000, store: dict | None = None
+) -> SeriesValue:
     """sum_n sigma_{2w}(n) n^{-w} cos(2 pi v n) K_w(2 pi u n) with a
-    certified truncation (sigma_{2w}(n) n^{-w} <= 2 n^{1/2+|w|})."""
+    certified truncation (sigma_{2w}(n) n^{-w} <= 2 n^{1/2+|w|}).
+
+    A non-integer order 2w keeps its sigma table in ``store``: the caller's,
+    to share it between series of the same w, else one for this call only.
+    """
     k = 2 * w
     if abs(k - round(k)) < 1e-12 and round(k) >= 0:
         sigma = _coefficients("sigma", int(round(k)))
-    else:  # a non-integer order seldom repeats: a table for this call only
-        sigma = _coefficients("sigma", k, {})
+    else:  # a non-integer order seldom repeats outside one caller
+        sigma = _coefficients("sigma", k, {} if store is None else store)
     terms = (
         float(sigma(n)) * n ** (-w) * math.cos(2 * math.pi * v * n)
         * bessel_k(w, 2 * math.pi * u * n)
@@ -506,9 +512,14 @@ def xi_completed(z: float) -> float:
 
 def guinand_lhs_bessel(w: float, u: float, tol: float = 1e-13) -> float:
     """S(u) - (1/u) S(1/u) with S(u) = sum sigma_{2w}(n) n^{-w} K_w(2 pi n u)."""
-    s_u = _bessel_series(w, u, 0.0, tol).value
-    s_inv = _bessel_series(w, 1.0 / u, 0.0, tol).value
-    return s_u - s_inv / u
+    inv = 1.0 / u
+    store: dict = {}  # S(u) and S(1/u) read one sigma_{2w} table
+    s = {}
+    # the series at the smaller argument is the longer one: run first, it
+    # builds the whole table and the other series only reads it
+    for arg in sorted((u, inv)):
+        s[arg] = _bessel_series(w, arg, 0.0, tol, store=store).value
+    return s[u] - s[inv] / u
 
 
 def guinand_gap(w: float, u: float) -> float:

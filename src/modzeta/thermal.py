@@ -141,6 +141,8 @@ class SpectrumSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SpectrumSpec":
+        if not isinstance(doc, dict) or not {"degeneracy_coeffs", "table"} & set(doc):
+            raise DomainError("a spectrum is a JSON object with 'degeneracy_coeffs' or 'table'")
         if doc.get("omega", "n") != "n":
             raise DomainError("only omega_n = n spectra are supported")
         if "degeneracy_coeffs" in doc:
@@ -190,8 +192,8 @@ def free_energy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
     """f_t(xi) = -B_{2t}/4t - (xi/2pi) sum sigma_{2t-1}(m) q^{2m} / m."""
     xi = _xi(pt)
     q2 = math.exp(-2.0 * math.pi / xi)
-    series = _divisor_series(2 * t - 1, 1.0, q2, tol)
     scale = xi / (2 * math.pi)
+    series = _divisor_series(2 * t - 1, 1.0, q2, min(tol, tol / scale))
     val = float(casimir_constant(t)) - scale * series.value
     return SeriesValue(val, series.terms, scale * series.tail_bound)
 
@@ -201,8 +203,10 @@ def entropy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
     G the resummed double series sum sigma_{2t-1}(m) q^{2m}/m."""
     xi = _xi(pt)
     q2 = math.exp(-2.0 * math.pi / xi)
+    # each series keeps its tail times its prefactor within tol/2: G's
+    # prefactor 1/2pi already does at tol, eps's 1/xi needs xi tol/2
     g = _divisor_series(2 * t - 1, 1.0, q2, tol)
-    e = eps(t, 1.0 / xi, tol)
+    e = eps(t, 1.0 / xi, min(tol, 0.5 * xi * tol))
     return SeriesValue(
         -g.value / (2 * math.pi) - (e.value.real - float(casimir_constant(t))) / xi,
         g.terms + e.terms,
@@ -233,8 +237,8 @@ def f3_modesum(pt, tol: float = 1e-15) -> SeriesValue:
     """F3 = 1/240 - (xi/2pi) sum sigma_3(n) n^{-1} q^{2n}  (q-route)."""
     xi = _xi(pt)
     q2 = math.exp(-2.0 * math.pi / xi)
-    u = _divisor_series(3, 1.0, q2, tol)
     scale = xi / (2 * math.pi)
+    u = _divisor_series(3, 1.0, q2, min(tol, tol / scale))
     return SeriesValue(1.0 / 240.0 - scale * u.value, u.terms, scale * u.tail_bound)
 
 
@@ -248,7 +252,12 @@ def f3_epstein(pt, tol: float = 1e-15) -> SeriesValue:
     with chi, T, U the sigma_3 series of weights 3, 2, 1 in q'."""
     xi = _xi(pt)
     q2p = math.exp(-2.0 * math.pi * xi)
-    chi, t_series, u_series = (_divisor_series(3, weight, q2p, tol) for weight in (3.0, 2.0, 1.0))
+    scales = (xi / (4 * math.pi ** 3), xi * xi / (2 * math.pi ** 2), xi ** 3 / (2 * math.pi))
+    # each series keeps its tail times its prefactor within tol/3
+    chi, t_series, u_series = (
+        _divisor_series(3, weight, q2p, min(tol, tol / (3 * scale)))
+        for weight, scale in zip((3.0, 2.0, 1.0), scales)
+    )
     z3 = zeta_odd_numeric(3)
     val = (
         -(xi ** 4) / 720.0

@@ -3,10 +3,11 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from modzeta.cli import main
+from modzeta.cli import QUANTITIES, main
 
 
 def run_cli(*argv, capsys=None):
@@ -181,3 +182,117 @@ def test_installed_entry_point_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert abs(float(doc["value"]["re"])) < 1.0
+
+
+# one cheap argv per registry entry; a new quantity needs one here
+SMOKE = {
+    "eps": "--t 2 --b 1",
+    "eps_sub": "--t 2 --b 1.1,-0.3",
+    "mellin_eps_sub": "--t 2 --b 1",
+    "S": "--t 3 --b 0.9,0.2",
+    "psi_bar": "--t 2 --x 1.3",
+    "phi_bar": "--t 2 --xi 1.25",
+    "pbar": "--t 3 --x 0.9",
+    "rbar": "--t 2",
+    "z2": "--form 2,1,3 --s 4",
+    "z2_kober": "--form 1,0.3,2 --w 1.2",
+    "z2_quartic": "--xi 0.7",
+    "zp_massive": "--p 2 --s 3 --w 0.8",
+    "f3": "--xi 1.0",
+    "f3_epstein": "--xi 3.0",
+    "f3_modesum": "--xi 0.5",
+    "free_energy": "--t 2 --xi 1.0",
+    "entropy": "--t 3 --xi 0.6",
+    "mode_sum_F": "--spectrum single-mode --beta 2",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("quantity", list(QUANTITIES))
+def test_every_registered_quantity_renders(quantity, fmt, capsys):
+    code = main(["eval", quantity, *SMOKE[quantity].split(), "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    if fmt == "json":
+        doc = json.loads(out)
+        assert {"quantity", "params", "est_error", "truncation"} <= set(doc)
+        assert doc["quantity"] == quantity
+    elif fmt == "csv":
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == "quantity,value_re,value_im,est_error"
+        assert lines[1].startswith(quantity + ",")
+    else:
+        assert out.splitlines()[-1].startswith("  est_error = ")
+
+
+def test_readme_lists_exactly_the_registered_quantities():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    listed = [ln.split("`")[1] for ln in section.splitlines() if ln.startswith("| `")]
+    assert sorted(listed) == sorted(QUANTITIES)
+
+
+SPECTRUM_FILES = {
+    "not_json.json": "nope",
+    "json_string.json": '"nope"',
+    "json_list.json": "[1, 2]",
+    "label_only.json": '{"label": "x"}',
+}
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ("eval eps --t 2 --xi 0", 2),
+        ("eval eps --t 2 --xi -1", 2),
+        ("eval eps --t 2 --b 1e-300,1", 3),
+        ("eval eps --t 100000 --b 1", 3),
+        ("eval mode_sum_F --spectrum {dir}/missing.json --beta 1", 2),
+        ("eval mode_sum_F --spectrum {dir}/not_json.json --beta 1", 2),
+        ("eval mode_sum_F --spectrum {dir}/json_string.json --beta 1", 2),
+        ("eval mode_sum_F --spectrum {dir}/json_list.json --beta 1", 2),
+        ("eval mode_sum_F --spectrum {dir}/label_only.json --beta 1", 2),
+        ("eval mode_sum_F --beta nan", 2),
+        ("eval mode_sum_F --beta 1e-300", 3),
+        ("eval zp_massive --p 2 --s 3 --w nan", 2),
+        ("eval z2_kober --form 1,0,1 --w -400", 3),
+        ("eval z2_kober --form 1,-inf,1 --w 1", 2),
+        ("eval z2 --form 1e300,0,1 --s 3", 3),
+        ("eval z2 --form 1e-300,0,1 --s 3", 3),
+        ("eval z2 --form 1,0,1 --s nan", 2),
+        ("eval mellin_eps_sub --t 2 --b nan", 2),
+        ("eval eps --t 2 --b inf,0", 2),
+        ("eval pbar --t 2 --x nan", 2),
+        ("eval eps --t 2 --b 1 --tol 0", 2),
+        ("eval z2 --form 1,0,1 --s 3 --tol=-0.001", 2),
+        ("eval eps --t 2 --b 1 --out {dir}/no-such-dir/out.txt", 2),
+    ],
+)
+def test_error_contract(argv, code, tmp_path, capsys):
+    # bad input is a usage error (2); an overflow inside a route is exit 3
+    for name, text in SPECTRUM_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(argv.format(dir=tmp_path).split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("usage error:" if code == 2 else "error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eval eps --t 2 --b 0.05",
+        "eval z2_kober --form 1,0,1 --w 1.3",
+        "eval free_energy --t 2 --xi 3.0",
+        "eval mode_sum_F --beta 1",
+    ],
+)
+def test_tol_reaches_the_route(argv, capsys):
+    main([*argv.split(), "--format", "json"])
+    default = json.loads(capsys.readouterr().out)
+    assert main([*argv.split(), "--tol", "1e-6", "--format", "json"]) == 0
+    loose = json.loads(capsys.readouterr().out)
+    assert loose["truncation"]["terms"] < default["truncation"]["terms"]
+    assert float(loose["est_error"]) <= 1e-6

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
+from modzeta import exactnum
 from modzeta.errors import ConvergenceError, DomainError, SingularityError
 from modzeta.exactnum import gamma_numeric, zeta_numeric
 from modzeta.epstein import (
     BinaryForm,
+    _bessel_series,
     bessel_k,
     bessel_k_bound,
     guinand_gap,
@@ -327,6 +329,29 @@ def test_guinand_relation_at_integer_order(w, u):
     assert abs(gap) < 1e-10
     for near in (w - 1e-6, w + 1e-6):
         assert abs(guinand_gap(near, u) - gap) < 1e-10
+
+
+@pytest.mark.parametrize("w,u", [(0.8, 1.3), (0.8, 0.6), (1.2, 2.0), (3.7, 1.0)])
+def test_guinand_builds_its_sigma_table_once(monkeypatch, w, u):
+    # S(u) and S(1/u) share one sigma_{2w} table: the pair builds exactly what
+    # the longer series (argument min(u, 1/u)) builds alone
+    built = []
+    real = exactnum.sigma_range
+
+    def recording(k, n_max):
+        built.append((k, n_max))
+        return real(k, n_max)
+
+    monkeypatch.setattr(exactnum, "sigma_range", recording)
+    guinand_lhs_bessel(w, u)
+    pair = list(built)
+    built.clear()
+    _bessel_series(w, min(u, 1.0 / u), 0.0, 1e-13)
+    assert pair == built and pair
+    assert all(k == 2 * w for k, _ in pair)
+    sizes = [n for _, n in pair]
+    assert sizes == sorted(set(sizes))  # no size built twice
+    assert ("sigma", 2 * w) not in exactnum._SIEVES
 
 
 def test_guinand_derivative_form_matches_bessel_form():

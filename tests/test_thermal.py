@@ -181,3 +181,31 @@ def test_thermal_non_convergence_is_a_convergence_error(call):
     with pytest.raises(ConvergenceError) as exc:
         call()
     assert exc.value.suggestion is not None
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-12])
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (free_energy_partial, (2, 15.0)),
+        (free_energy_partial, (3, 9.0)),
+        (free_energy_partial, (2, 0.4)),
+        (entropy_partial, (3, 0.6)),
+        (entropy_partial, (2, 0.3)),
+        (entropy_partial, (2, 8.0)),
+        (f3_epstein, (3.0,)),
+        (f3_epstein, (0.7,)),
+        (f3_modesum, (10.0,)),
+        (f3_modesum, (0.5,)),
+    ],
+)
+def test_partial_tails_stay_within_tol(fn, args, tol):
+    # the inner series' tolerances account for the prefactors in front of them
+    sv = fn(*args, tol=tol)
+    assert sv.tail_bound <= tol
+
+
+@pytest.mark.parametrize("doc", [{"label": "x"}, {"omega": "n"}, [1, 2], "nope"])
+def test_spectrum_from_json_rejects_non_spectra(doc):
+    with pytest.raises(DomainError):
+        SpectrumSpec.from_json(doc)
