@@ -3,7 +3,10 @@
 Three evaluation routes are implemented and cross-checked:
 
 * brute-force lattice sums with certified integral-comparison tail bounds
-  (the oracle, valid in the convergence region only);
+  (the oracle, valid in the convergence region only); ``z2_direct`` and
+  ``zp_brute`` share one streamed kernel that sums half the cube (x and -x
+  give the same term) in O(R^(p-1)) memory, and one point budget,
+  ``_MAX_POINTS``, checked before anything is allocated;
 * the K-Bessel (Fourier) expansion of the binary Epstein function, which
   converges exponentially for *every* argument and is the analytic
   continuation used by the functional-equation checks;
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kv
+from scipy.special import kv, kve
 
 from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError
 from .exactnum import _coefficients, _sieve, gamma_numeric, zeta_numeric
@@ -44,7 +47,8 @@ __all__ = [
     "xi_completed",
 ]
 
-_MAX_SHELLS = 500_000
+_MAX_POINTS = (2 * 8192 + 1) ** 2 - 1  # the largest sum z2_direct admitted: radius 8192
+_BLOCK = 1 << 20  # lattice points per streamed block
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,8 @@ def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel K_nu(x) for x > 0, real order.
 
     Half-integer orders use the finite closed form; every other order goes
-    to ``scipy.special.kv`` (AMOS, ACM TOMS 644).
+    to ``scipy.special.kv`` (AMOS, ACM TOMS 644), and to ``kve(nu, x) e^-x``
+    where ``kv`` underflows to 0.
     """
     if x <= 0:
         raise DomainError("bessel_k requires x > 0")
@@ -122,19 +127,13 @@ def bessel_k(nu: float, x: float) -> float:
     half = nu - 0.5
     if abs(half - round(half)) < 1e-14 and half >= -0.25:
         return _bessel_k_half_integer(int(round(half)), x)
-    return float(kv(nu, x))
+    # kv flushes to 0 short of the double range (K_2(700) = 4.7e-306); kve does not
+    return float(kv(nu, x)) or float(kve(nu, x)) * math.exp(-x)
 
 
 # ---------------------------------------------------------------------------
 # direct lattice sums
 # ---------------------------------------------------------------------------
-
-def _z2_tail(form: BinaryForm, s: float, radius: int) -> float:
-    # shells |.|_inf = k have 8k points with Q >= lam_min k^2
-    lam = form.min_eigenvalue
-    r1 = radius + 1
-    return 8.0 * lam ** (-s) * (r1 ** (1 - 2 * s) + r1 ** (2 - 2 * s) / (2 * s - 2))
-
 
 def _ext_half_plane(form: BinaryForm, s: float, cut: float, m2: float, swap: bool) -> float:
     # integral over {x > cut} x R of (Q + m2)^{-s}; completing the square in
@@ -175,7 +174,7 @@ def _ext_corner(form: BinaryForm, s: float, cut: float, m2: float, sign: float) 
     return val
 
 
-def _ext_integral(form: BinaryForm, s: float, cut: float, m2: float = 0.0) -> float:
+def _ext_integral(form: BinaryForm, s: float, cut: float, m2: float) -> float:
     """integral of (Q + m2)^{-s} over {max(|x|, |y|) > cut}."""
     px = _ext_half_plane(form, s, cut, m2, swap=False)
     py = _ext_half_plane(form, s, cut, m2, swap=True)
@@ -184,7 +183,7 @@ def _ext_integral(form: BinaryForm, s: float, cut: float, m2: float = 0.0) -> fl
     return 2 * px + 2 * py - 2 * cp - 2 * cm
 
 
-def _ext_laplacian(form: BinaryForm, s: float, cut: float, m2: float = 0.0) -> float:
+def _ext_laplacian(form: BinaryForm, s: float, cut: float, m2: float) -> float:
     """integral of Laplacian((Q + m2)^{-s}) over the exterior region, by the
     divergence theorem on the square boundary (two 1D quadratures)."""
     a, b, c = form.a, form.b, form.c
@@ -201,6 +200,79 @@ def _ext_laplacian(form: BinaryForm, s: float, cut: float, m2: float = 0.0) -> f
     ix, _ = _quad(fx, -cut, cut, epsabs=1e-15)
     iy, _ = _quad(fy, -cut, cut, epsabs=1e-15)
     return -2 * (ix + iy)
+
+
+def _lattice_sum(gram: np.ndarray, s: float, m2: float, radius: int) -> float:
+    """Sum over nonzero x in [-R, R]^p of (x^T G x + m2)^{-s}.  The terms at x
+    and -x agree, so the rows x_0 = 1..R count twice and the slab x_0 = 0 is
+    the same sum one dimension down.  Rows stream in blocks of about
+    ``_BLOCK`` points, so memory grows like R^(p-1)."""
+    p = len(gram)
+    side = 2 * radius + 1
+    rest = np.indices((side,) * (p - 1)).reshape(p - 1, side ** (p - 1)) - radius
+    inner = np.einsum("ij,ik,jk->k", gram[1:, 1:], rest, rest) + m2
+    cross = 2.0 * (gram[0, 1:] @ rest)
+    step = max(1, _BLOCK // side ** (p - 1))
+    rows = 0.0
+    for lo in range(1, radius + 1, step):
+        x0 = np.arange(lo, min(lo + step, radius + 1), dtype=float)[:, None]
+        rows += float(((gram[0, 0] * x0 * x0 + x0 * cross + inner) ** (-s)).sum())
+    slab = _lattice_sum(gram[1:, 1:], s, m2, radius) if p > 1 else 0.0
+    return slab + 2.0 * rows
+
+
+def _direct(gram: np.ndarray, s: float, m2: float, const, tol: float, radius, tail: str) -> SeriesValue:
+    """Direct sum of (x^T G x + m2)^{-s} over nonzero x in Z^p, 2s > p, for
+    z2_direct and zp_brute: one radius search (doubling from 8 or from the
+    caller's radius) against the shell bound const * (r^(p-1-2s) +
+    r^(p-2s)/(2s-p)), r = R + 1, and one point budget checked before any
+    allocation."""
+    p = len(gram)
+    if tail not in ("bound", "integral") or (tail == "integral" and p > 2):
+        raise DomainError("tail must be 'bound', or 'integral' for p <= 2")
+
+    def bound(r: int) -> float:
+        r1 = r + 1
+        return const * (r1 ** (p - 1 - 2 * s) + r1 ** (p - 2 * s) / (2 * s - p))
+
+    if tail == "bound":
+        # past 2^60 the search stops, short of float overflow
+        need = 8 if radius is None else radius
+        while bound(need) > tol:
+            if need > 1 << 60:
+                raise ConvergenceError(
+                    f"direct sum: no radius up to 2^60 certifies {tol:.2e} at s = {s}",
+                    suggestion="tail='integral'" if p <= 2 else None,
+                )
+            need *= 2
+        if radius is not None and need > radius:
+            raise ConvergenceError(f"direct sum needs radius {need} to certify {tol:.2e}", suggestion=need)
+        radius = need
+    points = (2 * radius + 1) ** p - 1
+    if points > _MAX_POINTS:
+        raise ConvergenceError(f"direct sum needs radius {radius}: {points} points, over budget", suggestion=radius)
+    total = _lattice_sum(gram, s, m2, radius)
+    if tail == "bound":
+        return SeriesValue(total, points, bound(radius))
+    # midpoint cells undercount a convex decaying integrand:
+    # sum f(centers) = integral - (1/24) integral of Laplacian + O(cut^{-2s-2})
+    cut = radius + 0.5
+    if p == 1:
+        # G = (1): sum_{k > R} g(k) = int_a g - (1/24) int_a g'' + ... = int_a g + g'(a)/24
+        def g(x):
+            return (x * x + m2) ** (-s)
+
+        base, _ = _quad(lambda tau: g(cut / (tau * tau)) * 2.0 * cut / tau ** 3, 0.0, 1.0, epsabs=1e-16)
+        corr = (-2 * s * cut * (cut * cut + m2) ** (-s - 1)) / 24.0
+        add = 2.0 * (base + corr)
+        est = 6.0 * abs(corr) * (s * s + 1.0) / (cut * cut)
+    else:
+        form = BinaryForm(gram[0, 0], gram[0, 1], gram[1, 1])
+        base = _ext_integral(form, s, cut, m2)
+        corr = -_ext_laplacian(form, s, cut, m2) / 24.0
+        add = base + corr
+        est = 3.0 * abs(corr) * (s * s + 1.0) / (cut * cut)
+    return SeriesValue(total + add, points, est + 1e-15 * abs(total))
 
 
 def z2_direct(
@@ -223,45 +295,14 @@ def z2_direct(
     form = _as_form(form)
     if s <= 1:
         raise DomainError("z2_direct needs s > 1 for absolute convergence")
-    if tail not in ("bound", "integral"):
-        raise DomainError("tail must be 'bound' or 'integral'")
     if radius is not None and radius < 1:
         raise DomainError("z2_direct radius must be >= 1")
-    if tail == "bound":
-        # double from the given (or smallest) radius until the shell bound
-        # certifies tol; past 2^60 the search stops, short of float overflow
-        need = 8 if radius is None else radius
-        while _z2_tail(form, s, need) > tol:
-            if need > 1 << 60:
-                raise ConvergenceError(
-                    f"z2_direct: no radius up to 2^60 certifies {tol:.2e} at s = {s}",
-                    suggestion="tail='integral'",
-                )
-            need *= 2
-        if need > (1 << 13 if radius is None else radius):
-            raise ConvergenceError(
-                f"z2_direct needs radius {need} to certify {tol:.2e}", suggestion=need
-            )
-        radius = need
-        bound = _z2_tail(form, s, radius)
-    elif radius is None:
+    if tail == "integral" and radius is None:
         radius = 600
-    m = np.arange(-radius, radius + 1)
-    mm, nn = np.meshgrid(m, m, indexing="ij")
-    q = form.a * mm * mm + 2 * form.b * mm * nn + form.c * nn * nn
-    q[radius, radius] = 1.0  # mask the origin
-    vals = q ** (-s)
-    vals[radius, radius] = 0.0
-    total = float(vals.sum())
-    if tail == "bound":
-        return SeriesValue(total, (2 * radius + 1) ** 2 - 1, bound)
-    # midpoint cells undercount a convex decaying integrand:
-    # sum f(centers) = integral - (1/24) integral of Laplacian + O(cut^{-2s-2})
-    cut = radius + 0.5
-    base = _ext_integral(form, s, cut)
-    corr = -_ext_laplacian(form, s, cut) / 24.0
-    est = 3.0 * abs(corr) * (s * s + 1.0) / (cut * cut) + 1e-15 * abs(total)
-    return SeriesValue(total + base + corr, (2 * radius + 1) ** 2 - 1, est)
+    # shells |.|_inf = k have 8k points with Q >= lam_min k^2
+    const = 8 * form.min_eigenvalue ** (-s) if tail == "bound" else None
+    gram = np.array([[form.a, form.b], [form.b, form.c]])
+    return _direct(gram, s, 0.0, const, tol, radius, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -406,48 +447,8 @@ def zp_brute(p: int, s: float, w: float, tol: float = 1e-11, tail: str = "bound"
         raise DomainError("zp_brute supports 1 <= p <= 4")
     if 2 * s <= p:
         raise DomainError("zp_brute needs 2s > p for convergence")
-    const = 2 * p * 3 ** (p - 1)
-
-    def bound(r):
-        r1 = r + 1
-        return const * (r1 ** (p - 1 - 2 * s) + r1 ** (p - 2 * s) / (2 * s - p))
-
-    if tail == "integral":
-        if p > 2:
-            raise DomainError("integral tail mode supports p <= 2")
-        radius = 1200 if p == 1 else 500
-    else:
-        radius = 8
-        while bound(radius) > tol:
-            radius *= 2
-            if radius > 4000:
-                raise ConvergenceError("zp_brute radius too large", suggestion=radius)
-    axes = [np.arange(-radius, radius + 1)] * p
-    grids = np.meshgrid(*axes, indexing="ij")
-    q = sum(g * g for g in grids) + w * w
-    vals = q ** (-s)
-    center = tuple([radius] * p)
-    vals[center] = 0.0
-    total = float(vals.sum())
-    if tail == "bound":
-        return SeriesValue(total, (2 * radius + 1) ** p - 1, bound(radius))
-    cut = radius + 0.5
-    if p == 1:
-        # sum_{k > R} g(k) = int_a g - (1/24) int_a g'' + ... = int_a g + g'(a)/24
-        def g(x):
-            return (x * x + w * w) ** (-s)
-
-        base, _ = _quad(lambda tau: g(cut / (tau * tau)) * 2.0 * cut / tau ** 3, 0.0, 1.0, epsabs=1e-16)
-        corr = (-2 * s * cut * (cut * cut + w * w) ** (-s - 1)) / 24.0
-        add = 2.0 * (base + corr)
-        est = 6.0 * abs(corr) * (s * s + 1.0) / (cut * cut)
-    else:
-        sq = BinaryForm(1.0, 0.0, 1.0)
-        base = _ext_integral(sq, s, cut, m2=w * w)
-        corr = -_ext_laplacian(sq, s, cut, m2=w * w) / 24.0
-        add = base + corr
-        est = 3.0 * abs(corr) * (s * s + 1.0) / (cut * cut)
-    return SeriesValue(total + add, (2 * radius + 1) ** p - 1, est + 1e-15 * abs(total))
+    radius = (1200 if p == 1 else 500) if tail == "integral" else None
+    return _direct(np.eye(p), s, w * w, 2 * p * 3 ** (p - 1), tol, radius, tail)
 
 
 def zp_massive(p: int, s: float, w: float, target_tol: float = 1e-11) -> SeriesValue:

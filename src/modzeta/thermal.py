@@ -297,14 +297,21 @@ def _mode_cutoff(spec: SpectrumSpec, beta: float, tol: float) -> int:
             )
 
 
+def _modes(spec: SpectrumSpec, n_max: int):
+    """(n, d_n) for 1 <= n <= n_max in increasing n: a table's own entries,
+    else every n."""
+    if spec.table:
+        return sorted((n, float(d)) for n, d in dict(spec.table).items() if n >= 1)
+    return ((n, spec.degeneracy(n)) for n in range(1, n_max + 1))
+
+
 def mode_sum_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-14) -> SeriesValue:
     """F = (1/2) zeta_M(-1/2) + (1/beta) sum_n d_n log(1 - e^{-n beta})."""
     if beta <= 0:
         raise DomainError("mode_sum_free_energy requires beta > 0")
     n_max = _mode_cutoff(spec, beta, tol)
     acc = 0.0
-    for n in range(1, n_max + 1):
-        d = spec.degeneracy(n)
+    for n, d in _modes(spec, n_max):
         if d:
             acc += d * math.log1p(-math.exp(-n * beta))
     casimir = 0.5 * float(spec.zeta_m_minus_half())
@@ -320,8 +327,7 @@ def thermal_zeta_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-12
         raise DomainError("thermal_zeta_free_energy requires beta > 0")
     n_max = _mode_cutoff(spec, beta, tol)
     acc = 0.0
-    for n in range(1, n_max + 1):
-        d = spec.degeneracy(n)
+    for n, d in _modes(spec, n_max):
         if not d:
             continue
         w = beta * n / (2 * math.pi)

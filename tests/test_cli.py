@@ -280,6 +280,13 @@ def test_error_contract(argv, code, tmp_path, capsys):
     assert captured.err.startswith("usage error:" if code == 2 else "error:")
 
 
+def test_far_table_spectrum_evaluates(tmp_path, capsys):
+    spec = tmp_path / "far.json"
+    spec.write_text('{"label": "far", "omega": "n", "table": [[1000000000, 1]]}', encoding="utf-8")
+    assert main(["eval", "mode_sum_F", "--spectrum", str(spec), "--beta", "1", "--format", "json"]) == 0
+    assert float(json.loads(capsys.readouterr().out)["value"]["re"]) == 5e8
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,8 @@
 """Lattice zeta functions: direct sums vs Bessel-accelerated expansions."""
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from modzeta.exactnum import gamma_numeric, zeta_numeric
 from modzeta.epstein import (
     BinaryForm,
     _bessel_series,
+    _lattice_sum,
     bessel_k,
     bessel_k_bound,
     guinand_gap,
@@ -61,7 +64,7 @@ def test_bessel_against_mpmath():
     mpmath.mp.dps = 30
     rng = random.Random(2024)
     # the quadrature route this replaced was 2.2e-9 off at (6.4, 44)
-    cases = [(6.4, 44.0), (5.9, 44.0), (0.0, 1e-3), (1.0, 0.3), (2.0, 650.0), (-3.7, 0.02)]
+    cases = [(6.4, 44.0), (5.9, 44.0), (0.0, 1e-3), (1.0, 0.3), (2.0, 650.0), (-3.7, 0.02), (2.0, 700.0)]
     cases += [(rng.uniform(-8.0, 8.0), 10 ** rng.uniform(-3.0, 2.3)) for _ in range(200)]
     for nu, x in cases:
         want = float(mpmath.besselk(nu, x))
@@ -115,7 +118,74 @@ def test_z2_direct_certified_mode_errors():
     with pytest.raises(DomainError):
         z2_direct((1, 0, 1), 3.0, radius=0)  # doubling 0 would never end
     with pytest.raises(DomainError):
+        zp_brute(2, 3.0, 0.8, tail="foo")
+    with pytest.raises(DomainError):
         BinaryForm(1.0, 2.0, 1.0)  # indefinite
+
+
+def _loop_sum(gram, s, m2, radius):
+    # the reference: a plain loop over the whole cube
+    total = 0.0
+    for x in itertools.product(range(-radius, radius + 1), repeat=len(gram)):
+        if any(x):
+            q = sum(gram[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
+            total += (q + m2) ** (-s)
+    return total
+
+
+@pytest.mark.parametrize(
+    "gram,s,m2,radius",
+    [(((2.0, 1.0), (1.0, 3.0)), 1.75, 0.0, 6), (np.eye(3), 4.0, 0.8 * 0.8, 4), (np.eye(1), 2.0, 0.8 * 0.8, 50)],
+)
+def test_lattice_kernel_matches_a_plain_loop(gram, s, m2, radius):
+    want = _loop_sum(gram, s, m2, radius)
+    assert abs(_lattice_sum(np.asarray(gram), s, m2, radius) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize(
+    "call,gram,s,m2,radius",
+    [
+        (lambda: z2_direct((2, 1, 3), 1.75, tol=1.0, radius=6), ((2, 1), (1, 3)), 1.75, 0.0, 6),
+        (lambda: zp_brute(3, 4.0, 0.8, tol=1e-3), np.eye(3), 4.0, 0.8 * 0.8, 8),
+        (lambda: zp_brute(1, 2.0, 0.8, tol=1e-2), np.eye(1), 2.0, 0.8 * 0.8, 8),
+    ],
+)
+def test_direct_sums_match_a_plain_loop(call, gram, s, m2, radius):
+    got = call()
+    want = _loop_sum(gram, s, m2, radius)
+    assert got.terms == (2 * radius + 1) ** len(gram) - 1
+    assert abs(got.value - want) <= 1e-13 * want
+
+
+def test_zp_brute_memory_grows_with_a_face_not_the_cube():
+    # radius 128 in p = 3: one float64 array over the whole cube would be 136 MB
+    tracemalloc.start()
+    try:
+        zb = zp_brute(3, 4.0, 1.3, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zb.terms == 257 ** 3 - 1
+    assert peak < 64e6
+
+
+@pytest.mark.parametrize(
+    "call,radius",
+    [
+        (lambda: zp_brute(3, 4.0, 1.3, tol=1e-12), 512),  # 1.08e9 points
+        (lambda: z2_direct((1, 0, 1), 3.0, radius=20000, tail="integral"), 20000),
+    ],
+)
+def test_point_budget_refuses_before_allocating(call, radius):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError) as exc:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.suggestion == radius
+    assert peak < 1e6
 
 
 def test_z2_direct_shell_grouping_matches_r2():

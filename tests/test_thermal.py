@@ -112,6 +112,15 @@ def test_matched_variable_identity():
         assert abs(ms - f3_modesum(xi).value.real) < 1e-10
 
 
+def test_table_spectrum_sums_only_its_entries():
+    # one mode at n = 1e9: a table is summed over its entries, not over every n up to it
+    far = SpectrumSpec("far", table=((10 ** 9, 1),))
+    for route in (mode_sum_free_energy, thermal_zeta_free_energy):
+        got = route(far, 1.0)
+        assert got.value == 5e8
+        assert got.terms == 10 ** 9
+
+
 def test_thermal_zeta_route():
     beta = 3.0
     a = thermal_zeta_free_energy(SINGLE_MODE, beta).value.real
