@@ -40,6 +40,10 @@ from .epstein import bessel_k
 from .exactnum import _coefficients, gamma_numeric, zeta_negative_exact
 from .qseries import SeriesValue, _certified_sum, _quad
 
+# relative rounding allowance per Bessel term: bessel_k is within 1.3e-13
+# of mpmath, and the powers, products and sum add a few ulps
+_ROUNDING = 2e-13
+
 __all__ = [
     "DirichletDatum",
     "HeatKernelPair",
@@ -407,6 +411,10 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
     representation continues phi(s, w) beyond the convergence abscissa.
     The truncation uses the incomplete-gamma integral comparison of the
     Bessel bound, certified by the datum's coefficient/sequence bounds.
+    ``tail_bound`` is that bound plus a rounding allowance,
+    ``_ROUNDING (|R| + sum |term|) / |Gamma(s)|``: an estimate sized from
+    ``bessel_k``'s measured accuracy, not a proof.  It dominates at small
+    w, where R ~ -w^{-2s} Gamma(s) and the series cancel.
     """
     if not d.supports_modular:
         raise DomainError(f"datum {d.name} carries no functional equation")
@@ -422,11 +430,23 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
     kappa = 2.0 * w * math.sqrt(c_lo)
     pe = p_b + abs(nu) * q / 2.0
     gam_s = float(gamma_numeric(s).real)
+    # q = 0 only for finite custom tables, whose tail stops at finite_n
+    alpha = 2.0 * (pe + 1.0) / q if q else None
+    gam_alpha = float(gamma_numeric(alpha).real) if q else None
+
+    mag = 0.0  # sum of |term| over the terms summed
 
     def terms():
+        nonlocal mag
         for n in itertools.count(1):
+            b = d.b(n)
+            if b == 0:  # r_p(n) = 0 for most n at p <= 2
+                yield 0.0
+                continue
             mu = d.mu(n)
-            yield 2.0 * d.b(n) * (mu / (w * w)) ** (nu / 2.0) * bessel_k(nu, 2 * w * math.sqrt(mu))
+            term = 2.0 * b * (mu / (w * w)) ** (nu / 2.0) * bessel_k(nu, 2 * w * math.sqrt(mu))
+            mag += abs(term)
+            yield term
 
     def tail(n: int) -> float:
         if d.finite_n is not None and n >= d.finite_n:
@@ -437,15 +457,19 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
             math.pi / (2 * x1)
         ) * math.exp(nu * nu / (2 * x1))
         first = head * n1 ** pe * math.exp(-x1)
-        alpha = 2.0 * (pe + 1.0) / q
+        if first / abs(gam_s) > tol:  # rest >= 0 cannot bring the tail under tol
+            return first / abs(gam_s)
         rest = head * (2.0 / q) * kappa ** (-alpha) * float(
             gammaincc(alpha, x1)
-        ) * float(gamma_numeric(alpha).real)
+        ) * gam_alpha
         return (first + rest) / abs(gam_s)
 
+    r = berndt_R(d, s, w)
     series = _certified_sum(terms(), tail, tol, 100_000, "berndt_phi")
-    val = (berndt_R(d, s, w) + series.value) / gam_s
-    return SeriesValue(val, series.terms, series.tail_bound)
+    val = (r + series.value) / gam_s
+    # the terms' rounding scales with |R| + sum |term|, not with the value
+    rounding = _ROUNDING * (abs(r) + mag) / abs(gam_s)
+    return SeriesValue(val, series.terms, series.tail_bound + rounding)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ Three evaluation routes are implemented and cross-checked:
 * the K-Bessel (Fourier) expansion of the binary Epstein function, which
   converges exponentially for *every* argument and is the analytic
   continuation used by the functional-equation checks;
-* the "massive" representation of diagonal sums shifted by w^2, again
-  exponentially convergent through half-integer K-Bessels.
+* the "massive" diagonal sums shifted by w^2 (``zp_massive``): Berndt's
+  K-Bessel representation, summed with its certified tail by
+  ``dirichlet.berndt_phi`` on the diagonal datum.
 
 The K-Bessel itself is computed from the finite closed form at
 half-integer order and by ``scipy.special.kv`` (the AMOS routines)
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.special import kv, kve
 
 from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError
-from .exactnum import _coefficients, _sieve, gamma_numeric, zeta_numeric
+from .exactnum import _coefficients, gamma_numeric, zeta_numeric
 from .qseries import SeriesValue, _certified_sum, _quad, lambert_S, log_deriv_D, lambert_expansion
 
 __all__ = [
@@ -60,7 +61,7 @@ class BinaryForm:
     c: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.det <= 0:
+        if not (self.a > 0 and self.det > 0):  # a NaN det (inf - inf) is no form either
             raise DomainError("BinaryForm must be positive definite (a > 0, ac - b^2 > 0)")
 
     @property
@@ -77,8 +78,9 @@ class BinaryForm:
 
     @property
     def min_eigenvalue(self) -> float:
-        h = 0.5 * (self.a + self.c)
-        return h - math.sqrt(0.25 * (self.a - self.c) ** 2 + self.b ** 2)
+        # det / lam_max rather than h - hypot(...), which cancels (even to
+        # <= 0) once the form is anisotropic
+        return self.det / (0.5 * (self.a + self.c) + math.hypot(0.5 * (self.a - self.c), self.b))
 
     def inverse(self) -> "BinaryForm":
         d = self.det
@@ -299,6 +301,13 @@ def z2_direct(
         raise DomainError("z2_direct radius must be >= 1")
     if tail == "integral" and radius is None:
         radius = 600
+    # a + c >= lam_max: past a ratio of 2^52, terms along the soft direction
+    # can lose every digit, and lam_min^{-s} may leave the float range
+    if not form.a + form.c <= 2.0 ** 52 * form.min_eigenvalue:
+        raise ConvergenceError(
+            f"z2_direct: form ({form.a}, {form.b}, {form.c}) has an eigenvalue ratio over 2^52, "
+            "beyond a floating-point lattice sum"
+        )
     # shells |.|_inf = k have 8k points with Q >= lam_min k^2
     const = 8 * form.min_eigenvalue ** (-s) if tail == "bound" else None
     gram = np.array([[form.a, form.b], [form.b, form.c]])
@@ -351,22 +360,23 @@ def z2_kober(form, w: float, target_tol: float = 1e-12) -> SeriesValue:
         raise SingularityError("z2_kober: w = 0 and w = 1/2 hit explicit poles")
     u, v = form.u, form.v
     delta = form.det
-    scale_mag = abs(
-        8.0 * math.pi ** (w + 0.5) * math.sqrt(u)
-        / (float(gamma_numeric(w + 0.5).real) * delta ** ((2 * w + 1) / 4.0))
+    gam_half = float(gamma_numeric(w + 0.5).real)
+    if gam_half == 0.0:
+        raise ConvergenceError(
+            f"z2_kober: Gamma(w + 1/2) underflows to 0 at w = {w}, so the Bessel form's scale is not a float"
+        )
+    scale = 8.0 * math.pi ** (w + 0.5) * math.sqrt(u) / (
+        gam_half * delta ** ((2 * w + 1) / 4.0)
     )
-    bess = _bessel_series(w, u, v, target_tol / scale_mag)
+    bess = _bessel_series(w, u, v, target_tol / abs(scale))
     rhs = (
         0.25 * u ** (-w) * float(gamma_numeric(w).real) * math.pi ** (-w) * float(zeta_numeric(2 * w).real)
         + 0.25
         * u ** w
-        * float(gamma_numeric(w + 0.5).real)
+        * gam_half
         * math.pi ** (-w - 0.5)
         * float(zeta_numeric(2 * w + 1).real)
         + bess.value
-    )
-    scale = 8.0 * math.pi ** (w + 0.5) * math.sqrt(u) / (
-        float(gamma_numeric(w + 0.5).real) * delta ** ((2 * w + 1) / 4.0)
     )
     return SeriesValue(scale * rhs, bess.terms, abs(scale) * bess.tail_bound)
 
@@ -452,7 +462,7 @@ def zp_brute(p: int, s: float, w: float, tol: float = 1e-11, tail: str = "bound"
 
 
 def zp_massive(p: int, s: float, w: float, target_tol: float = 1e-11) -> SeriesValue:
-    """Massive diagonal Epstein sum via the Bessel representation:
+    """Massive diagonal Epstein sum via Berndt's Bessel representation:
 
         -w^{-2s} + pi^{p/2} Gamma(s - p/2) w^{p-2s} / Gamma(s)
         + (2 pi^s / Gamma(s)) sum_n r_p(n) (sqrt n / w)^{s-p/2}
@@ -460,6 +470,8 @@ def zp_massive(p: int, s: float, w: float, target_tol: float = 1e-11) -> SeriesV
 
     valid by continuation for any s away from the Gamma(s - p/2) poles;
     the residue coefficient pi^{p/2} is pinned by the brute-force oracle.
+    The series is ``dirichlet.berndt_phi`` on the diagonal datum, which
+    certifies its truncation against ``target_tol``.
     """
     if p < 1 or p > 4:
         raise DomainError("zp_massive supports 1 <= p <= 4")
@@ -468,35 +480,9 @@ def zp_massive(p: int, s: float, w: float, target_tol: float = 1e-11) -> SeriesV
     shift = s - p / 2.0
     if abs(shift - round(shift)) < 1e-9 and round(shift) <= 0:
         raise SingularityError("zp_massive: s - p/2 at a nonpositive integer (Gamma pole)")
-    gs = complex(gamma_numeric(s))
-    nu = s - p / 2.0
+    from . import dirichlet  # dirichlet imports this module
 
-    # truncation: r_p(n) <= 3^p n^{p/2}; Bessel bound gives geometric decay
-    n_max = int((50.0 / (2 * math.pi * w)) ** 2) + 8
-    counts = _sieve("rp", p, n_max)
-    acc = 0.0
-    pref = 2.0 * math.pi ** s / gs.real
-    for n in range(1, n_max + 1):
-        if counts[n]:
-            root = math.sqrt(n)
-            acc += counts[n] * (root / w) ** nu * bessel_k(nu, 2 * math.pi * w * root)
-    nxt = math.sqrt(n_max + 1)
-    tail = (
-        abs(pref)
-        * 3 ** p
-        * (n_max + 1) ** (p / 2.0)
-        * (nxt / w) ** abs(nu)
-        * bessel_k_bound(nu, 2 * math.pi * w * nxt)
-        * 4.0
-    )
-    if tail > target_tol:
-        raise ConvergenceError(f"zp_massive tail bound {tail:.2e} > {target_tol:.2e}")
-    val = (
-        -(w ** (-2 * s))
-        + math.pi ** (p / 2.0) * complex(gamma_numeric(s - p / 2.0)).real * w ** (p - 2 * s) / gs.real
-        + pref * acc
-    )
-    return SeriesValue(val, n_max, tail)
+    return dirichlet.berndt_phi(dirichlet.diagonal_epstein_datum(p), s, w, tol=target_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .epstein import bessel_k
 from .errors import ConvergenceError, DomainError
@@ -104,19 +107,24 @@ class SpectrumSpec:
     label: str
     degeneracy_coeffs: tuple = ()
     table: tuple = ()  # ((n, d_n), ...)
+    _degeneracies: dict = field(init=False, repr=False, compare=False)  # the table as {n: d_n}
 
     def __post_init__(self):
         if bool(self.degeneracy_coeffs) == bool(self.table):
             raise DomainError("SpectrumSpec needs coefficients or a table, not both")
         if len(self.degeneracy_coeffs) > 7:
             raise DomainError("degeneracy polynomial degree must be <= 6")
-        for n in range(1, 200):
-            if self.degeneracy(n) < 0:
-                raise DomainError("degeneracies must be nonnegative")
+        values = [d for (_, d) in self.table] or self.degeneracy_coeffs
+        if not all(isinstance(x, numbers.Real) and math.isfinite(x) for x in values):
+            raise DomainError("degeneracies must be finite real numbers")
+        negative = any(d < 0 for d in values) if self.table else _negative_somewhere(values)
+        if negative:
+            raise DomainError("degeneracies must be nonnegative")
+        object.__setattr__(self, "_degeneracies", {n: float(d) for (n, d) in self.table})
 
     def degeneracy(self, n: int) -> float:
         if self.table:
-            return float(dict(self.table).get(n, 0.0))
+            return self._degeneracies.get(n, 0.0)
         return float(sum(c * n ** k for k, c in enumerate(self.degeneracy_coeffs)))
 
     def max_mode(self) -> int | None:
@@ -157,6 +165,28 @@ class SpectrumSpec:
             "omega": "n",
             "degeneracy_coeffs": list(self.degeneracy_coeffs),
         }
+
+
+def _negative_somewhere(coeffs) -> bool:
+    """Whether sum_k c_k n^k < 0 at some integer n >= 1, decided exactly.
+
+    Past its largest real root the polynomial has the sign of its leading
+    coefficient.  Below it, a stretch where it is negative either contains
+    n = 1 or starts at a real root, so it contains the first integer past
+    that root: n = 1 and the integers next to each root (as ``numpy.roots``
+    finds it, within one) are the only places to look.
+    """
+    exact = [Fraction(c) for c in coeffs]
+    while exact and exact[-1] == 0:
+        exact.pop()
+    if not exact or exact[-1] < 0:
+        return bool(exact)
+    near = {1}
+    if len(exact) > 1:
+        for root in np.roots([float(c) for c in reversed(exact)]):
+            base = math.floor(root.real)
+            near.update(range(max(base - 1, 1), max(base + 3, 1)))
+    return any(sum(c * n ** k for k, c in enumerate(exact)) < 0 for n in near)
 
 
 S3_SPEC = SpectrumSpec("s3-conformal-scalar", (0, 0, 1))
@@ -301,7 +331,7 @@ def _modes(spec: SpectrumSpec, n_max: int):
     """(n, d_n) for 1 <= n <= n_max in increasing n: a table's own entries,
     else every n."""
     if spec.table:
-        return sorted((n, float(d)) for n, d in dict(spec.table).items() if n >= 1)
+        return sorted((n, d) for n, d in spec._degeneracies.items() if n >= 1)
     return ((n, spec.degeneracy(n)) for n in range(1, n_max + 1))
 
 

@@ -2,13 +2,18 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import kv
 
-from modzeta import exactnum
+from modzeta import dirichlet, exactnum
+from modzeta.cli import main
+from modzeta.dirichlet import berndt_phi, custom_datum, diagonal_epstein_datum, eisenstein_datum, theta_datum
 from modzeta.errors import ConvergenceError, DomainError, SingularityError
 from modzeta.exactnum import gamma_numeric, zeta_numeric
 from modzeta.epstein import (
@@ -121,6 +126,31 @@ def test_z2_direct_certified_mode_errors():
         zp_brute(2, 3.0, 0.8, tail="foo")
     with pytest.raises(DomainError):
         BinaryForm(1.0, 2.0, 1.0)  # indefinite
+    with pytest.raises(DomainError):
+        BinaryForm(1e200, 1e200, 1e200)  # degenerate; ac - b^2 is inf - inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: z2_kober((1, 0, 1), -400),  # Gamma(w + 1/2) underflows to 0
+        lambda: z2_direct((1e300, 0, 1), 3),
+        lambda: z2_direct((1e-300, 0, 1), 3),  # lam_min^{-s} = 1e900
+        lambda: z2_direct((1.1200780474834209e19, 50542178673.062004, 780.6562215508059), 2.5),
+    ],
+)
+def test_routes_refuse_what_floats_cannot_hold(call):
+    with pytest.raises(ConvergenceError) as exc:
+        call()
+    assert str(exc.value).startswith(("z2_kober:", "z2_direct:"))
+
+
+def test_min_eigenvalue_of_anisotropic_forms():
+    # h - hypot(...) cancels to 0 for the first form and to a negative
+    # number for the second
+    assert BinaryForm(1e16, 0.0, 1.0).min_eigenvalue == 1.0
+    lam = BinaryForm(1.1200780474834209e19, 50542178673.062004, 780.6562215508059).min_eigenvalue
+    assert lam == pytest.approx(552.5907014061, rel=1e-12)
 
 
 def _loop_sum(gram, s, m2, radius):
@@ -349,6 +379,119 @@ def test_zp_massive_pole_guard():
         zp_massive(2, 1.0, 1.0)  # s - p/2 = 0
     with pytest.raises(DomainError):
         zp_massive(2, 2.0, -1.0)
+
+
+@pytest.mark.parametrize("p,s,w", [(1, 1.0, 1.0), (2, 0.75, 1.0), (2, 3.0, 0.8), (3, 2.6, 0.5), (4, 3.0, 1.3)])
+def test_zp_massive_is_berndt_phi_on_the_diagonal_datum(p, s, w):
+    got = zp_massive(p, s, w, target_tol=1e-10)
+    want = berndt_phi(diagonal_epstein_datum(p), s, w, tol=1e-10)
+    assert (got.value, got.terms, got.tail_bound) == (want.value, want.terms, want.tail_bound)
+
+
+def test_zp_massive_refuses_a_tiny_mass_without_a_huge_table(capsys):
+    # the certified sum stops at its term cap while the r_2 table is ~1e5
+    # entries; a cutoff chosen from w alone would need r_2 up to n ~ 6e7
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["eval", "zp_massive", "--p", "2", "--s", "2", "--w", "1e-3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+    assert elapsed < 5.0
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("p,s,w", [(1, 5.0, 0.3), (1, 6.5, 0.5), (3, 5.0, 0.5)])
+def test_zp_massive_certifies_small_masses(p, s, w):
+    # w <= 0.5, where the sum needs more terms than a cutoff chosen from w
+    # alone, (50 / 2 pi w)^2 + 8, supplies
+    zm = zp_massive(p, s, w)
+    zb = zp_brute(p, s, w, tol=1e-10)
+    assert abs(zm.value - zb.value) < 1e-9
+
+
+# (datum, s, w) -> (value, terms, truncation bound) at tol 1e-12: the tail
+# shortcut and the zero-coefficient skip must not move a bit of them
+BERNDT_PINS = [
+    (("diagonal", 1), 1.0, 1.0, (2.153348094937157, 26, 9.071243541655686e-13)),
+    (("diagonal", 1), 2.6, 0.2, (1.8679484588252266, 1542, 9.945042199891035e-13)),
+    (("diagonal", 2), 2.1, 0.3, (4.995839296263181, 590, 9.751879823683048e-13)),
+    (("diagonal", 2), 0.75, 1.0, (-13.551348750100942, 31, 6.954583315532432e-13)),
+    (("diagonal", 3), 2.6, 0.5, (6.462939390302522, 222, 9.4249369453147e-13)),
+    (("diagonal", 4), 3.0, 1.3, (2.7409313562766866, 27, 6.543564363529579e-13)),
+    (("eisenstein", 2), 5.0, 1.0, (0.00010577516289326159, 66, 9.349605592908054e-13)),
+    (("eisenstein", 3), 6.5, 0.8, (1.2798921899020597e-05, 158, 9.3802840753569e-13)),
+    (("theta",), 1.7, 0.5, (0.28939715003775945, 18, 5.697387684568671e-13)),
+    (("theta",), 0.3, 1.0, (-2.9231182522523453, 7, 3.317550276771173e-13)),
+    (("custom",), 2.3, 0.7, (0.8352018712060899, 1, 0.0)),  # one entry: the tail is 0 at n = 1
+]
+
+
+@pytest.mark.parametrize("datum,s,w,want", BERNDT_PINS)
+def test_berndt_phi_keeps_its_bits(datum, s, w, want, monkeypatch):
+    make = {
+        "diagonal": diagonal_epstein_datum,
+        "eisenstein": eisenstein_datum,
+        "theta": theta_datum,
+        "custom": lambda: custom_datum([1.0], [2.0], [1.0], [1.0], 1.0, residues=((0.0, -1.0), (1.0, 2.0))),
+    }
+    d = make[datum[0]](*datum[1:])
+    sv = berndt_phi(d, s, w)
+    assert (sv.value, sv.terms) == want[:2]
+    assert sv.tail_bound > want[2]  # plus the rounding allowance
+    monkeypatch.setattr(dirichlet, "_ROUNDING", 0.0)
+    sv = berndt_phi(d, s, w)
+    assert (sv.value, sv.terms, sv.tail_bound) == want
+
+
+def _massive_oracle(mpmath, p, s, w):
+    # sum over m != 0 of (m.m + w^2)^{-s} = (1/Gamma(s)) int_0^inf t^{s-1}
+    # e^{-w^2 t} (theta(t)^p - 1) dt, theta(t) = sum_k e^{-t k^2}; below t = 1
+    # theta = sqrt(pi/t) (1 + 2 sum e^{-pi^2 k^2/t}), and its leading
+    # (pi/t)^{p/2} - 1 integrates in closed form (lower incomplete gammas)
+    mp = mpmath.mp
+    with mpmath.workdps(20):
+        s, w2 = mpmath.mpf(s), mpmath.mpf(w) ** 2
+        half_p = mpmath.mpf(p) / 2
+
+        def jacobi(x):  # 1 + 2 sum_{k >= 1} e^{-x k^2}
+            return 1 + 2 * mpmath.nsum(lambda k: mpmath.exp(-x * k * k), [1, mpmath.inf])
+
+        def kernel(t):
+            return t ** (s - 1) * mpmath.exp(-w2 * t)
+
+        low = mpmath.quad(lambda t: kernel(t) * (mp.pi / t) ** half_p * (jacobi(mp.pi ** 2 / t) ** p - 1), [0, 0.25, 1])
+        high = mpmath.quad(lambda t: kernel(t) * (jacobi(t) ** p - 1), [1, 4, 16, 64, 256])
+        closed = (
+            mp.pi ** half_p * w2 ** (half_p - s) * mpmath.gammainc(s - half_p, 0, w2)
+            - w2 ** (-s) * mpmath.gammainc(s, 0, w2)
+        )
+        return float((low + high + closed) / mpmath.gamma(s))
+
+
+@pytest.mark.parametrize(
+    "p,s,w,value", [(2, 2.1, 0.05, 5.741004591157525), (1, 2.0, 0.05, 2.15451056496852), (1, 2.8, 0.1, 1.991495821892386)]
+)
+def test_zp_massive_tail_bound_covers_rounding_at_small_mass(p, s, w, value):
+    # R(s, w)/Gamma(s) ~ -w^{-2s} and the Bessel series cancel here, so the
+    # terms' rounding, not the truncation, sets the error
+    mpmath = pytest.importorskip("mpmath")
+    oracle = _massive_oracle(mpmath, p, s, w)
+    assert abs(oracle - value) < 1e-14 * value
+    zm = zp_massive(p, s, w)
+    assert abs(zm.value - oracle) <= zm.tail_bound
+
+
+def test_epstein_imports_alone_for_zp_massive():
+    # zp_massive imports dirichlet, which imports epstein, inside the call
+    code = "import modzeta.epstein as e; e.zp_massive(1, 1.0, 1.0)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])

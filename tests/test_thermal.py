@@ -1,5 +1,6 @@
 """Thermal layer: free energies, entropy, and the two F3 routes."""
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,37 @@ def test_spectrum_spec_validation_and_json():
     assert back.degeneracy(7) == 49.0
     tab = SpectrumSpec.from_json(SINGLE_MODE.to_json())
     assert tab.degeneracy(1) == 1.0 and tab.degeneracy(2) == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"table": ((1000, -1.0),)},  # past any sampled n
+        {"degeneracy_coeffs": (0, 0, 1, 0, 0, 0, -1e-15)},  # negative only for n >= 5624
+        {"degeneracy_coeffs": (100, -30, 1)},  # negative for 4 <= n <= 26
+        {"degeneracy_coeffs": (0, float("nan"))},
+    ],
+)
+def test_spectrum_spec_refuses_negative_degeneracies_anywhere(kwargs):
+    with pytest.raises(DomainError):
+        SpectrumSpec("bad", **kwargs)
+
+
+def test_spectrum_spec_accepts_polynomials_nonnegative_on_the_integers():
+    # (n - 3)(n - 4) and (n - 7/2)^2 touch or dip below 0 only between integers
+    for coeffs in ((12, -7, 1), (12.25, -7, 1), (0, 0, 1)):
+        SpectrumSpec("ok", coeffs)
+
+
+def test_large_table_spectrum_builds_fast():
+    table = tuple((n, 1.0) for n in range(1, 20_001))
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        spec = SpectrumSpec("big", table=table)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
+    assert spec.degeneracy(20_000) == 1.0 and spec.degeneracy(20_001) == 0.0
 
 
 # ------------------------------------------------------------- certificates
