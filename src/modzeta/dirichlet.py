@@ -86,7 +86,6 @@ class DirichletDatum:
     delta: float
     residues: tuple = ()
     zero_modes: tuple = (0.0, 0.0)
-    sigma0: float = 2.0
     a_bound: tuple = (1.0, 0.0)
     b_bound: tuple = (1.0, 0.0)
     lam_low: tuple = (1.0, 1.0)
@@ -107,7 +106,6 @@ class DirichletDatum:
             delta=self.delta,
             residues=tuple((self.delta - s0, -r) for (s0, r) in self.residues),
             zero_modes=(self.zero_modes[1], self.zero_modes[0]),
-            sigma0=self.sigma0,
             a_bound=self.b_bound,
             b_bound=self.a_bound,
             lam_low=self.mu_low,
@@ -156,7 +154,6 @@ def eisenstein_datum(t: int) -> DirichletDatum:
         delta=float(2 * t),
         residues=((0.0, phi0), (float(2 * t), -sign * phi0)),
         zero_modes=(-phi0, sign * phi0 * -1.0),
-        sigma0=float(2 * t) + 0.1,
         a_bound=(zk, float(k)),
         b_bound=(zk, float(k)),
         lam_low=(2.0 * math.pi, 1.0),
@@ -176,7 +173,6 @@ def theta_datum() -> DirichletDatum:
         delta=0.5,
         residues=((0.0, -1.0), (0.5, 1.0)),
         zero_modes=(1.0, 1.0),
-        sigma0=0.6,
         a_bound=(2.0, 0.0),
         b_bound=(2.0, 0.0),
         lam_low=(math.pi, 2.0),
@@ -198,7 +194,6 @@ def sigma_datum(k: int) -> DirichletDatum:
         mu=float,
         delta=float(k + 1),
         residues=(),
-        sigma0=k + 1.1,
         a_bound=(zk, k + (0.5 if k < 2 else 0.0)),
         b_bound=(zk, k + (0.5 if k < 2 else 0.0)),
         lam_low=(1.0, 1.0),
@@ -223,7 +218,6 @@ def diagonal_epstein_datum(p: int) -> DirichletDatum:
         delta=p / 2.0,
         residues=((0.0, -1.0), (p / 2.0, pref)),
         zero_modes=(1.0, pref),
-        sigma0=p / 2.0 + 0.6,
         a_bound=(3.0 ** p, p / 2.0),
         b_bound=(pref * 3.0 ** p, p / 2.0),
         lam_low=(1.0, 1.0),
@@ -271,7 +265,6 @@ def custom_datum(
         delta=delta,
         residues=tuple(tuple(r) for r in residues),
         zero_modes=tuple(zero_modes),
-        sigma0=1.0,
         a_bound=(max([abs(x) for x in a_list] + [1.0]), 0.0),
         b_bound=(max([abs(x) for x in b_list] + [1.0]), 0.0),
         lam_low=(min(lam_list[0], 1.0), 0.0),
@@ -426,7 +419,6 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
             raise SingularityError(f"berndt_phi: Gamma(s - s') pole at s = {s}, s' = {s0}")
     c_b, p_b = d.b_bound
     c_lo, q = d.mu_low
-    c_hi = c_lo  # built-in sequences are exact power laws
     kappa = 2.0 * w * math.sqrt(c_lo)
     pe = p_b + abs(nu) * q / 2.0
     gam_s = float(gamma_numeric(s).real)
@@ -453,7 +445,7 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
             return 0.0
         n1 = n + 1
         x1 = kappa * n1 ** (q / 2.0)
-        head = 2.0 * c_b * (c_hi / (w * w)) ** (abs(nu) / 2.0) * math.sqrt(
+        head = 2.0 * c_b * (c_lo / (w * w)) ** (abs(nu) / 2.0) * math.sqrt(
             math.pi / (2 * x1)
         ) * math.exp(nu * nu / (2 * x1))
         first = head * n1 ** pe * math.exp(-x1)

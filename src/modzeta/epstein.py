@@ -6,7 +6,10 @@ Three evaluation routes are implemented and cross-checked:
   (the oracle, valid in the convergence region only); ``z2_direct`` and
   ``zp_brute`` share one streamed kernel that sums half the cube (x and -x
   give the same term) in O(R^(p-1)) memory, and one point budget,
-  ``_MAX_POINTS``, checked before anything is allocated;
+  ``_MAX_POINTS``, checked before anything is allocated.  Their
+  ``tail="integral"`` mode adds the integral of (Q + m^2)^(-s) outside the
+  summed square: in polar coordinates Q = r^2 Q(theta), the radial integral
+  from the square's edge is closed, and one angular quadrature remains;
 * the K-Bessel (Fourier) expansion of the binary Epstein function, which
   converges exponentially for *every* argument and is the analytic
   continuation used by the functional-equation checks;
@@ -137,52 +140,25 @@ def bessel_k(nu: float, x: float) -> float:
 # direct lattice sums
 # ---------------------------------------------------------------------------
 
-def _ext_half_plane(form: BinaryForm, s: float, cut: float, m2: float, swap: bool) -> float:
-    # integral over {x > cut} x R of (Q + m2)^{-s}; completing the square in
-    # the inner variable leaves a one-dimensional outer quadrature
-    a_f, c_f = (form.c, form.a) if swap else (form.a, form.c)
-    det = form.det
-    k = math.sqrt(math.pi) * float(gamma_numeric(s - 0.5).real) / (
-        float(gamma_numeric(s).real) * math.sqrt(c_f)
-    )
-    ratio = det / c_f
-
-    def outer(tau: float) -> float:  # x = cut/tau^2 smooths the endpoint
-        x = cut / (tau * tau)
-        return (ratio * x * x + m2) ** (0.5 - s) * 2.0 * cut / tau ** 3
-
-    val, _ = _quad(outer, 0.0, 1.0, epsabs=1e-15)
-    return k * val
-
-
-def _ext_corner(form: BinaryForm, s: float, cut: float, m2: float, sign: float) -> float:
-    # integral over {x > cut, y > cut} of (Q(x, sign*y) + m2)^{-s}; the ray
-    # substitution y = x w makes the inner integrand monotone, and the
-    # w-range splits at w = 1 so each piece is layer-free
-    a, b, c = form.a, sign * form.b, form.c
-
-    def outer(rho: float) -> float:
-        x = cut / (rho * rho)
-        theta = cut / x
-
-        def f(w: float) -> float:
-            return (x * x * (a + 2 * b * w + c * w * w) + m2) ** (-s)
-
-        low, _ = _quad(f, theta, 1.0, epsabs=1e-17)
-        high, _ = _quad(lambda u: f(1.0 / (u * u)) * 2.0 / u ** 3, 0.0, 1.0, epsabs=1e-17)
-        return x * (low + high) * 2.0 * cut / rho ** 3
-
-    val, _ = _quad(outer, 0.0, 1.0, epsabs=1e-15)
-    return val
-
-
 def _ext_integral(form: BinaryForm, s: float, cut: float, m2: float) -> float:
-    """integral of (Q + m2)^{-s} over {max(|x|, |y|) > cut}."""
-    px = _ext_half_plane(form, s, cut, m2, swap=False)
-    py = _ext_half_plane(form, s, cut, m2, swap=True)
-    cp = _ext_corner(form, s, cut, m2, +1.0)
-    cm = _ext_corner(form, s, cut, m2, -1.0)
-    return 2 * px + 2 * py - 2 * cp - 2 * cm
+    """integral of (Q + m2)^{-s} over {max(|x|, |y|) > cut}.  In polar
+    coordinates Q = r^2 q(theta), so the radial integral from the square's
+    edge rho = cut / max(|cos|, |sin|) out is closed:
+    (rho^2 q + m2)^{1-s} / (2 (s-1) q).  One angular quadrature remains,
+    over [0, pi] (theta and theta + pi agree), split at the corners."""
+    a, b, c = form.a, form.b, form.c
+
+    def radial(theta: float) -> float:
+        co, si = math.cos(theta), math.sin(theta)
+        q = a * co * co + 2 * b * co * si + c * si * si
+        rho = cut / max(abs(co), abs(si))
+        return (rho * rho * q + m2) ** (1 - s) / (2 * (s - 1) * q)
+
+    corners = (0.0, math.pi / 4, 3 * math.pi / 4, math.pi)  # where max(|cos|, |sin|) switches
+    # relative tolerance: the integral runs from about 1e-12 (large s) to about 10 (s near 1)
+    return 2 * sum(
+        _quad(radial, lo, hi, epsabs=0.0, epsrel=1e-13)[0] for lo, hi in zip(corners, corners[1:])
+    )
 
 
 def _ext_laplacian(form: BinaryForm, s: float, cut: float, m2: float) -> float:
@@ -365,19 +341,25 @@ def z2_kober(form, w: float, target_tol: float = 1e-12) -> SeriesValue:
         raise ConvergenceError(
             f"z2_kober: Gamma(w + 1/2) underflows to 0 at w = {w}, so the Bessel form's scale is not a float"
         )
-    scale = 8.0 * math.pi ** (w + 0.5) * math.sqrt(u) / (
-        gam_half * delta ** ((2 * w + 1) / 4.0)
-    )
-    bess = _bessel_series(w, u, v, target_tol / abs(scale))
-    rhs = (
-        0.25 * u ** (-w) * float(gamma_numeric(w).real) * math.pi ** (-w) * float(zeta_numeric(2 * w).real)
-        + 0.25
-        * u ** w
-        * gam_half
-        * math.pi ** (-w - 0.5)
-        * float(zeta_numeric(2 * w + 1).real)
-        + bess.value
-    )
+    try:
+        scale = 8.0 * math.pi ** (w + 0.5) * math.sqrt(u) / (
+            gam_half * delta ** ((2 * w + 1) / 4.0)
+        )
+        bess = _bessel_series(w, u, v, target_tol / abs(scale))
+        rhs = (
+            0.25 * u ** (-w) * float(gamma_numeric(w).real) * math.pi ** (-w) * float(zeta_numeric(2 * w).real)
+            + 0.25
+            * u ** w
+            * gam_half
+            * math.pi ** (-w - 0.5)
+            * float(zeta_numeric(2 * w + 1).real)
+            + bess.value
+        )
+    except (OverflowError, ZeroDivisionError):
+        # at large |w| the Bessel bound, sigma_{2w}(n) n^{-w} or the scale leave the float range
+        raise ConvergenceError(
+            f"z2_kober: form ({form.a}, {form.b}, {form.c}) at w = {w} leaves the float range"
+        ) from None
     return SeriesValue(scale * rhs, bess.terms, abs(scale) * bess.tail_bound)
 
 

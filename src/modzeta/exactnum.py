@@ -29,7 +29,6 @@ from scipy.special import gamma as _cgamma
 from .errors import DomainError, SingularityError
 
 __all__ = [
-    "Rational",
     "bernoulli",
     "zeta_even_exact",
     "zeta_negative_exact",
@@ -42,10 +41,6 @@ __all__ = [
     "SymScalar",
     "require_finite",
 ]
-
-#: Exact rationals are plain ``fractions.Fraction`` (normalized, positive
-#: denominator) -- exactly the invariants the library needs.
-Rational = Fraction
 
 # Euler-Maclaurin cutoffs, fixed for reproducible output.
 _EM_N = 40

@@ -58,7 +58,6 @@ __all__ = [
     "phi_bar_from_weyl",
     "moment",
     "casimir_constant",
-    "planck_coefficient",
 ]
 
 _MAX_TERMS = 200_000
@@ -165,10 +164,10 @@ def casimir_constant(t: int) -> Fraction:
     return -bernoulli(2 * t) / (4 * t)
 
 
-def planck_coefficient(t: int) -> Fraction:
-    """Coefficient of b^{-2t} in eps_t - eps_sub_t, i.e. (-1)^t times the
-    Casimir constant (from expanding (i b)^{-2t})."""
-    return Fraction((-1) ** t) * casimir_constant(t)
+def _sigma_ratio_majorant(k: int) -> tuple[float, float]:
+    """(C, p) with sigma_k(m)/m^k = sum_{d | m} d^{-k} <= C m^p: the sum is
+    below zeta(k) < 1.21 for k >= 3, and below H_m <= m for k = 1."""
+    return (1.0, 1.0) if k == 1 else (1.21, 0.0)
 
 
 def _power_series_tail(const_c: float, power: float, r: float, m: int) -> float:
@@ -179,16 +178,32 @@ def _power_series_tail(const_c: float, power: float, r: float, m: int) -> float:
     return const_c * (m + 1) ** power * r ** (m + 1) / (1.0 - ratio)
 
 
+def _lambert_q2(b: complex) -> tuple[complex, float, float]:
+    """q^2 = exp(-2 pi b), r = |q^2| and 1/(1 - r), which bounds every
+    Lambert denominator 1/|1 - q^{2n}|; a ConvergenceError where r rounds
+    to 1 and no such bound exists."""
+    q2 = require_finite(cmath.exp(-2 * math.pi * b))
+    r = abs(q2)
+    if r >= 1.0:
+        raise ConvergenceError(
+            f"Lambert series at b = {b}: |q^2| rounds to 1, Re b is too small for a q-series"
+        )
+    return q2, r, 1.0 / (1.0 - r)
+
+
 def _sum_lambert(a_power: int, b2: complex, tol: float, max_terms: int) -> SeriesValue:
     """sum_{n>=1} n^a q^{2n} / (1 - q^{2n}) with a certified tail bound."""
-    q2 = require_finite(cmath.exp(-2 * math.pi * b2))
-    r = abs(q2)
-    inv = 1.0 / (1.0 - r)
+    q2, r, inv = _lambert_q2(b2)
     terms = ((n ** a_power) * qn / (1.0 - qn) for n, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
-    return _certified_sum(
-        terms, lambda n: _power_series_tail(inv, a_power, r, n), tol, max_terms,
-        "Lambert series", 0.0 + 0.0j,
-    )
+    try:
+        return _certified_sum(
+            terms, lambda n: _power_series_tail(inv, a_power, r, n), tol, max_terms,
+            "Lambert series", 0.0 + 0.0j,
+        )
+    except OverflowError:
+        raise ConvergenceError(
+            f"Lambert series n^{a_power} q^(2n) at b = {b2} overflows a double (weight {a_power + 1} too large)"
+        ) from None
 
 
 def eps(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS) -> SeriesValue:
@@ -247,22 +262,20 @@ def lambert_S(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS)
     """
     _check_t(t)
     b = _point(p)
-    q2 = cmath.exp(-2 * math.pi * b)
-    r = abs(q2)
-    inv = 1.0 / (1.0 - r)
+    q2, r, inv = _lambert_q2(b)
     k = 2 * t - 1
     terms = (qn / ((n ** k) * (1.0 - qn)) for n, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
     lam = _certified_sum(
         terms, lambda n: _power_series_tail(inv, 0.0, r, n), tol, max_terms, "lambert_S", 0.0 + 0.0j
     )
-    # divisor-form cross check: sigma_{2t-1}(m)/m^{2t-1} <= zeta(2t-1) < 1.21
+    # divisor-form cross check, on the same majorant as lambert_expansion
     sigma = _sieve("sigma", k, lam.terms)
     div = 0.0 + 0.0j
     qn = 1.0 + 0.0j
     for m in range(1, lam.terms + 1):
         qn *= q2
         div += (sigma[m] / m ** k) * qn
-    div_tail = _power_series_tail(1.21, 0.0, r, lam.terms)
+    div_tail = _power_series_tail(*_sigma_ratio_majorant(k), r, lam.terms)
     gap = abs(div - lam.value)
     if gap > max(1e-12, 10 * (lam.tail_bound + div_tail)):
         raise InconsistencyError(
@@ -313,7 +326,7 @@ def lambert_expansion(t: int) -> QExpansion:
     def coef(m: int) -> float:
         return sigma(m) / m ** k
 
-    return QExpansion(0.0, coef, 1.21, 0.0, label=f"S_{t}")
+    return QExpansion(0.0, coef, *_sigma_ratio_majorant(k), label=f"S_{t}")
 
 
 def eps_expansion(t: int) -> QExpansion:

@@ -42,6 +42,7 @@ from .exactnum import _coefficients, zeta_negative_exact, zeta_odd_numeric
 from .qseries import (
     SeriesValue,
     _certified_sum,
+    _power_series_tail,
     _powers,
     casimir_constant,
     eps,
@@ -201,17 +202,13 @@ def _divisor_series(k: int, weight: float, q2: float, tol: float = 1e-16) -> Ser
     """sum_n sigma_k(n) n^{-weight} q2^n with a simple certified cutoff."""
     bound_pow = max(k - weight + 1.0, 0.0)
     sigma = _coefficients("sigma", k)
-
-    def tail(n: int) -> float:
-        n1 = n + 1
-        ratio = q2 * ((n1 + 1) / n1) ** bound_pow
-        return 1.3 * n1 ** bound_pow * q2 ** n1 / (1 - ratio) if ratio < 1.0 else math.inf
-
     terms = (
         sigma(n) * float(n) ** (-weight) * qn
         for n, qn in enumerate(_powers(q2, 1.0), 1)
     )
-    return _certified_sum(terms, tail, tol, 200_000, "divisor series")
+    return _certified_sum(
+        terms, lambda n: _power_series_tail(1.3, bound_pow, q2, n), tol, 200_000, "divisor series"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +262,7 @@ def entropy_partial_direct(t: int, pt, n_max: int = 400) -> float:
 
 def f3_modesum(pt, tol: float = 1e-15) -> SeriesValue:
     """F3 = 1/240 - (xi/2pi) sum sigma_3(n) n^{-1} q^{2n}  (q-route)."""
-    xi = _xi(pt)
-    q2 = math.exp(-2.0 * math.pi / xi)
-    scale = xi / (2 * math.pi)
-    u = _divisor_series(3, 1.0, q2, min(tol, tol / scale))
-    return SeriesValue(1.0 / 240.0 - scale * u.value, u.terms, scale * u.tail_bound)
+    return free_energy_partial(2, pt, tol)  # 1/240 = -B_4/8
 
 
 def f3_epstein(pt, tol: float = 1e-15) -> SeriesValue:
@@ -312,6 +305,10 @@ def _mode_cutoff(spec: SpectrumSpec, beta: float, tol: float) -> int:
     fixed = spec.max_mode()
     if fixed is not None:
         return fixed
+    if 1.0 / beta >= 1_000_000:  # the search would start past its budget
+        raise ConvergenceError(
+            f"mode sum at beta = {beta:.3g} starts past its 1000000-mode budget", suggestion="beta > 1e-6"
+        )
     # |d_n log(1 - e^{-n beta})| <= 2 d_n e^{-n beta} for n beta >= 0.7
     n = max(2, int(1.0 / beta) + 1)
     while True:

@@ -257,6 +257,7 @@ SPECTRUM_FILES = {
         ("eval mode_sum_F --beta 1e-300", 3),
         ("eval zp_massive --p 2 --s 3 --w nan", 2),
         ("eval z2_kober --form 1,0,1 --w -400", 3),
+        ("eval z2_kober --form 1,0,1 --w -150.3", 3),
         ("eval z2_kober --form 1,-inf,1 --w 1", 2),
         ("eval z2 --form 1e300,0,1 --s 3", 3),
         ("eval z2 --form 1e-300,0,1 --s 3", 3),

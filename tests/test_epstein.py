@@ -137,6 +137,9 @@ def test_z2_direct_certified_mode_errors():
         lambda: z2_direct((1e300, 0, 1), 3),
         lambda: z2_direct((1e-300, 0, 1), 3),  # lam_min^{-s} = 1e900
         lambda: z2_direct((1.1200780474834209e19, 50542178673.062004, 780.6562215508059), 2.5),
+        lambda: z2_kober((1, 0, 1), 150.3),  # the Bessel bound's exp(nu^2 / 2x) overflows
+        lambda: z2_kober((1, 0, 1), -150.3),
+        lambda: z2_kober((1, 0, 100), 140.0),  # the scale's denominator overflows
     ],
 )
 def test_routes_refuse_what_floats_cannot_hold(call):
@@ -244,6 +247,24 @@ def test_kober_matches_direct_skew_form():
     d = z2_direct((2, 1, 3), 1.75, tail="integral")
     k = z2_kober((2, 1, 3), 1.25)
     assert abs(d.value - k.value) < 1e-9
+
+
+@pytest.mark.parametrize("s", [1.1, 1.2, 1.5])
+def test_integral_tail_within_its_estimate_near_s_one(s):
+    # the polar exterior integral must be accurate where the integral tail
+    # is largest (s near 1): the two routes agree within their error figures
+    forms = [(1, 0, 1), (2, 1, 3), (1, 0.3, 2), (1, -0.4, 0.7), (3, 1, 1), (1, 0, 4), (5, 2, 1)]
+    for form in forms:
+        d = z2_direct(form, s, tail="integral")
+        k = z2_kober(form, s - 0.5)
+        assert abs(d.value - k.value) <= d.tail_bound + k.tail_bound, form
+
+
+@pytest.mark.parametrize("s,w", [(1.1, 1.0), (1.2, 2.0)])
+def test_massive_integral_tail_within_its_estimate(s, w):
+    zb = zp_brute(2, s, w, tail="integral")
+    zm = zp_massive(2, s, w)
+    assert abs(zb.value - zm.value) <= zb.tail_bound + zm.tail_bound
 
 
 def test_kober_matches_certified_direct_high_exponent():

@@ -136,6 +136,19 @@ def test_eps_convergence_error_when_budget_too_small():
         eps(2, 0.05, max_terms=3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eps(2, 1e-300 + 1j),  # |q^2| rounds to 1
+        lambda: lambert_S(2, 1e-300 + 1j),
+        lambda: eps(100000, 1.0),  # n^(2t-1) leaves the float range
+    ],
+)
+def test_float_range_failures_are_convergence_errors(call):
+    with pytest.raises(ConvergenceError, match=r"b = \(1"):
+        call()
+
+
 # ------------------------------------------------------------ Mellin oracle
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_mellin_oracle_agrees_with_q_series(t):
@@ -225,6 +238,15 @@ def test_log_deriv_resums_double_sum():
         for n in range(1, 120)
     )
     assert abs(lhs - 2 ** (2 * t - 2) * direct) < 1e-13
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_expansion_majorants_hold(t):
+    # log_deriv_D certifies its truncation on |coef(m)| <= bound_c m^bound_p;
+    # sigma_1(m)/m is unbounded (1.5 at m = 2), so S_1 needs a growing bound
+    for f in (lambert_expansion(t), eps_expansion(t)):
+        worst = max(abs(f.coef(m)) / (f.bound_c * m ** f.bound_p) for m in range(1, 10_001))
+        assert worst <= 1.0, (f.label, worst)
 
 
 def test_eps_expansion_matches_eps():

@@ -216,6 +216,8 @@ def test_partial_quantities_report_their_series_certificates(fn, args, value):
         lambda: free_energy_partial(2, 1e5),
         lambda: f3_epstein(1e-5),
         lambda: mode_sum_free_energy(S3_SPEC, 1e-9),
+        lambda: mode_sum_free_energy(S3_SPEC, 1e-300),  # would start at mode 1e300
+        lambda: thermal_zeta_free_energy(S3_SPEC, 5e-324),
     ],
 )
 def test_thermal_non_convergence_is_a_convergence_error(call):
