@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.special import gammaincc
-
 from .errors import (
     ConvergenceError,
     DiagnosticsError,
@@ -43,6 +41,9 @@ from .qseries import SeriesValue, _certified_sum, _quad
 # relative rounding allowance per Bessel term: bessel_k is within 1.3e-13
 # of mpmath, and the powers, products and sum add a few ulps
 _ROUNDING = 2e-13
+
+# scipy.special.gammaincc, bound by berndt_phi's tail where it first needs it
+_gammaincc = None
 
 __all__ = [
     "DirichletDatum",
@@ -441,6 +442,7 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
             yield term
 
     def tail(n: int) -> float:
+        global _gammaincc
         if d.finite_n is not None and n >= d.finite_n:
             return 0.0
         n1 = n + 1
@@ -451,13 +453,24 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
         first = head * n1 ** pe * math.exp(-x1)
         if first / abs(gam_s) > tol:  # rest >= 0 cannot bring the tail under tol
             return first / abs(gam_s)
+        if _gammaincc is None:
+            from scipy.special import gammaincc as _gammaincc
         rest = head * (2.0 / q) * kappa ** (-alpha) * float(
-            gammaincc(alpha, x1)
+            _gammaincc(alpha, x1)
         ) * gam_alpha
         return (first + rest) / abs(gam_s)
 
-    r = berndt_R(d, s, w)
-    series = _certified_sum(terms(), tail, tol, 100_000, "berndt_phi")
+    try:
+        r = berndt_R(d, s, w)
+        series = _certified_sum(terms(), tail, tol, 100_000, "berndt_phi")
+    except OverflowError:
+        # w^{-2s}, the terms' powers or the Bessel bound's exp(nu^2 / 2x)
+        # leave the float range: at large order, or at small w
+        raise ConvergenceError(
+            f"berndt_phi: datum {d.name} at s = {s}, w = {w} leaves the float range "
+            f"(Bessel order {nu:g})",
+            suggestion=f"w > {w:g}",
+        ) from None
     val = (r + series.value) / gam_s
     # the terms' rounding scales with |R| + sum |term|, not with the value
     rounding = _ROUNDING * (abs(r) + mag) / abs(gam_s)

@@ -21,19 +21,24 @@ The K-Bessel itself is computed from the finite closed form at
 half-integer order and by ``scipy.special.kv`` (the AMOS routines)
 otherwise; all series truncations use the rigorous bound
 ``K_nu(x) <= sqrt(pi/2x) exp(-x + nu^2/(2x))``.
+
+scipy and numpy are imported on first use, by ``bessel_k`` and by
+``_numpy`` (the lattice sums and ``rp_counts``): most routes call neither,
+and importing them is most of a process's start-up.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import kv, kve
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError
 from .exactnum import _coefficients, gamma_numeric, zeta_numeric
 from .qseries import SeriesValue, _certified_sum, _quad, lambert_S, log_deriv_D, lambert_expansion
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BinaryForm",
@@ -53,6 +58,17 @@ __all__ = [
 
 _MAX_POINTS = (2 * 8192 + 1) ** 2 - 1  # the largest sum z2_direct admitted: radius 8192
 _BLOCK = 1 << 20  # lattice points per streamed block
+
+# bound on first use: numpy by _numpy, scipy.special's kv and kve by bessel_k
+_np = _kv = _kve = None
+
+
+def _numpy():
+    """The numpy module, imported on the first call."""
+    global _np
+    if _np is None:
+        import numpy as _np
+    return _np
 
 
 @dataclass(frozen=True)
@@ -126,14 +142,17 @@ def bessel_k(nu: float, x: float) -> float:
     to ``scipy.special.kv`` (AMOS, ACM TOMS 644), and to ``kve(nu, x) e^-x``
     where ``kv`` underflows to 0.
     """
+    global _kv, _kve
     if x <= 0:
         raise DomainError("bessel_k requires x > 0")
     nu = abs(float(nu))  # K is even in its order
     half = nu - 0.5
     if abs(half - round(half)) < 1e-14 and half >= -0.25:
         return _bessel_k_half_integer(int(round(half)), x)
+    if _kv is None:
+        from scipy.special import kv as _kv, kve as _kve
     # kv flushes to 0 short of the double range (K_2(700) = 4.7e-306); kve does not
-    return float(kv(nu, x)) or float(kve(nu, x)) * math.exp(-x)
+    return float(_kv(nu, x)) or float(_kve(nu, x)) * math.exp(-x)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +204,7 @@ def _lattice_sum(gram: np.ndarray, s: float, m2: float, radius: int) -> float:
     and -x agree, so the rows x_0 = 1..R count twice and the slab x_0 = 0 is
     the same sum one dimension down.  Rows stream in blocks of about
     ``_BLOCK`` points, so memory grows like R^(p-1)."""
+    np = _numpy()
     p = len(gram)
     side = 2 * radius + 1
     rest = np.indices((side,) * (p - 1)).reshape(p - 1, side ** (p - 1)) - radius
@@ -286,7 +306,7 @@ def z2_direct(
         )
     # shells |.|_inf = k have 8k points with Q >= lam_min k^2
     const = 8 * form.min_eigenvalue ** (-s) if tail == "bound" else None
-    gram = np.array([[form.a, form.b], [form.b, form.c]])
+    gram = _numpy().array([[form.a, form.b], [form.b, form.c]])
     return _direct(gram, s, 0.0, const, tol, radius, tail)
 
 
@@ -417,6 +437,7 @@ def rp_counts(p: int, n_max: int) -> np.ndarray:
     roots = math.isqrt(n_max)
     if (2 * roots + 1) ** p >= 2 ** 63:
         raise DomainError("rp_counts: counts would overflow int64")
+    np = _numpy()
     out = np.zeros(n_max + 1, dtype=np.int64)
     out[0] = 1
     for _ in range(p):
@@ -440,7 +461,7 @@ def zp_brute(p: int, s: float, w: float, tol: float = 1e-11, tail: str = "bound"
     if 2 * s <= p:
         raise DomainError("zp_brute needs 2s > p for convergence")
     radius = (1200 if p == 1 else 500) if tail == "integral" else None
-    return _direct(np.eye(p), s, w * w, 2 * p * 3 ** (p - 1), tol, radius, tail)
+    return _direct(_numpy().eye(p), s, w * w, 2 * p * 3 ** (p - 1), tol, radius, tail)
 
 
 def zp_massive(p: int, s: float, w: float, target_tol: float = 1e-11) -> SeriesValue:

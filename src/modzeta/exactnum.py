@@ -24,8 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from scipy.special import gamma as _cgamma
-
 from .errors import DomainError, SingularityError
 
 __all__ = [
@@ -45,6 +43,10 @@ __all__ = [
 # Euler-Maclaurin cutoffs, fixed for reproducible output.
 _EM_N = 40
 _EM_M = 20
+
+# scipy.special.gamma, bound by gamma_numeric on its first call: importing
+# scipy is most of a process's start-up, and most routes never call it
+_cgamma = None
 
 # Re s below which zeta_numeric switches to the reflection formula.  Kept
 # negative so both zeta(s) and zeta(1-s) inside the critical strip are
@@ -182,10 +184,14 @@ def zeta_numeric(s: complex) -> complex:
 
 
 def gamma_numeric(s: complex) -> complex:
-    """Gamma(s) for complex s away from the poles 0, -1, -2, ..."""
+    """Gamma(s) for complex s away from the poles 0, -1, -2, ...
+    (``scipy.special.gamma``, imported on the first call)."""
+    global _cgamma
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and abs(s.real - round(s.real)) < 1e-12:
         raise SingularityError(f"gamma has a pole at s = {s.real:g}")
+    if _cgamma is None:
+        from scipy.special import gamma as _cgamma
     val = complex(_cgamma(s))
     return require_finite(val)
 

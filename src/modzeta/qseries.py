@@ -24,11 +24,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
 import warnings
-
-from scipy.integrate import IntegrationWarning, quad
+from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, InconsistencyError, UnsupportedError
 from .exactnum import (
@@ -69,16 +67,23 @@ _MELLIN_T = 40.0
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
+# scipy.integrate's quad and IntegrationWarning, bound by _quad on its first
+# call, so a process whose routes never integrate never imports scipy
+_scipy_quad = _IntegrationWarning = None
+
 
 def _quad(f, a, b, **kw):
+    global _scipy_quad, _IntegrationWarning
+    if _scipy_quad is None:
+        from scipy.integrate import IntegrationWarning as _IntegrationWarning, quad as _scipy_quad
     # quad's roundoff warning fires on exponentially decaying integrands even
     # when the returned estimate is fine; the estimate itself is propagated
     # into our certified bounds, so the warning carries no extra information
     opts = dict(_QUAD_OPTS)
     opts.update(kw)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(f, a, b, **opts)
+        warnings.simplefilter("ignore", _IntegrationWarning)
+        return _scipy_quad(f, a, b, **opts)
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,12 @@ def _check_t(t: int, minimum: int = 1) -> int:
 
 def casimir_constant(t: int) -> Fraction:
     """The constant term -B_{2t}/(4t) = (1/2) zeta(1-2t)."""
-    _check_t(t)
+    return _casimir_constant(_check_t(t))
+
+
+@lru_cache(maxsize=None)
+def _casimir_constant(t: int) -> Fraction:
+    # cached after the check: 2.0 == 2 would otherwise find 2's entry
     return -bernoulli(2 * t) / (4 * t)
 
 
@@ -265,9 +275,15 @@ def lambert_S(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS)
     q2, r, inv = _lambert_q2(b)
     k = 2 * t - 1
     terms = (qn / ((n ** k) * (1.0 - qn)) for n, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
-    lam = _certified_sum(
-        terms, lambda n: _power_series_tail(inv, 0.0, r, n), tol, max_terms, "lambert_S", 0.0 + 0.0j
-    )
+    try:
+        lam = _certified_sum(
+            terms, lambda n: _power_series_tail(inv, 0.0, r, n), tol, max_terms, "lambert_S", 0.0 + 0.0j
+        )
+    except OverflowError:  # the integer n^k no longer converts to a float
+        raise ConvergenceError(
+            f"lambert_S: n^{k} at b = {b} leaves the float range (weight {2 * t} too large)",
+            suggestion=f"t < {t}",
+        ) from None
     # divisor-form cross check, on the same majorant as lambert_expansion
     sigma = _sieve("sigma", k, lam.terms)
     div = 0.0 + 0.0j

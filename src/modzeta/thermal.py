@@ -34,9 +34,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .epstein import bessel_k
+from .epstein import _numpy, bessel_k
 from .errors import ConvergenceError, DomainError
 from .exactnum import _coefficients, zeta_negative_exact, zeta_odd_numeric
 from .qseries import (
@@ -182,9 +180,11 @@ def _negative_somewhere(coeffs) -> bool:
         exact.pop()
     if not exact or exact[-1] < 0:
         return bool(exact)
+    if min(exact) >= 0:  # no negative coefficient: positive at every n >= 1
+        return False
     near = {1}
     if len(exact) > 1:
-        for root in np.roots([float(c) for c in reversed(exact)]):
+        for root in _numpy().roots([float(c) for c in reversed(exact)]):
             base = math.floor(root.real)
             near.update(range(max(base - 1, 1), max(base + 3, 1)))
     return any(sum(c * n ** k for k, c in enumerate(exact)) < 0 for n in near)
@@ -340,9 +340,14 @@ def mode_sum_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-14) ->
     acc = 0.0
     for n, d in _modes(spec, n_max):
         if d:
-            acc += d * math.log1p(-math.exp(-n * beta))
+            e = math.exp(-n * beta)
+            # where e rounds to 1.0, log1p(-e) would be log(0); 1 - e = -expm1(-n beta) keeps its digits
+            acc += d * (math.log1p(-e) if e < 1.0 else math.log(-math.expm1(-n * beta)))
     casimir = 0.5 * float(spec.zeta_m_minus_half())
-    return SeriesValue(casimir + acc / beta, n_max, tol)
+    value = casimir + acc / beta
+    if not math.isfinite(value):  # about log(beta) / beta: past the float range as beta -> 0
+        raise ConvergenceError(f"mode sum at beta = {beta:.3g} leaves the float range", suggestion="larger beta")
+    return SeriesValue(value, n_max, tol)
 
 
 def thermal_zeta_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-12) -> SeriesValue:

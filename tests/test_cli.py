@@ -1,4 +1,5 @@
 """CLI surface: output formats, exit codes, determinism."""
+import importlib
 import json
 import math
 import subprocess
@@ -248,6 +249,7 @@ SPECTRUM_FILES = {
         ("eval eps --t 2 --xi -1", 2),
         ("eval eps --t 2 --b 1e-300,1", 3),
         ("eval eps --t 100000 --b 1", 3),
+        ("eval S --t 100000 --b 1", 3),
         ("eval mode_sum_F --spectrum {dir}/missing.json --beta 1", 2),
         ("eval mode_sum_F --spectrum {dir}/not_json.json --beta 1", 2),
         ("eval mode_sum_F --spectrum {dir}/json_string.json --beta 1", 2),
@@ -255,7 +257,9 @@ SPECTRUM_FILES = {
         ("eval mode_sum_F --spectrum {dir}/label_only.json --beta 1", 2),
         ("eval mode_sum_F --beta nan", 2),
         ("eval mode_sum_F --beta 1e-300", 3),
+        ("eval mode_sum_F --spectrum single-mode --beta 5e-324", 3),
         ("eval zp_massive --p 2 --s 3 --w nan", 2),
+        ("eval zp_massive --p 2 --s 160 --w 1", 3),
         ("eval z2_kober --form 1,0,1 --w -400", 3),
         ("eval z2_kober --form 1,0,1 --w -150.3", 3),
         ("eval z2_kober --form 1,-inf,1 --w 1", 2),
@@ -279,6 +283,55 @@ def test_error_contract(argv, code, tmp_path, capsys):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.startswith("usage error:" if code == 2 else "error:")
+
+
+def _fresh_process(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter (these test modules import scipy themselves)."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _scipy_numpy_loaded_after(code: str) -> str:
+    out = _fresh_process(f"import sys; {code}; print(sorted({{'scipy', 'numpy'}} & set(sys.modules)))")
+    return out.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eval eps --t 2 --b 1",
+        "eval psi_bar --t 2 --b 1",
+        "eval pbar --t 3 --x 0.7",
+        "eval f3 --xi 1.3",
+        "eval mode_sum_F --beta 2",
+        "eval mode_sum_F --spectrum single-mode --beta 2",
+    ],
+)
+def test_closed_form_routes_import_neither_scipy_nor_numpy(argv):
+    assert _scipy_numpy_loaded_after(f"import modzeta.cli; modzeta.cli.main({argv.split()!r})") == "[]"
+
+
+def test_importing_verify_loads_neither_scipy_nor_numpy():
+    assert _scipy_numpy_loaded_after("import modzeta.verify") == "[]"
+
+
+@pytest.mark.parametrize(
+    "module,call",
+    [
+        ("exactnum", "gamma_numeric(2.5 + 1j)"),
+        ("qseries", "mellin_eps_sub(2, 1.0)"),
+        ("epstein", "bessel_k(1.3, 2.0)"),
+        # every certified berndt_phi ends on a tail that calls gammaincc
+        ("dirichlet", "(berndt_phi(diagonal_epstein_datum(2), 3.0, 1.0), _gammaincc is not None)"),
+        ("epstein", "rp_counts(2, 10).tolist()"),
+    ],
+)
+def test_deferred_imports_bind_in_a_fresh_process(module, call):
+    # the first call imports what it needs; the value is the one this process computes
+    expect = repr(eval(call, vars(importlib.import_module(f"modzeta.{module}"))))
+    got = _fresh_process(f"import modzeta.{module} as m; print(repr(eval({call!r}, vars(m))))")
+    assert got == expect + "\n"
 
 
 def test_far_table_spectrum_evaluates(tmp_path, capsys):

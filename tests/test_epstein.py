@@ -379,6 +379,13 @@ def test_zp_massive_vs_integral_brute_p2():
     assert abs(zb.value - zm.value) < 1e-9
 
 
+def test_zp_massive_past_the_float_range_is_a_convergence_error():
+    # order nu = 159 at w = 1: the Bessel bound's exp(nu^2 / 2x) overflows at small n
+    with pytest.raises(ConvergenceError) as exc:
+        zp_massive(2, 160.0, 1.0)
+    assert exc.value.suggestion == "w > 1"
+
+
 def test_zp_massive_continuation_below_convergence():
     # s = 0.75 < p/2 = 1: the direct sum diverges but the Bessel form is
     # finite, and (s - 1) Z approaches the pole residue pi^{p/2} w^{p-2s} /

@@ -89,6 +89,13 @@ def test_eps_zero_temperature_constant():
     assert casimir_constant(2) == Fraction(1, 240)
 
 
+def test_casimir_constant_checks_t_before_its_cache():
+    assert casimir_constant(2) is casimir_constant(2)
+    for bad in (2.0, 0, "2"):
+        with pytest.raises(DomainError):
+            casimir_constant(bad)
+
+
 def test_eps_odd_weight_vanishes_at_fixed_point():
     # inversion law at b = 1 with t odd forces eps_3(1) = 0
     assert abs(eps(3, 1.0).value) < 1e-12
@@ -142,6 +149,7 @@ def test_eps_convergence_error_when_budget_too_small():
         lambda: eps(2, 1e-300 + 1j),  # |q^2| rounds to 1
         lambda: lambert_S(2, 1e-300 + 1j),
         lambda: eps(100000, 1.0),  # n^(2t-1) leaves the float range
+        lambda: lambert_S(100000, 1.0),
     ],
 )
 def test_float_range_failures_are_convergence_errors(call):

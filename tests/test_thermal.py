@@ -218,12 +218,19 @@ def test_partial_quantities_report_their_series_certificates(fn, args, value):
         lambda: mode_sum_free_energy(S3_SPEC, 1e-9),
         lambda: mode_sum_free_energy(S3_SPEC, 1e-300),  # would start at mode 1e300
         lambda: thermal_zeta_free_energy(S3_SPEC, 5e-324),
+        lambda: mode_sum_free_energy(SINGLE_MODE, 5e-324),  # log(beta) / beta overflows
     ],
 )
 def test_thermal_non_convergence_is_a_convergence_error(call):
     with pytest.raises(ConvergenceError) as exc:
         call()
     assert exc.value.suggestion is not None
+
+
+def test_table_mode_sum_where_exp_rounds_to_one():
+    # e^{-beta} = 1.0 in floats: F = 1/2 + log(1 - e^{-beta}) / beta ~ log(beta) / beta
+    beta = 1e-300
+    assert mode_sum_free_energy(SINGLE_MODE, beta).value == pytest.approx(math.log(beta) / beta, rel=1e-15)
 
 
 @pytest.mark.parametrize("tol", [1e-15, 1e-12])
