@@ -422,10 +422,19 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
     c_lo, q = d.mu_low
     kappa = 2.0 * w * math.sqrt(c_lo)
     pe = p_b + abs(nu) * q / 2.0
-    gam_s = float(gamma_numeric(s).real)
     # q = 0 only for finite custom tables, whose tail stops at finite_n
     alpha = 2.0 * (pe + 1.0) / q if q else None
-    gam_alpha = float(gamma_numeric(alpha).real) if q else None
+    try:
+        gam_s = float(gamma_numeric(s).real)
+        gam_alpha = float(gamma_numeric(alpha).real) if q else None
+    except SingularityError:
+        big = max(s, alpha or 0.0)
+        if big <= 171.0:  # Gamma(x <= 171) is finite away from its poles: s is at one
+            raise
+        raise ConvergenceError(
+            f"berndt_phi: datum {d.name} at s = {s}, w = {w}: Gamma({big:g}) leaves the float range",
+            suggestion="smaller |s|",
+        ) from None
 
     mag = 0.0  # sum of |term| over the terms summed
 

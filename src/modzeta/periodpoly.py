@@ -421,16 +421,6 @@ def stroke(f: RationalPeriodFunction, g: GroupElement) -> RationalPeriodFunction
     )
 
 
-def _generator_name(g: GroupElement) -> str:
-    if g == S:
-        return "S"
-    if g == T:
-        return "T"
-    if g == T_INV:
-        return "T_inv"
-    raise DomainError(f"word letters must be S, T or T^-1; got {g}")
-
-
 def cocycle_compose(generators: dict, word: list) -> RationalPeriodFunction:
     """Cocycle value on a word over {S, T, T^-1}, built left to right via
     P(w g) = P(w)|g + P(g).  ``generators`` maps "S" and "T" to their
@@ -438,15 +428,13 @@ def cocycle_compose(generators: dict, word: list) -> RationalPeriodFunction:
     """
     p_s = generators["S"]
     p_t = generators["T"]
-    letters = {
-        "S": p_s,
-        "T": p_t,
-        "T_inv": -stroke(p_t, T_INV),
-    }
+    letters = {S: p_s, T: p_t, T_INV: -stroke(p_t, T_INV)}
     weight = p_s.weight
     acc = RationalPeriodFunction.from_poly(Poly(), weight)
     for g in word:
-        acc = stroke(acc, g) + letters[_generator_name(g)]
+        if g not in letters:
+            raise DomainError(f"word letters must be S, T or T^-1; got {g}")
+        acc = stroke(acc, g) + letters[g]
     return acc
 
 

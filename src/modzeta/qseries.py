@@ -31,7 +31,6 @@ from functools import lru_cache
 from .errors import ConvergenceError, DomainError, InconsistencyError, UnsupportedError
 from .exactnum import (
     _coefficients,
-    _sieve,
     bernoulli,
     gamma_numeric,
     require_finite,
@@ -201,18 +200,21 @@ def _lambert_q2(b: complex) -> tuple[complex, float, float]:
     return q2, r, 1.0 / (1.0 - r)
 
 
-def _sum_lambert(a_power: int, b2: complex, tol: float, max_terms: int) -> SeriesValue:
-    """sum_{n>=1} n^a q^{2n} / (1 - q^{2n}) with a certified tail bound."""
-    q2, r, inv = _lambert_q2(b2)
-    terms = ((n ** a_power) * qn / (1.0 - qn) for n, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
+def _sum_lambert(
+    t: int, term, power: float, b: complex, tol: float, max_terms: int, what: str
+) -> SeriesValue:
+    """sum_{n>=1} term(n, q^{2n}) for a Lambert series of exponent 2t - 1,
+    certified on |term(n, q^{2n})| <= n^power r^n / (1 - r), r = |q^2|."""
+    q2, r, inv = _lambert_q2(b)
+    terms = (term(n, qn) for n, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
     try:
         return _certified_sum(
-            terms, lambda n: _power_series_tail(inv, a_power, r, n), tol, max_terms,
-            "Lambert series", 0.0 + 0.0j,
+            terms, lambda n: _power_series_tail(inv, power, r, n), tol, max_terms, what, 0.0 + 0.0j
         )
-    except OverflowError:
+    except OverflowError:  # the integer n^(2t-1), or its majorant, no longer converts to a float
         raise ConvergenceError(
-            f"Lambert series n^{a_power} q^(2n) at b = {b2} overflows a double (weight {a_power + 1} too large)"
+            f"{what}: n^{2 * t - 1} at b = {b} leaves the float range (weight {2 * t} too large)",
+            suggestion=f"t < {t}",
         ) from None
 
 
@@ -220,7 +222,8 @@ def eps(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS) -> Se
     """Weight-2t partial-energy series eps_t at the half-plane point p."""
     _check_t(t)
     b = _point(p)
-    s = _sum_lambert(2 * t - 1, b, tol, max_terms)
+    k = 2 * t - 1
+    s = _sum_lambert(t, lambda n, qn: (n ** k) * qn / (1.0 - qn), k, b, tol, max_terms, "eps")
     return SeriesValue(s.value + float(casimir_constant(t)), s.terms, s.tail_bound)
 
 
@@ -272,28 +275,11 @@ def lambert_S(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS)
     """
     _check_t(t)
     b = _point(p)
-    q2, r, inv = _lambert_q2(b)
     k = 2 * t - 1
-    terms = (qn / ((n ** k) * (1.0 - qn)) for n, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
-    try:
-        lam = _certified_sum(
-            terms, lambda n: _power_series_tail(inv, 0.0, r, n), tol, max_terms, "lambert_S", 0.0 + 0.0j
-        )
-    except OverflowError:  # the integer n^k no longer converts to a float
-        raise ConvergenceError(
-            f"lambert_S: n^{k} at b = {b} leaves the float range (weight {2 * t} too large)",
-            suggestion=f"t < {t}",
-        ) from None
-    # divisor-form cross check, on the same majorant as lambert_expansion
-    sigma = _sieve("sigma", k, lam.terms)
-    div = 0.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for m in range(1, lam.terms + 1):
-        qn *= q2
-        div += (sigma[m] / m ** k) * qn
-    div_tail = _power_series_tail(*_sigma_ratio_majorant(k), r, lam.terms)
-    gap = abs(div - lam.value)
-    if gap > max(1e-12, 10 * (lam.tail_bound + div_tail)):
+    lam = _sum_lambert(t, lambda n, qn: qn / ((n ** k) * (1.0 - qn)), 0, b, tol, max_terms, "lambert_S")
+    div = log_deriv_D(lambert_expansion(t), 0, b, tol, max_terms)
+    gap = abs(div.value - lam.value)
+    if gap > max(1e-12, 10 * (lam.tail_bound + div.tail_bound)):
         raise InconsistencyError(
             f"Lambert and divisor forms disagree by {gap:.2e} at b = {b}"
         )
@@ -370,9 +356,7 @@ def log_deriv_D(f, k: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_T
         raise UnsupportedError("log_deriv_D needs a QExpansion with coefficient access")
     if k < 0:
         raise DomainError("log_deriv_D: k must be >= 0")
-    b = _point(p)
-    q2 = cmath.exp(-2 * math.pi * b)
-    r = abs(q2)
+    q2, r, _ = _lambert_q2(_point(p))
     cbound = f.bound_c * (2.0 ** k)
     power = f.bound_p + k
     terms = (f.coef(m) * ((2 * m) ** k) * qn for m, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))

@@ -301,75 +301,75 @@ def f3_epstein(pt, tol: float = 1e-15) -> SeriesValue:
 # generic mode sums
 # ---------------------------------------------------------------------------
 
-def _mode_cutoff(spec: SpectrumSpec, beta: float, tol: float) -> int:
-    fixed = spec.max_mode()
-    if fixed is not None:
-        return fixed
-    if 1.0 / beta >= 1_000_000:  # the search would start past its budget
-        raise ConvergenceError(
-            f"mode sum at beta = {beta:.3g} starts past its 1000000-mode budget", suggestion="beta > 1e-6"
-        )
-    # |d_n log(1 - e^{-n beta})| <= 2 d_n e^{-n beta} for n beta >= 0.7
-    n = max(2, int(1.0 / beta) + 1)
-    while True:
-        n += 1
-        d = spec.degeneracy(n + 1)
-        bound = 2 * max(d, 1.0) * math.exp(-(n + 1) * beta) / max(1 - math.exp(-beta), 1e-300)
-        if bound <= tol:
-            return n
-        if n > 1_000_000:
-            raise ConvergenceError(
-                f"mode sum needs more than 1000000 modes at beta = {beta:.3g}",
-                suggestion=2_000_000,
-            )
-
-
-def _modes(spec: SpectrumSpec, n_max: int):
-    """(n, d_n) for 1 <= n <= n_max in increasing n: a table's own entries,
-    else every n."""
+def _mode_sum(spec: SpectrumSpec, beta: float, tol: float, term, what: str) -> SeriesValue:
+    """F = (1/2) zeta_M(-1/2) + (1/beta) sum_n term(n, d_n) over the modes
+    with d_n != 0.  A table stops after its last entry; a polynomial
+    spectrum on the majorant of sum_{m>n} d_m log(1 - e^{-m beta}), at
+    min(tol, tol beta) since F is the sum over beta.  ``terms`` is the last
+    mode summed, or a table's largest mode."""
+    if beta <= 0:
+        raise DomainError(f"{what} requires beta > 0")
     if spec.table:
-        return sorted((n, d) for n, d in spec._degeneracies.items() if n >= 1)
-    return ((n, spec.degeneracy(n)) for n in range(1, n_max + 1))
+        # entries at n < 1 are no modes; an all-such table sums one zero
+        modes = sorted((n, d) for n, d in spec._degeneracies.items() if n >= 1) or [(1, 0.0)]
+
+        def tail(k: int) -> float:
+            return 0.0 if k >= len(modes) else math.inf
+    else:
+        if 1.0 / beta >= 1_000_000:  # the first checked mode would be past the budget
+            raise ConvergenceError(
+                f"{what} at beta = {beta:.3g} starts past its 1000000-mode budget", suggestion="beta > 1e-6"
+            )
+        modes = ((n, spec.degeneracy(n)) for n in itertools.count(1))
+        first = max(2, int(1.0 / beta) + 1) + 1
+        decay = max(1 - math.exp(-beta), 1e-300)
+
+        def tail(n: int) -> float:
+            # |d_n log(1 - e^{-n beta})| <= 2 d_n e^{-n beta} for n beta >= 0.7
+            if n < first:
+                return math.inf
+            return 2 * max(spec.degeneracy(n + 1), 1.0) * math.exp(-(n + 1) * beta) / decay
+
+    terms = (term(n, d) if d else 0.0 for n, d in modes)
+    s = _certified_sum(terms, tail, min(tol, tol * beta), 1_000_000, f"{what} at beta = {beta:.3g}")
+    value = 0.5 * float(spec.zeta_m_minus_half()) + s.value / beta
+    if not math.isfinite(value):  # about log(beta) / beta: past the float range as beta -> 0
+        raise ConvergenceError(f"{what} at beta = {beta:.3g} leaves the float range", suggestion="larger beta")
+    return SeriesValue(value, spec.max_mode() if spec.table else s.terms, s.tail_bound / beta)
 
 
 def mode_sum_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-14) -> SeriesValue:
     """F = (1/2) zeta_M(-1/2) + (1/beta) sum_n d_n log(1 - e^{-n beta})."""
-    if beta <= 0:
-        raise DomainError("mode_sum_free_energy requires beta > 0")
-    n_max = _mode_cutoff(spec, beta, tol)
-    acc = 0.0
-    for n, d in _modes(spec, n_max):
-        if d:
-            e = math.exp(-n * beta)
-            # where e rounds to 1.0, log1p(-e) would be log(0); 1 - e = -expm1(-n beta) keeps its digits
-            acc += d * (math.log1p(-e) if e < 1.0 else math.log(-math.expm1(-n * beta)))
-    casimir = 0.5 * float(spec.zeta_m_minus_half())
-    value = casimir + acc / beta
-    if not math.isfinite(value):  # about log(beta) / beta: past the float range as beta -> 0
-        raise ConvergenceError(f"mode sum at beta = {beta:.3g} leaves the float range", suggestion="larger beta")
-    return SeriesValue(value, n_max, tol)
+
+    def term(n: int, d: float) -> float:
+        e = math.exp(-n * beta)
+        # where e rounds to 1.0, log1p(-e) would be log(0); 1 - e = -expm1(-n beta) keeps its digits
+        return d * (math.log1p(-e) if e < 1.0 else math.log(-math.expm1(-n * beta)))
+
+    return _mode_sum(spec, beta, tol, term, "mode_sum_free_energy")
 
 
 def thermal_zeta_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-12) -> SeriesValue:
     """The same free energy through the massive-sum route: per mode,
     the s -> 0 limit leaves the zeta-regularized Casimir term plus
     -(2/beta) sum_m sqrt(w_n/m) K_{1/2}(2 pi m w_n), w_n = beta n / 2 pi
-    (only the half-integer Bessel survives the limit)."""
-    if beta <= 0:
-        raise DomainError("thermal_zeta_free_energy requires beta > 0")
-    n_max = _mode_cutoff(spec, beta, tol)
-    acc = 0.0
-    for n, d in _modes(spec, n_max):
-        if not d:
-            continue
+    (only the half-integer Bessel survives the limit).  Its tail adds the
+    per-mode series' tails, 2 sum_n d_n tail_n / beta, to the mode sum's."""
+    inner_tails = []
+
+    def term(n: int, d: float) -> float:
         w = beta * n / (2 * math.pi)
         mode = _certified_sum(
             (math.sqrt(w / m) * bessel_k(0.5, 2 * math.pi * m * w) for m in itertools.count(1)),
-            lambda m: math.exp(-(m + 1) * beta * n) / (m + 1),
+            # the terms are e^{-m beta n} / 2m, so the tail past m is at most the next
+            # term over 1 - e^{-beta n}; twice the next term covers that once beta n >= log 2
+            lambda m: math.exp(-(m + 1) * beta * n) / ((m + 1) * min(1.0, -2.0 * math.expm1(-beta * n))),
             tol * beta / (4 * max(d, 1.0)),
             200_000,
             f"thermal-zeta mode {n}",
         )
-        acc += d * mode.value
-    casimir = 0.5 * float(spec.zeta_m_minus_half())
-    return SeriesValue(casimir - 2.0 * acc / beta, n_max, tol)
+        inner_tails.append(d * mode.tail_bound)
+        return -2.0 * d * mode.value
+
+    f = _mode_sum(spec, beta, tol, term, "thermal_zeta_free_energy")
+    return SeriesValue(f.value, f.terms, f.tail_bound + 2.0 * sum(inner_tails) / beta)

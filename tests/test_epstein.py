@@ -386,6 +386,14 @@ def test_zp_massive_past_the_float_range_is_a_convergence_error():
     assert exc.value.suggestion == "w > 1"
 
 
+@pytest.mark.parametrize("s,big", [(171.0, "174"), (170.5, "173.5")])
+def test_zp_massive_gamma_overflow_names_the_route(s, big):
+    # Gamma(s) or the tail's Gamma(alpha) passes the largest double
+    with pytest.raises(ConvergenceError, match=rf"berndt_phi: .* s = {s}, w = 1.0: Gamma\({big}\)") as exc:
+        zp_massive(2, s, 1.0)
+    assert exc.value.suggestion is not None
+
+
 def test_zp_massive_continuation_below_convergence():
     # s = 0.75 < p/2 = 1: the direct sum diverges but the Bessel form is
     # finite, and (s - 1) Z approaches the pole residue pi^{p/2} w^{p-2s} /

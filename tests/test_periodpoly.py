@@ -202,6 +202,12 @@ def test_cocycle_on_inverse_pair_vanishes():
     assert cocycle_compose(gens, [T, T_INV]).is_zero_function()
 
 
+def test_cocycle_word_refuses_a_product_letter():
+    gens = {"S": pbar_cocycle(2), "T": p_T(2)}
+    with pytest.raises(DomainError, match=r"word letters must be S, T or T\^-1; got GroupElement\(a=0, b=-1, c=1, d=1\)"):
+        cocycle_compose(gens, [T, S * T])
+
+
 def test_cocycle_law_on_random_words():
     rng = random.Random(58008)
     letters = [S, T, T_INV]

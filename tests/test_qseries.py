@@ -1,12 +1,14 @@
 """q-series values, inversion/translation laws, oracles and transforms."""
+import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
 
-from modzeta.errors import ConvergenceError, DomainError, UnsupportedError
+from modzeta.errors import ConvergenceError, DomainError, InconsistencyError, UnsupportedError
 from modzeta.exactnum import bernoulli, zeta_even_exact, zeta_odd_numeric
 from modzeta.qseries import (
     HalfPlanePoint,
@@ -189,6 +191,20 @@ def test_lambert_divisor_form_cross_check_runs():
     assert v.tail_bound < 1e-14
 
 
+def test_lambert_divisor_form_cross_check_fires(monkeypatch):
+    from modzeta import qseries
+
+    exact = qseries.lambert_expansion
+
+    def perturbed(t):
+        f = exact(t)
+        return dataclasses.replace(f, coef=lambda m: f.coef(m) * (1 + 1e-6))
+
+    monkeypatch.setattr(qseries, "lambert_expansion", perturbed)
+    with pytest.raises(InconsistencyError):
+        lambert_S(2, 1.0)
+
+
 def test_psi_bar_lemniscate_value():
     expect = 7 * math.pi ** 4 / 90 - 2 * math.pi * Z3
     assert abs(psi_bar(2, 1.0).value - expect) < 1e-11
@@ -228,6 +244,13 @@ def test_log_deriv_identity_and_constants():
     const = QExpansion(5.0, lambda m: 0.0, 0.0, 0.0)
     assert log_deriv_D(const, 3, p).value == 0.0
     assert log_deriv_D(const, 0, p).value == 5.0
+
+
+def test_log_deriv_refuses_where_q2_rounds_to_one_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="rounds to 1"):
+        log_deriv_D(lambert_expansion(2), 1, 1e-300 + 1j)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_log_deriv_rejects_bare_callable():

@@ -255,6 +255,46 @@ def test_partial_tails_stay_within_tol(fn, args, tol):
     assert sv.tail_bound <= tol
 
 
+@pytest.mark.parametrize(
+    "spec,beta,mode_sum,thermal_zeta",
+    [
+        (S3_SPEC, 1.0, (-2.1341980103638787, 40), (-2.1341980103620384, 35)),
+        (S3_SPEC, 3.0, (-0.01657126615560636, 12), (-0.01657126615549535, 11)),
+        (S3_SPEC, 2 * math.pi, (0.0038669465907374533, 5), (0.003866946590738217, 5)),
+        (S3_SPEC, 8.0, (0.0041246704930709465, 4), (0.0041246704930998366, 3)),
+        (SINGLE_MODE, 3.0, (0.48297693968576616, 1), (0.48297693968583905, 1)),
+    ],
+)
+def test_mode_sum_values_and_terms_are_pinned(spec, beta, mode_sum, thermal_zeta):
+    # at beta >= 1 the sum's target min(tol, tol beta) is tol: the same stop, the same bits
+    for route, (value, terms) in ((mode_sum_free_energy, mode_sum), (thermal_zeta_free_energy, thermal_zeta)):
+        got = route(spec, beta)
+        assert (got.value, got.terms) == (value, terms)
+
+
+POLYNOMIAL_SPECTRA = [S3_SPEC, SpectrumSpec("linear", (0, 1)), SpectrumSpec("sextic", (0, 0, 0, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.5, 7.0])
+@pytest.mark.parametrize("spec", POLYNOMIAL_SPECTRA, ids=lambda spec: spec.label)
+def test_mode_sum_tails_are_their_own(spec, beta):
+    # the certificate is the majorant at the stop, not the requested tol echoed back;
+    # thermal-zeta's also carries its per-mode series' tails, which can pass tol
+    for tol in (1e-14, 1e-8):
+        assert 0.0 < mode_sum_free_energy(spec, beta, tol).tail_bound <= tol
+        assert thermal_zeta_free_energy(spec, beta, tol).tail_bound > 0.0
+    assert mode_sum_free_energy(SINGLE_MODE, beta).tail_bound == 0.0
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.5, 7.0])
+@pytest.mark.parametrize("spec", [*POLYNOMIAL_SPECTRA, SINGLE_MODE], ids=lambda spec: spec.label)
+@pytest.mark.parametrize("route", [mode_sum_free_energy, thermal_zeta_free_energy])
+def test_mode_sum_tails_bound_a_tighter_run(route, spec, beta):
+    # a real bound on the truncation error also bounds the gap to a far tighter run
+    loose = route(spec, beta, 1e-6)
+    assert abs(loose.value - route(spec, beta, 1e-14).value) <= loose.tail_bound
+
+
 @pytest.mark.parametrize("doc", [{"label": "x"}, {"omega": "n"}, [1, 2], "nope"])
 def test_spectrum_from_json_rejects_non_spectra(doc):
     with pytest.raises(DomainError):
