@@ -533,9 +533,15 @@ def pole_residue(d: DirichletDatum, hs=(0.1, 0.05, 0.025), stability_tol: float 
     def g_at(beta: float) -> float:
         return beta ** nu * phi_kernel(beta)
 
+    # quad takes its nodes on [0, 1] from one fixed grid, so the four r_of_h
+    # integrals meet the same betas: memoised for this call only
+    g_memo = {}
+
     def g_prime(beta: float) -> float:
         # beta^{nu-1} sum a_m (nu - lambda_m beta) e^{-lambda_m beta},
         # summed with fsum: the terms cancel massively at small beta
+        if beta in g_memo:
+            return g_memo[beta]
         terms = []
         m = 0
         while True:
@@ -551,7 +557,7 @@ def pole_residue(d: DirichletDatum, hs=(0.1, 0.05, 0.025), stability_tol: float 
                 break
             if m > 150_000:
                 raise ConvergenceError("g_prime kernel did not converge")
-        return beta ** (nu - 1) * math.fsum(terms)
+        return g_memo.setdefault(beta, beta ** (nu - 1) * math.fsum(terms))
 
     big_x = 1.0 + 52.0 / d.lam(1)
 

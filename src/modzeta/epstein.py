@@ -203,7 +203,8 @@ def _lattice_sum(gram: np.ndarray, s: float, m2: float, radius: int) -> float:
     """Sum over nonzero x in [-R, R]^p of (x^T G x + m2)^{-s}.  The terms at x
     and -x agree, so the rows x_0 = 1..R count twice and the slab x_0 = 0 is
     the same sum one dimension down.  Rows stream in blocks of about
-    ``_BLOCK`` points, so memory grows like R^(p-1)."""
+    ``_BLOCK`` points, each evaluated in place in one preallocated buffer,
+    so memory grows like R^(p-1)."""
     np = _numpy()
     p = len(gram)
     side = 2 * radius + 1
@@ -211,10 +212,16 @@ def _lattice_sum(gram: np.ndarray, s: float, m2: float, radius: int) -> float:
     inner = np.einsum("ij,ik,jk->k", gram[1:, 1:], rest, rest) + m2
     cross = 2.0 * (gram[0, 1:] @ rest)
     step = max(1, _BLOCK // side ** (p - 1))
+    buf = np.empty((min(step, radius), side ** (p - 1)))
     rows = 0.0
     for lo in range(1, radius + 1, step):
         x0 = np.arange(lo, min(lo + step, radius + 1), dtype=float)[:, None]
-        rows += float(((gram[0, 0] * x0 * x0 + x0 * cross + inner) ** (-s)).sum())
+        # (g00 x0 x0 + x0 cross + inner) ** (-s) in place; + commutes exactly, so
+        # starting from x0 cross leaves every bit as in that expression
+        q = np.multiply(x0, cross, out=buf[: len(x0)])
+        q += gram[0, 0] * x0 * x0
+        q += inner
+        rows += float(np.power(q, -s, out=q).sum())
     slab = _lattice_sum(gram[1:, 1:], s, m2, radius) if p > 1 else 0.0
     return slab + 2.0 * rows
 

@@ -237,12 +237,22 @@ def eps_sub(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS) -
     return SeriesValue(val, e.terms, e.tail_bound)
 
 
+@lru_cache(maxsize=8192)
+def _mellin_kernel(t: int, y: float) -> complex:
+    """Gamma(s) zeta(s) zeta(s-2t+1) at s = 2t - 1/2 + iy, the b-free factor
+    of the Mellin integrand."""
+    s = complex(2 * t - 0.5, y)
+    return gamma_numeric(s) * zeta_numeric(s) * zeta_numeric(s - 2 * t + 1)
+
+
 def mellin_eps_sub(t: int, b: float, tol: float = 1e-10) -> SeriesValue:
     """Independent contour evaluation of eps_sub_t(b) for real b > 0.
 
     Integrates Gamma(s) zeta(s) zeta(s-2t+1) (2 pi b)^{-s} / (2 pi i) on the
     vertical line Re s = 2t - 1/2, truncated at |Im s| = 40 where the Gamma
-    decay certifies the discarded tail.
+    decay certifies the discarded tail.  quad takes its nodes from one fixed
+    nested grid, so calls at other b meet the same ordinates: the b-free
+    factor comes from the bounded cache of ``_mellin_kernel``.
     """
     _check_t(t)
     b = float(b)
@@ -252,8 +262,7 @@ def mellin_eps_sub(t: int, b: float, tol: float = 1e-10) -> SeriesValue:
     w = 2 * math.pi * b
 
     def integrand(y: float) -> complex:
-        s = complex(c, y)
-        return gamma_numeric(s) * zeta_numeric(s) * zeta_numeric(s - 2 * t + 1) * w ** (-s)
+        return _mellin_kernel(t, y) * w ** (-complex(c, y))
 
     re, re_err = _quad(lambda y: integrand(y).real, 0.0, _MELLIN_T)
     # conjugate symmetry on the real-b line: integral over (-T, T) is twice

@@ -1,6 +1,8 @@
 """Paired Dirichlet series: modular relation, massive representation, residues."""
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -231,6 +233,39 @@ def test_pole_residue_zero_for_poleless_datum():
     )
     res = pole_residue(d)
     assert abs(res.residue_bochner) < 1e-12
+
+
+_POLELESS_DATUM = (
+    "custom_datum([1.0, -0.5], [1.0, -0.5], [1.0, 2.0], [1.0, 2.0], 2.0,"
+    " residues=[(0.0, 0.5)], zero_modes=(-0.5, -0.5))"
+)
+
+
+@pytest.mark.parametrize(
+    "t,fields",
+    [
+        (2, (4.0, 1.0823232337111324, 0.0006944444444444409, 1.0823232337111395, 2.4438085279910628e-08)),
+        (3, (6.0, 1.017343061984448, 1.653439153439152e-05, 1.0173430619844501, 4.370254523765576e-10)),
+    ],
+)
+def test_pole_residue_bits_are_pinned(t, fields):
+    res = pole_residue(eisenstein_datum(t))
+    assert (res.location, res.residue, res.residue_bochner, res.closed_form, res.spread) == fields
+
+
+def test_pole_residue_memo_does_not_leak_between_calls():
+    # each call memoises its kernel at quad's nodes; a later datum, evaluated
+    # at the same nodes, must still get its own values, as in a new interpreter
+    data = ["eisenstein_datum(3)", _POLELESS_DATUM, "eisenstein_datum(2)"]
+    here = [repr(pole_residue(eval(expr))) for expr in data]
+    for expr, got in zip(data, here):
+        code = (
+            "from modzeta.dirichlet import custom_datum, eisenstein_datum, pole_residue\n"
+            f"print(repr(pole_residue({expr})))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == got
 
 
 def test_koshliakov_closed_form_values():

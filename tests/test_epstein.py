@@ -190,6 +190,23 @@ def test_direct_sums_match_a_plain_loop(call, gram, s, m2, radius):
     assert abs(got.value - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize(
+    "call,pinned",
+    [
+        (lambda: z2_direct((1, 0.3, 2), 2.5, tol=1e-10), (2.863499422500084, 67125248, 4.820344806163288e-11)),
+        (lambda: zp_brute(1, 2.3, 0.5), (1.2864786766617502, 2048, 8.084333743449442e-12)),
+        (lambda: zp_brute(1, 1.0, 0.5, tol=1e-2), (2.8429570486355287, 512, 0.007812381716604339)),
+        (lambda: zp_brute(2, 2.1, 0.3, tail="integral"), (4.995839296261979, 1002000, 5.219543957156569e-15)),
+        (lambda: zp_brute(3, 3.5, 0.5, tol=1e-6), (3.7819435520384634, 2146688, 8.028161048013294e-07)),
+        (lambda: zp_brute(4, 3.0, 1.0, tol=2.0), (4.1765905699049855, 83520, 1.6296296296296295)),
+    ],
+)
+def test_lattice_sums_are_pinned(call, pinned):
+    # value, terms and tail_bound with ==: rewriting the block arithmetic must not move a bit
+    got = call()
+    assert (got.value, got.terms, got.tail_bound) == pinned
+
+
 def test_zp_brute_memory_grows_with_a_face_not_the_cube():
     # radius 128 in p = 3: one float64 array over the whole cube would be 136 MB
     tracemalloc.start()

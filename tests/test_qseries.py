@@ -2,6 +2,8 @@
 import dataclasses
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from modzeta.exactnum import bernoulli, zeta_even_exact, zeta_odd_numeric
 from modzeta.qseries import (
     HalfPlanePoint,
     _certified_sum,
+    _mellin_kernel,
     QExpansion,
     casimir_constant,
     eps,
@@ -170,6 +173,56 @@ def test_mellin_oracle_agrees_with_q_series(t):
 
 def test_mellin_decay_along_real_axis():
     assert abs(mellin_eps_sub(2, 4.0).value) < abs(eps_sub(2, 2.0).value)
+
+
+# mellin_eps_sub(t, b) at verify's 15 points: value, terms, tail_bound
+_MELLIN_PINS = {
+    (2, 0.4): (-0.004160779872450346, 1.6648224000408088e-15),
+    (2, 0.7): (-0.003639577982816393, 1.912218833087047e-13),
+    (2, 1.0): (-0.002267654615547046, 8.006501388539165e-16),
+    (2, 1.6): (-0.0005927139623372467, 2.545536699297782e-16),
+    (2, 2.5): (-0.00010651596473472858, 2.1623232049475828e-13),
+    (3, 0.4): (0.0019473343872023763, 1.2885177200977598e-13),
+    (3, 0.7): (0.0009051723138365057, 7.870137316690505e-15),
+    (3, 1.0): (-4.3139033765509937e-19, 6.832515250581622e-14),
+    (3, 1.6): (-7.514976770022776e-05, 2.713008304080005e-13),
+    (3, 2.5): (-7.976281649980939e-06, 1.8561581705264733e-14),
+    (4, 0.4): (-0.0018533762757358965, 1.6467679229910216e-14),
+    (4, 0.7): (0.00014529351032583444, 1.6255083894185906e-13),
+    (4, 1.0): (0.00024842833022199523, 3.3904010650920896e-17),
+    (4, 1.6): (-5.214877052163502e-06, 1.1110594404602804e-13),
+    (4, 2.5): (-1.2146286760664612e-06, 3.1469313436616247e-15),
+}
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["b-ascending", "b-descending"])
+def test_mellin_values_are_pinned_through_the_kernel_cache(order):
+    # a fresh interpreter starts with an empty kernel cache, so the first b
+    # of each t misses it and the later ones hit it; both orders give the same bits
+    code = (
+        "from modzeta.qseries import mellin_eps_sub\n"
+        "for t in (2, 3, 4):\n"
+        f"    for b in (0.4, 0.7, 1.0, 1.6, 2.5)[::{order}]:\n"
+        "        m = mellin_eps_sub(t, b)\n"
+        "        print(t, b, repr(m.value), m.terms, repr(m.tail_bound))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = {}
+    for line in proc.stdout.splitlines():
+        t, b, value, terms, tail = line.split()
+        got[int(t), float(b)] = (complex(value), int(terms), float(tail))
+    assert got == {key: (complex(v, 0.0), 0, tail) for key, (v, tail) in _MELLIN_PINS.items()}
+
+
+def test_mellin_kernel_cache_is_bounded():
+    info = _mellin_kernel.cache_info()
+    assert info.maxsize is not None
+    rng = random.Random(2024)
+    for _ in range(300):
+        mellin_eps_sub(rng.randint(2, 6), rng.uniform(0.3, 3.0))
+    info = _mellin_kernel.cache_info()
+    assert 0 < info.currsize <= info.maxsize
 
 
 # ----------------------------------------------------------------- Lambert
