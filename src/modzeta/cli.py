@@ -176,7 +176,7 @@ def _pbar(t, x):
 def _rbar(t, x):
     rp = pmod.rbar(t)
     # numerator coefficient k multiplies x^{k-1}: the extended form starts at 1/x
-    coeffs = {str(k - 1): str(c.re) for k, c in enumerate(rp.num.coeffs) if not c.is_zero()}
+    coeffs = {str(k - 1): str(c) for k, c in enumerate(rp.num.coeffs) if not c.is_zero()}
     return coeffs, None if x is None else rp.eval_numeric(complex(x))
 
 
@@ -316,9 +316,9 @@ def _lerch_rows():
     for t in (2, 4, 6, 8):
         exact = pmod.rbar(t).eval_exact(1)
         # at the self-dual point psi_bar(1) = R(1)/2 for even t
-        half = exact * pmod.SymComplex(Fraction(1, 2))
-        val = half.numeric().real / (4 * math.pi)
-        yield [t, str(half.re), _fmt(val)]
+        half = exact * Fraction(1, 2)
+        val = half.numeric() / (4 * math.pi)
+        yield [t, str(half), _fmt(val)]
 
 
 def _f3_grid_rows():

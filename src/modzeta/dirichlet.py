@@ -92,8 +92,13 @@ class DirichletDatum:
     lam_low: tuple = (1.0, 1.0)
     mu_low: tuple = (1.0, 1.0)
     kosh: tuple | None = None
-    supports_modular: bool = True
     finite_n: int | None = None  # coefficients vanish beyond this index
+
+    @property
+    def supports_modular(self) -> bool:
+        """Whether the modular-relation routes apply: exactly the data that
+        list the poles of chi in ``residues``."""
+        return bool(self.residues)
 
     def swapped(self) -> "DirichletDatum":
         """Exchange the roles of the two series (delta-reflecting the
@@ -112,7 +117,6 @@ class DirichletDatum:
             lam_low=self.mu_low,
             mu_low=self.lam_low,
             kosh=None,
-            supports_modular=self.supports_modular,
             finite_n=self.finite_n,
         )
 
@@ -199,7 +203,6 @@ def sigma_datum(k: int) -> DirichletDatum:
         b_bound=(zk, k + (0.5 if k < 2 else 0.0)),
         lam_low=(1.0, 1.0),
         mu_low=(1.0, 1.0),
-        supports_modular=False,
     )
 
 
@@ -270,7 +273,6 @@ def custom_datum(
         b_bound=(max([abs(x) for x in b_list] + [1.0]), 0.0),
         lam_low=(min(lam_list[0], 1.0), 0.0),
         mu_low=(min(mu_list[0], 1.0), 0.0),
-        supports_modular=bool(residues),
         finite_n=max(len(a_list), len(b_list)),
     )
 

@@ -1,10 +1,12 @@
 """Exact rational/symbolic scalars and float-precision zeta and gamma.
 
 Exact side: Bernoulli numbers, zeta at even positive / odd negative integers,
-and ``SymScalar`` -- finite sums of terms ``q * pi^a * zeta(m)`` with
-rational ``q``, integer ``a >= 0`` and odd ``m >= 3`` (at most one zeta
-factor per term).  This basis is closed under the arithmetic the period
-polynomials need; products that would create ``zeta(odd)^2`` are rejected.
+and ``SymScalar`` -- finite sums of terms ``q * pi^a * zeta(m) * i^e`` with
+rational ``q``, integer ``a >= 0``, odd ``m >= 3`` (at most one zeta factor
+per term) and ``e`` 0 or 1: the coefficient field Q(i)[pi, zeta(3),
+zeta(5), ...] of the period polynomials.  One rule, ``_basis_product``,
+multiplies basis monomials for both ``SymScalar`` and ``periodpoly.Poly``;
+products that would create ``zeta(odd)^2`` are rejected.
 
 Numeric side: Riemann zeta on the strip ``-10 <= Re s <= 30``,
 ``|Im s| <= 50`` by Euler-Maclaurin with fixed cutoffs (deterministic
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import DomainError, SingularityError
+from .errors import ConvergenceError, DomainError, SingularityError
 
 __all__ = [
     "bernoulli",
@@ -66,24 +68,19 @@ def require_finite(z: complex) -> complex:
 # Bernoulli numbers and exact zeta values
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _bernoulli_list(n: int) -> tuple[Fraction, ...]:
-    # B_0..B_n via the binomial recurrence sum_{k<=m} C(m+1,k) B_k = 0,
-    # convention B_1 = -1/2.
-    out = [Fraction(1)]
-    for m in range(1, n + 1):
-        s = Fraction(0)
-        for k in range(m):
-            s += comb(m + 1, k) * out[k]
-        out.append(-s / (m + 1))
-    return tuple(out)
+# B_0, B_1, ... as far as any call has needed them; grown in place
+_BERNOULLI: list[Fraction] = [Fraction(1)]
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2), exact."""
     if n < 0:
         raise DomainError("bernoulli: n must be >= 0")
-    return _bernoulli_list(n)[n]
+    out = _BERNOULLI
+    # the binomial recurrence sum_{k<=m} C(m+1,k) B_k = 0, convention B_1 = -1/2
+    for m in range(len(out), n + 1):
+        out.append(-sum(comb(m + 1, k) * out[k] for k in range(m)) / (m + 1))
+    return out[n]
 
 
 def zeta_even_exact(k: int) -> "SymScalar":
@@ -97,7 +94,7 @@ def zeta_even_exact(k: int) -> "SymScalar":
     q = Fraction((-1) ** (m + 1)) * bernoulli(2 * m) * Fraction(2) ** (2 * m) / (
         2 * Fraction(math.factorial(2 * m))
     )
-    return SymScalar({(k, 0): q})
+    return SymScalar({(k, 0, 0): q})
 
 
 def zeta_negative_exact(n: int) -> Fraction:
@@ -140,7 +137,10 @@ def zeta_odd_numeric(m: int) -> float:
     """zeta(m) for odd m >= 3 via the accelerated alternating series."""
     if m < 3 or m % 2 == 0:
         raise DomainError("zeta_odd_numeric: m must be odd and >= 3")
-    return alternating_zeta(float(m)) / (1.0 - 2.0 ** (1.0 - m))
+    try:
+        return alternating_zeta(float(m)) / (1.0 - 2.0 ** (1.0 - m))
+    except OverflowError:  # 50^m is past the floats, so zeta(m) = 1 + 2^-m + ... rounds to 1
+        return 1.0
 
 
 @lru_cache(maxsize=None)
@@ -285,56 +285,59 @@ def _coefficients(kind: str, order, store: dict = _SIEVES):
 # SymScalar
 # ---------------------------------------------------------------------------
 
-class SymScalar:
-    """Exact scalar: finite sum of ``q * pi^a * zeta(m)`` monomials.
+def _basis_product(k1: tuple, k2: tuple) -> tuple[tuple[int, int, int], int]:
+    """(key, sign) of the product of two basis monomials: pi powers add, at
+    most one zeta(odd) factor, i * i = -1."""
+    (a1, m1, e1), (a2, m2, e2) = k1, k2
+    if m1 and m2:
+        raise DomainError("product of two zeta(odd) monomials leaves the basis")
+    return (a1 + a2, m1 or m2, e1 ^ e2), -1 if e1 & e2 else 1
 
-    Keys are ``(pi_power, zeta_arg)`` with ``zeta_arg`` either 0 (no zeta
-    factor) or an odd integer >= 3; values are nonzero Fractions.  Addition
-    is unrestricted; multiplication is allowed unless both factors carry a
-    zeta monomial (that product leaves the basis and raises DomainError).
+
+class SymScalar:
+    """Exact Gaussian scalar: finite sum of ``q * pi^a * zeta(m) * i^e``.
+
+    Keys are ``(pi_power, zeta_arg, i_power)`` with ``zeta_arg`` either 0
+    (no zeta factor) or an odd integer >= 3 and ``i_power`` 0 or 1; values
+    are nonzero Fractions.  Addition is unrestricted; multiplication follows
+    ``_basis_product`` and rejects a product of two zeta monomials, which
+    leaves the basis.  Division is by nonzero Gaussian rationals only.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (a, m), q in (terms or {}).items():
+        clean: dict[tuple[int, int, int], Fraction] = {}
+        for key, q in (terms or {}).items():
+            a, m, e = key
             if a < 0:
                 raise DomainError("SymScalar: pi power must be >= 0")
             if m != 0 and (m < 3 or m % 2 == 0):
                 raise DomainError("SymScalar: zeta argument must be 0 or odd >= 3")
+            if e not in (0, 1):
+                raise DomainError("SymScalar: i power must be 0 or 1")
             q = Fraction(q)
             if q != 0:
-                clean[(a, m)] = clean.get((a, m), Fraction(0)) + q
-                if clean[(a, m)] == 0:
-                    del clean[(a, m)]
+                clean[key] = q
         self._terms = clean
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def rational(cls, q) -> "SymScalar":
-        return cls({(0, 0): Fraction(q)})
+        return cls({(0, 0, 0): Fraction(q)})
 
     @classmethod
     def pi_term(cls, q, pi_power: int, zeta_arg: int = 0) -> "SymScalar":
-        return cls({(pi_power, zeta_arg): Fraction(q)})
+        return cls({(pi_power, zeta_arg, 0): Fraction(q)})
 
     # -- views --------------------------------------------------------------
     @property
-    def terms(self) -> tuple[tuple[int, int, Fraction], ...]:
-        """Sorted ``(pi_power, zeta_arg, coefficient)`` triples."""
-        return tuple((a, m, q) for (a, m), q in sorted(self._terms.items()))
+    def terms(self) -> tuple[tuple[int, int, int, Fraction], ...]:
+        """Sorted ``(pi_power, zeta_arg, i_power, coefficient)`` tuples."""
+        return tuple((*key, q) for key, q in sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_rational(self) -> bool:
-        return all(key == (0, 0) for key in self._terms)
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise DomainError("SymScalar is not a pure rational")
-        return self._terms.get((0, 0), Fraction(0))
 
     # -- arithmetic ----------------------------------------------------------
     def _coerce(self, other) -> "SymScalar":
@@ -371,18 +374,27 @@ class SymScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (a1, m1), q1 in self._terms.items():
-            for (a2, m2), q2 in other._terms.items():
-                if m1 != 0 and m2 != 0:
-                    raise DomainError(
-                        "SymScalar: product of two zeta(odd) monomials leaves the basis"
-                    )
-                key = (a1 + a2, m1 or m2)
-                terms[key] = terms.get(key, Fraction(0)) + q1 * q2
+        terms: dict[tuple[int, int, int], Fraction] = {}
+        for k1, q1 in self._terms.items():
+            for k2, q2 in other._terms.items():
+                key, sign = _basis_product(k1, k2)
+                terms[key] = terms.get(key, Fraction(0)) + sign * q1 * q2
         return SymScalar(terms)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if any(key[:2] != (0, 0) for key in other._terms):
+            raise DomainError("SymScalar: division only by Gaussian-rational values")
+        p = other._terms.get((0, 0, 0), Fraction(0))
+        q = other._terms.get((0, 0, 1), Fraction(0))
+        n2 = p * p + q * q
+        if n2 == 0:
+            raise ZeroDivisionError("division by zero SymScalar")
+        return self * SymScalar({(0, 0, 0): p / n2, (0, 0, 1): -q / n2})
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -394,23 +406,30 @@ class SymScalar:
         return hash(frozenset(self._terms.items()))
 
     # -- evaluation / rendering ----------------------------------------------
-    def numeric(self) -> float:
-        total = 0.0
-        for (a, m), q in self._terms.items():
-            v = float(q) * math.pi ** a
+    def numeric(self) -> float | complex:
+        """The value as a float, or as a complex when there is an i part."""
+        sums = [0.0, 0.0]  # real and i parts, each in term order
+        for (a, m, e), q in self._terms.items():
+            try:
+                v = float(q) * math.pi ** a
+            except OverflowError:
+                raise ConvergenceError(f"pi^{a} overflows a float", suggestion=f"pi power < {a}") from None
             if m:
                 v *= zeta_odd_numeric(m)
-            total += v
-        return total
+            sums[e] += v
+        re, im = sums
+        return complex(re, im) if any(key[2] for key in self._terms) else re
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for (a, m), q in sorted(self._terms.items()):
+        for (a, m, e), q in sorted(self._terms.items()):
             factors = []
-            if q != 1 or (a == 0 and m == 0):
+            if q != 1 or (a == 0 and m == 0 and e == 0):
                 factors.append(f"({q})" if q.denominator != 1 or q < 0 else f"{q}")
+            if e:
+                factors.append("i")
             if a == 1:
                 factors.append("pi")
             elif a > 1:

@@ -1,11 +1,11 @@
 """Exact period polynomials, rational period functions and cocycle algebra.
 
-Coefficients lie in the Q(i)-span of the SymScalar basis ``pi^a zeta(m)``.
-A ``Poly`` keeps one integer vector (index = power) per basis key
-``(pi_power, zeta_arg, i_exponent)``, ``i_exponent`` 0 or 1, over a common
-denominator, in a canonical form; ``Poly.coeffs`` rebuilds the ``SymComplex``
-coefficients on demand.  Products follow the SymScalar rule (pi powers add,
-at most one zeta factor) with ``i * i = -1``.  The stroke by ``(a b; c d)``
+Coefficients are Gaussian ``SymScalar``s, sums of ``q pi^a zeta(m) i^e``.
+A ``Poly`` keeps one integer vector (index = power) per SymScalar basis key
+``(pi_power, zeta_arg, i_power)`` over a common denominator, in a canonical
+form; ``Poly.coeffs`` rebuilds the SymScalar coefficients on demand.
+Products use the SymScalar rule ``exactnum._basis_product`` (pi powers add,
+at most one zeta factor, ``i * i = -1``).  The stroke by ``(a b; c d)``
 applies one cached integer matrix, row k ``(a tau + b)^k (c tau + d)^(n-k)``,
 to each vector.  Rational functions are equal when ``num1 den2 == num2
 den1``, so every identity here is checked exactly, with zero tolerance.
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InconsistencyError
-from .exactnum import SymScalar, zeta_even_exact
+from .exactnum import SymScalar, _basis_product, zeta_even_exact
 
 __all__ = [
-    "SymComplex",
     "Poly",
     "GroupElement",
     "S",
@@ -55,89 +54,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # scalars and polynomials
 # ---------------------------------------------------------------------------
-
-def _sym(v) -> SymScalar:
-    if isinstance(v, SymScalar):
-        return v
-    return SymScalar.rational(Fraction(v))
-
-
-class SymComplex:
-    """Gaussian SymScalar: re + i im, closed under the cocycle algebra."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _sym(re)
-        self.im = _sym(im)
-
-    @classmethod
-    def coerce(cls, v) -> "SymComplex":
-        if isinstance(v, SymComplex):
-            return v
-        if isinstance(v, (SymScalar, int, Fraction)):
-            return cls(_sym(v))
-        return NotImplemented
-
-    def __add__(self, o):
-        o = SymComplex.coerce(o)
-        if o is NotImplemented:
-            return NotImplemented
-        return SymComplex(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymComplex(-self.re, -self.im)
-
-    def __sub__(self, o):
-        o = SymComplex.coerce(o)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, o):
-        o = SymComplex.coerce(o)
-        if o is NotImplemented:
-            return NotImplemented
-        return SymComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def is_gaussian_rational(self) -> bool:
-        return self.re.is_rational() and self.im.is_rational()
-
-    def divide_by_gaussian(self, o: "SymComplex") -> "SymComplex":
-        if not o.is_gaussian_rational():
-            raise DomainError("division only by Gaussian-rational values")
-        p, q = o.re.rational_value(), o.im.rational_value()
-        n2 = p * p + q * q
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero SymComplex")
-        conj = SymComplex(SymScalar.rational(p / n2), SymScalar.rational(-q / n2))
-        return self * conj
-
-    def __eq__(self, o) -> bool:
-        o = SymComplex.coerce(o)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def numeric(self) -> complex:
-        return complex(self.re.numeric(), self.im.numeric())
-
-    def __repr__(self):
-        return f"SymComplex({self.re}, {self.im})"
-
 
 def _conv(u, v) -> list:
     """Product of two integer coefficient vectors."""
@@ -175,12 +91,13 @@ class Poly:
     def __init__(self, coeffs=()):
         found: dict[tuple[int, int, int], dict[int, Fraction]] = {}
         for k, c in enumerate(coeffs):
-            c = SymComplex.coerce(c)
-            if c is NotImplemented:
-                raise TypeError("Poly coefficients must be SymComplex, SymScalar, int or Fraction")
-            for e, part in enumerate((c.re, c.im)):
-                for a, m, q in part.terms:
-                    found.setdefault((a, m, e), {})[k] = q
+            if isinstance(c, (int, Fraction)):
+                c = SymScalar.rational(c)
+            elif not isinstance(c, SymScalar):
+                raise TypeError("Poly coefficients must be SymScalar, int or Fraction")
+            # in key order, so a coefficient's float sum does not depend on how it was built
+            for key, q in sorted(c._terms.items()):
+                found.setdefault(key, {})[k] = q
         den = math.lcm(*(q.denominator for row in found.values() for q in row.values()))
         parts = {key: [int(row.get(k, 0) * den) for k in range(max(row) + 1)] for key, row in found.items()}
         self._parts, self._den = _canonical(parts, den)
@@ -197,14 +114,13 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as a tuple of SymComplex (index = power)."""
-        n = self.degree + 1
-        split = ([{} for _ in range(n)], [{} for _ in range(n)])
-        for (a, m, e), vec in self._parts.items():
+        """The coefficients as a tuple of SymScalar (index = power)."""
+        rows = [{} for _ in range(self.degree + 1)]
+        for key, vec in self._parts.items():
             for k, x in enumerate(vec):
                 if x:
-                    split[e][k][(a, m)] = Fraction(x, self._den)
-        return tuple(SymComplex(SymScalar(re), SymScalar(im)) for re, im in zip(*split))
+                    rows[k][key] = Fraction(x, self._den)
+        return tuple(map(SymScalar, rows))
 
     @property
     def degree(self) -> int:
@@ -235,12 +151,10 @@ class Poly:
             o = Poly([o])
         size = self.degree + o.degree + 1
         parts: dict = {}
-        for (a1, m1, e1), u in self._parts.items():
-            for (a2, m2, e2), v in o._parts.items():
-                if m1 and m2:
-                    raise DomainError("Poly: product of two zeta(odd) monomials leaves the basis")
-                acc = parts.setdefault((a1 + a2, m1 or m2, e1 ^ e2), [0] * size)
-                sign = -1 if e1 & e2 else 1  # i * i = -1
+        for k1, u in self._parts.items():
+            for k2, v in o._parts.items():
+                key, sign = _basis_product(k1, k2)
+                acc = parts.setdefault(key, [0] * size)
                 for k, x in enumerate(_conv(u, v)):
                     acc[k] += sign * x
         return Poly._from_parts(parts, self._den * o._den)
@@ -256,15 +170,15 @@ class Poly:
     def __eq__(self, o) -> bool:
         return isinstance(o, Poly) and self._den == o._den and self._parts == o._parts
 
-    def eval_exact(self, tau: Fraction) -> SymComplex:
+    def eval_exact(self, tau: Fraction) -> SymScalar:
         tau = Fraction(tau)
-        return sum((c * SymComplex(tau ** k) for k, c in enumerate(self.coeffs)), SymComplex())
+        return sum((c * tau ** k for k, c in enumerate(self.coeffs)), SymScalar())
 
     def eval_numeric(self, tau: complex) -> complex:
         acc = 0j
         power = 1.0 + 0j
         for c in self.coeffs:
-            acc += c.numeric() * power
+            acc += complex(c.numeric()) * power
             power *= tau
         return acc
 
@@ -359,9 +273,8 @@ class RationalPeriodFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def eval_exact(self, tau: Fraction) -> SymComplex:
-        d = self.den.eval_exact(tau)
-        return self.num.eval_exact(tau).divide_by_gaussian(d)
+    def eval_exact(self, tau: Fraction) -> SymScalar:
+        return self.num.eval_exact(tau) / self.den.eval_exact(tau)
 
     def eval_numeric(self, tau: complex) -> complex:
         return self.num.eval_numeric(tau) / self.den.eval_numeric(tau)
@@ -370,8 +283,6 @@ class RationalPeriodFunction:
         return RationalPeriodFunction(
             self.num.twist_to_tau(), self.den.twist_to_tau(), self.weight
         )
-
-    is_zero_function = is_zero
 
     def equals(self, o: "RationalPeriodFunction") -> bool:
         """Exact equality as rational functions: num1 den2 = num2 den1."""
@@ -458,8 +369,8 @@ def eichler_shimura_check(p_s: RationalPeriodFunction) -> ESResult:
     cocycle law still holds.
     """
     ts = T * S
-    first = (p_s + stroke(p_s, S)).is_zero_function()
-    second = (p_s + stroke(p_s, ts) + stroke(p_s, ts * ts)).is_zero_function()
+    first = (p_s + stroke(p_s, S)).is_zero()
+    second = (p_s + stroke(p_s, ts) + stroke(p_s, ts * ts)).is_zero()
     return ESResult(first, second)
 
 
@@ -497,7 +408,7 @@ class PolynomialForm:
         return sum(c.numeric() * float(x) ** k for k, c in enumerate(self.coeffs))
 
     def to_poly(self) -> Poly:
-        return Poly([SymComplex(c) for c in self.coeffs])
+        return Poly(self.coeffs)
 
     def to_rpf(self) -> RationalPeriodFunction:
         """x-picture rational period function (denominator 1)."""
@@ -506,7 +417,7 @@ class PolynomialForm:
     def to_json(self) -> dict:
         terms = []
         for k, c in enumerate(self.coeffs):
-            for (a, m, q) in c.terms:
+            for (a, m, _, q) in c.terms:
                 terms.append(
                     {"x_power": k, "pi_power": a, "zeta_arg": m, "rational": f"{q}"}
                 )
@@ -558,8 +469,8 @@ def rbar(t: int) -> RationalPeriodFunction:
     _check_t(t)
     z2t = zeta_even_exact(2 * t)
     num = pbar(t).to_poly() * Poly.monomial(1, 1)
-    num = num + Poly.monomial(SymComplex(Fraction(2 * (-1) ** t) * z2t), 2 * t)
-    num = num + Poly([SymComplex(2 * z2t)])
+    num = num + Poly.monomial(Fraction(2 * (-1) ** t) * z2t, 2 * t)
+    num = num + Poly([2 * z2t])
     return RationalPeriodFunction(num, Poly.monomial(1, 1), 2 * t - 2)
 
 
@@ -573,7 +484,7 @@ def p_T(t: int) -> RationalPeriodFunction:
     _check_t(t)
     z2t = zeta_even_exact(2 * t)
     return RationalPeriodFunction(
-        Poly([SymComplex(2 * z2t)]),
+        Poly([2 * z2t]),
         Poly([0, 1, 1]),  # tau + tau^2
         2 * t - 2,
     )

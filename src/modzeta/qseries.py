@@ -285,7 +285,14 @@ def lambert_S(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS)
     _check_t(t)
     b = _point(p)
     k = 2 * t - 1
-    lam = _sum_lambert(t, lambda n, qn: qn / ((n ** k) * (1.0 - qn)), 0, b, tol, max_terms, "lambert_S")
+
+    def term(n: int, qn: complex) -> complex:
+        try:
+            return qn / ((n ** k) * (1.0 - qn))
+        except OverflowError:  # n^k is past the floats; its reciprocal only underflows
+            return qn * n ** -k / (1.0 - qn)
+
+    lam = _sum_lambert(t, term, 0, b, tol, max_terms, "lambert_S")
     div = log_deriv_D(lambert_expansion(t), 0, b, tol, max_terms)
     gap = abs(div.value - lam.value)
     if gap > max(1e-12, 10 * (lam.tail_bound + div.tail_bound)):

@@ -206,9 +206,15 @@ def _divisor_series(k: int, weight: float, q2: float, tol: float = 1e-16) -> Ser
         sigma(n) * float(n) ** (-weight) * qn
         for n, qn in enumerate(_powers(q2, 1.0), 1)
     )
-    return _certified_sum(
-        terms, lambda n: _power_series_tail(1.3, bound_pow, q2, n), tol, 200_000, "divisor series"
-    )
+    try:
+        return _certified_sum(
+            terms, lambda n: _power_series_tail(1.3, bound_pow, q2, n), tol, 200_000, "divisor series"
+        )
+    except OverflowError:  # sigma_k(n), or the majorant's power of n, is past the floats
+        raise ConvergenceError(
+            f"divisor series: sigma_{k}(n) at q^2 = {q2:.3g} leaves the float range",
+            suggestion=f"t < {(k + 1) // 2}",  # k = 2t - 1 in the partial free energy and entropy
+        ) from None
 
 
 # ---------------------------------------------------------------------------

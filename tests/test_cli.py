@@ -53,6 +53,29 @@ def test_eval_exact_polynomial(capsys):
     assert doc["exact"]["1"] == "(1/9)*pi^4"
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        ("table period-polynomials", "table-period-polynomials.csv"),
+        ("table period-polynomials --format json", "table-period-polynomials.json"),
+        ("table lerch-values", "table-lerch-values.csv"),
+        ("table lerch-values --format json", "table-lerch-values.json"),
+        ("eval pbar --t 3 --x 0.9", "eval-pbar-t3-x0.9.txt"),
+        ("eval pbar --t 3 --x 0.9 --format json", "eval-pbar-t3-x0.9.json"),
+        ("eval rbar --t 2 --x 0.7", "eval-rbar-t2-x0.7.txt"),
+        ("eval rbar --t 2 --x 0.7 --format json", "eval-rbar-t2-x0.7.json"),
+        ("eval rbar --t 5 --format csv", "eval-rbar-t5.csv"),
+    ],
+)
+def test_exact_algebra_outputs_are_byte_identical(argv, name, capsys):
+    # the full stdout of the period-polynomial commands, byte for byte
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 def test_eval_complex_b(capsys):
     code = main(["eval", "eps_sub", "--t", "2", "--b", "1.1,-0.3", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
@@ -249,7 +272,10 @@ SPECTRUM_FILES = {
         ("eval eps --t 2 --xi -1", 2),
         ("eval eps --t 2 --b 1e-300,1", 3),
         ("eval eps --t 100000 --b 1", 3),
-        ("eval S --t 100000 --b 1", 3),
+        ("eval free_energy --t 300 --xi 1", 3),
+        ("eval free_energy --t 100 --xi 1", 3),
+        ("eval entropy --t 200 --xi 0.5", 3),
+        ("eval pbar --t 320 --x 0.5", 3),
         ("eval mode_sum_F --spectrum {dir}/missing.json --beta 1", 2),
         ("eval mode_sum_F --spectrum {dir}/not_json.json --beta 1", 2),
         ("eval mode_sum_F --spectrum {dir}/json_string.json --beta 1", 2),
@@ -282,7 +308,20 @@ def test_error_contract(argv, code, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    assert "OverflowError" not in captured.err  # the route names the failure, not Python
     assert captured.err.startswith("usage error:" if code == 2 else "error:")
+
+
+@pytest.mark.parametrize("argv", ["eval S --t 100000 --b 1", "eval psi_bar --t 600 --b 1"])
+def test_large_weight_lambert_exits_0(argv, capsys):
+    # n^(2t-1) leaves the floats, but S_t(1) is q^2 / (1 - q^2) to double
+    # precision once 2^(1-2t) is below its last bit
+    assert main([*argv.split(), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    q2 = math.exp(-2 * math.pi)
+    scale = 4 * math.pi if "psi_bar" in argv else 1.0
+    assert float(doc["value"]["re"]) == pytest.approx(scale * q2 / (1 - q2), rel=1e-15)
+    assert float(doc["value"]["im"]) == 0.0
 
 
 def _fresh_process(code: str) -> str:

@@ -1,4 +1,5 @@
 """Paired Dirichlet series: modular relation, massive representation, residues."""
+import dataclasses
 import json
 import math
 import subprocess
@@ -112,6 +113,17 @@ def test_residual_B_cases():
     assert residual_B(empty, 1.7) == 0
     single = custom_datum([1.0], [1.0], [1.0], [1.0], 1.0, residues=[(1.0, 2.0)])
     assert complex(residual_B(single, 2.0)).real == pytest.approx(1.0, abs=1e-15)
+
+
+def test_supports_modular_is_having_residues():
+    # derived, not stored: no factory or swap can set it apart from residues
+    data = [eisenstein_datum(2), theta_datum(), sigma_datum(3), diagonal_epstein_datum(2),
+            custom_datum([1.0], [1.0], [1.0], [1.0], 1.0),
+            custom_datum([1.0], [1.0], [1.0], [1.0], 1.0, residues=[(1.0, 2.0)])]
+    for d in data + [d.swapped() for d in data]:
+        assert d.supports_modular == bool(d.residues)
+    assert [d.supports_modular for d in data] == [True, True, False, True, False, True]
+    assert "supports_modular" not in {f.name for f in dataclasses.fields(data[0])}
 
 
 # ------------------------------------------------------------ modular relation

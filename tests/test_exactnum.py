@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modzeta import exactnum
-from modzeta.errors import DomainError, SingularityError
+from modzeta.errors import ConvergenceError, DomainError, SingularityError
 from modzeta.exactnum import (
     SymScalar,
     _coefficients,
@@ -46,6 +46,21 @@ def test_bernoulli_base_and_recurrence_values():
         assert bernoulli(n) == recurrence(n)
 
 
+def test_bernoulli_table_grows_once_and_meets_von_staudt_clausen():
+    top = bernoulli(240)
+    size = len(exactnum._BERNOULLI)
+    assert size >= 241
+    for k in range(1, 121):
+        b = bernoulli(2 * k)
+        assert (b > 0) == (k % 2 == 1)
+        # von Staudt-Clausen: the denominator of B_2k is the product of the
+        # primes p with (p - 1) | 2k
+        primes = [p for p in range(2, 2 * k + 2) if (2 * k) % (p - 1) == 0 and all(p % d for d in range(2, p))]
+        assert b.denominator == math.prod(primes)
+    # one table, extended on demand: smaller requests build nothing
+    assert bernoulli(240) == top and len(exactnum._BERNOULLI) == size
+
+
 def test_bernoulli_rejects_negative():
     with pytest.raises(DomainError):
         bernoulli(-1)
@@ -53,9 +68,9 @@ def test_bernoulli_rejects_negative():
 
 # ------------------------------------------------------------- exact zetas
 def test_zeta_even_exact_small_values():
-    assert zeta_even_exact(2).terms == ((2, 0, Fraction(1, 6)),)
-    assert zeta_even_exact(4).terms == ((4, 0, Fraction(1, 90)),)
-    assert zeta_even_exact(6).terms == ((6, 0, Fraction(1, 945)),)
+    assert zeta_even_exact(2).terms == ((2, 0, 0, Fraction(1, 6)),)
+    assert zeta_even_exact(4).terms == ((4, 0, 0, Fraction(1, 90)),)
+    assert zeta_even_exact(6).terms == ((6, 0, 0, Fraction(1, 945)),)
     with pytest.raises(DomainError):
         zeta_even_exact(3)
     with pytest.raises(DomainError):
@@ -223,9 +238,9 @@ def test_symscalar_algebra_and_trimming():
     c = a + b - a
     assert c == b
     assert (a - a).is_zero()
-    assert (a * 3).terms == ((2, 0, Fraction(1, 2)),)
+    assert (a * 3).terms == ((2, 0, 0, Fraction(1, 2)),)
     prod = a * a
-    assert prod.terms == ((4, 0, Fraction(1, 36)),)
+    assert prod.terms == ((4, 0, 0, Fraction(1, 36)),)
 
 
 def test_symscalar_rejects_zeta_zeta_product():
@@ -242,7 +257,59 @@ def test_symscalar_numeric_and_str():
     assert str(SymScalar()) == "0"
 
 
+def test_symscalar_gaussian_algebra():
+    i = SymScalar({(0, 0, 1): 1})
+    z3 = SymScalar.pi_term(1, 0, 3)
+    assert i * i == -1
+    assert (i * z3) * i == -z3
+    assert (i * z3).terms == ((0, 3, 1, Fraction(1)),)
+    # division by a nonzero Gaussian rational inverts multiplication
+    g = 3 + 4 * i
+    x = SymScalar.pi_term(Fraction(2, 5), 4) + i * z3
+    assert (x * g) / g == x == x / g * g
+    assert x / Fraction(1, 2) == 2 * x
+    with pytest.raises(ZeroDivisionError):
+        x / (i - i)
+    with pytest.raises(DomainError):
+        x / (1 + i * z3)
+    # the one basis rule rejects zeta(odd)^2 with or without an i factor
+    with pytest.raises(DomainError, match="two zeta"):
+        (i * z3) * z3
+    with pytest.raises(DomainError):
+        SymScalar({(0, 0, 2): 1})
+
+
+def test_symscalar_numeric_is_float_without_i_and_complex_with_it():
+    i = SymScalar({(0, 0, 1): 1})
+    real = SymScalar.pi_term(Fraction(7, 90), 4) - SymScalar.pi_term(2, 1, 3)
+    v = real.numeric()
+    assert type(v) is float
+    w = (real + i * SymScalar.pi_term(1, 1)).numeric()
+    assert type(w) is complex and w == complex(v, math.pi)
+    assert (i * real).numeric() == complex(0.0, v)
+    assert str(real) == "(-2)*pi*zeta(3) + (7/90)*pi^4"
+    assert str(i * real) == "(-2)*i*pi*zeta(3) + (7/90)*i*pi^4"
+    assert (str(i), str(-i), str(SymScalar.rational(1))) == ("i", "(-1)*i", "1")
+
+
+def test_symscalar_numeric_overflow_is_a_convergence_error():
+    assert SymScalar.pi_term(1, 600).numeric() == math.pi ** 600
+    with pytest.raises(ConvergenceError, match="overflows") as exc:
+        SymScalar.pi_term(1, 700).numeric()
+    assert exc.value.suggestion == "pi power < 700"
+
+
+def test_zeta_odd_numeric_past_the_float_range_of_n_to_the_m():
+    # 50^m overflows from m = 183 on; there zeta(m) = 1 + 2^-m + ... rounds to 1
+    assert zeta_odd_numeric(181) == 1.0
+    assert zeta_odd_numeric(183) == zeta_odd_numeric(639) == 1.0
+
+
 def test_symscalar_rational_roundtrip():
+    # a rational is the one (0, 0, 0) term; only Gaussian rationals divide
     q = SymScalar.rational(Fraction(-5, 7))
-    assert q.is_rational() and q.rational_value() == Fraction(-5, 7)
-    assert not zeta_even_exact(2).is_rational()
+    assert q.terms == ((0, 0, 0, Fraction(-5, 7)),)
+    assert zeta_even_exact(2).terms[0][:3] != (0, 0, 0)
+    assert zeta_even_exact(2) / q == SymScalar.pi_term(Fraction(-7, 30), 2)
+    with pytest.raises(DomainError):
+        q / zeta_even_exact(2)

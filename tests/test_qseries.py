@@ -154,7 +154,6 @@ def test_eps_convergence_error_when_budget_too_small():
         lambda: eps(2, 1e-300 + 1j),  # |q^2| rounds to 1
         lambda: lambert_S(2, 1e-300 + 1j),
         lambda: eps(100000, 1.0),  # n^(2t-1) leaves the float range
-        lambda: lambert_S(100000, 1.0),
     ],
 )
 def test_float_range_failures_are_convergence_errors(call):
@@ -268,6 +267,37 @@ def test_psi_bar_periodicity():
         for b in (0.8 + 0.2j, 1.5, 2.0 - 0.7j):
             gap = psi_bar(t, b - 1j).value - psi_bar(t, b).value
             assert abs(gap) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "t,b,value,terms,tail,psi",
+    [
+        (2, 1.0, 0.0018713727593660278 + 0j, 5, 4.2570358786951315e-17, 0.02351636365180949 + 0j),
+        (3, 0.8 + 0.3j, -0.0020632786379163057 - 0.006214020020356412j, 6, 5.305212612700038e-16,
+         -0.025927924044746482 - 0.07808767858084639j),
+        (6, 0.3, 0.17902853275553354 + 0j, 18, 3.882841773381539e-16, 2.249738893150975 + 0j),
+        (40, 1.5, 8.070603050803164e-05 + 0j, 3, 4.241835783594197e-17, 0.0010141818901777038 + 0j),
+        (150, 1.0, 0.0018709365986606446 + 0j, 5, 4.2570358786951315e-17, 0.023510882694738226 + 0j),
+    ],
+)
+def test_lambert_S_and_psi_bar_bits_are_pinned(t, b, value, terms, tail, psi):
+    # where n^(2t-1) still converts to a float, every bit stays as it was
+    got = lambert_S(t, b)
+    assert (got.value, got.terms, got.tail_bound) == (value, terms, tail)
+    assert psi_bar(t, b).value == psi
+
+
+@pytest.mark.parametrize("t,b", [(600, 1.0), (600, 0.05), (600, 2 + 1j), (100000, 1.0)])
+def test_lambert_S_past_the_float_range_of_n_to_the_k(t, b):
+    # S_t = sum_m m^(1-2t) q^(2m) / (1 - q^(2m)) is an ordinary double here
+    # even though 2^(2t-1) is not
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        q2 = mpmath.exp(-2 * mpmath.pi * mpmath.mpc(b))
+        want = complex(mpmath.nsum(lambda m: m ** (1 - 2 * t) * q2 ** m / (1 - q2 ** m), [1, mpmath.inf]))
+    got = lambert_S(t, b)
+    assert abs(got.value - want) <= got.tail_bound + 1e-15 * abs(want)
+    assert psi_bar(t, b).value == 4 * math.pi * got.value
 
 
 def test_phi_bar_translation_gap_value():
