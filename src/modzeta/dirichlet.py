@@ -35,15 +35,12 @@ from .errors import (
     SingularityError,
 )
 from .epstein import bessel_k
-from .exactnum import _coefficients, gamma_numeric, zeta_negative_exact
+from .exactnum import _coefficients, _lazy, gamma_numeric, zeta_negative_exact
 from .qseries import SeriesValue, _certified_sum, _quad
 
 # relative rounding allowance per Bessel term: bessel_k is within 1.3e-13
 # of mpmath, and the powers, products and sum add a few ulps
 _ROUNDING = 2e-13
-
-# scipy.special.gammaincc, bound by berndt_phi's tail where it first needs it
-_gammaincc = None
 
 __all__ = [
     "DirichletDatum",
@@ -453,7 +450,6 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
             yield term
 
     def tail(n: int) -> float:
-        global _gammaincc
         if d.finite_n is not None and n >= d.finite_n:
             return 0.0
         n1 = n + 1
@@ -464,10 +460,8 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
         first = head * n1 ** pe * math.exp(-x1)
         if first / abs(gam_s) > tol:  # rest >= 0 cannot bring the tail under tol
             return first / abs(gam_s)
-        if _gammaincc is None:
-            from scipy.special import gammaincc as _gammaincc
         rest = head * (2.0 / q) * kappa ** (-alpha) * float(
-            _gammaincc(alpha, x1)
+            _lazy("scipy.special").gammaincc(alpha, x1)
         ) * gam_alpha
         return (first + rest) / abs(gam_s)
 
@@ -513,7 +507,13 @@ def koshliakov_residue_closed_form(d: DirichletDatum) -> float:
     return -psi0 * a_k * b_k ** nu / float(gamma_numeric(nu).real)
 
 
-def pole_residue(d: DirichletDatum, hs=(0.1, 0.05, 0.025), stability_tol: float = 5e-4) -> PoleResidueResult:
+# the Richardson cross-check's steps, each half the last (its two steps
+# assume halving), and the relative spread it accepts
+_RESIDUE_HS = (0.1, 0.05, 0.025)
+_RESIDUE_STABILITY_TOL = 5e-4
+
+
+def pole_residue(d: DirichletDatum) -> PoleResidueResult:
     """Extract Res_{s=nu} phi(s), nu = delta, from the kernel integrals.
 
     Writes h phi_B(nu+h) = [A(h) + h I1(nu+h)] / Gamma(nu+h) with
@@ -575,14 +575,14 @@ def pole_residue(d: DirichletDatum, hs=(0.1, 0.05, 0.025), stability_tol: float 
         return (a_h + h * i1(nu + h)) / float(gamma_numeric(nu + h).real)
 
     r0 = r_of_h(0.0)
-    vals = [r_of_h(h) for h in hs]
+    vals = [r_of_h(h) for h in _RESIDUE_HS]
     # two Richardson steps assuming halving steps
     r01 = vals[1] + (vals[1] - vals[0])
     r12 = vals[2] + (vals[2] - vals[1])
     extr = r12 + (r12 - r01) / 3.0
     spread = abs(extr - r0)
     scale = max(abs(r0), abs(g1) / float(gamma_numeric(nu).real), 1e-12)
-    if spread > stability_tol * scale:
+    if spread > _RESIDUE_STABILITY_TOL * scale:
         raise DiagnosticsError(
             f"pole_residue extrapolation unstable: direct {r0:.6e}, extrapolated {extr:.6e}"
         )

@@ -22,9 +22,9 @@ half-integer order and by ``scipy.special.kv`` (the AMOS routines)
 otherwise; all series truncations use the rigorous bound
 ``K_nu(x) <= sqrt(pi/2x) exp(-x + nu^2/(2x))``.
 
-scipy and numpy are imported on first use, by ``bessel_k`` and by
-``_numpy`` (the lattice sums and ``rp_counts``): most routes call neither,
-and importing them is most of a process's start-up.
+scipy and numpy are imported on first use, through ``exactnum._lazy``:
+``bessel_k`` past its closed form loads scipy, the lattice sums and
+``rp_counts`` load numpy, and most routes call neither.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError
-from .exactnum import _coefficients, gamma_numeric, zeta_numeric
+from .exactnum import _coefficients, _lazy, gamma_numeric, zeta_numeric
 from .qseries import SeriesValue, _certified_sum, _quad, lambert_S, log_deriv_D, lambert_expansion
 
 if TYPE_CHECKING:
@@ -58,18 +58,6 @@ __all__ = [
 
 _MAX_POINTS = (2 * 8192 + 1) ** 2 - 1  # the largest sum z2_direct admitted: radius 8192
 _BLOCK = 1 << 20  # lattice points per streamed block
-
-# bound on first use: numpy by _numpy, scipy.special's kv and kve by bessel_k
-_np = _kv = _kve = None
-
-
-def _numpy():
-    """The numpy module, imported on the first call."""
-    global _np
-    if _np is None:
-        import numpy as _np
-    return _np
-
 
 @dataclass(frozen=True)
 class BinaryForm:
@@ -142,17 +130,15 @@ def bessel_k(nu: float, x: float) -> float:
     to ``scipy.special.kv`` (AMOS, ACM TOMS 644), and to ``kve(nu, x) e^-x``
     where ``kv`` underflows to 0.
     """
-    global _kv, _kve
     if x <= 0:
         raise DomainError("bessel_k requires x > 0")
     nu = abs(float(nu))  # K is even in its order
     half = nu - 0.5
     if abs(half - round(half)) < 1e-14 and half >= -0.25:
         return _bessel_k_half_integer(int(round(half)), x)
-    if _kv is None:
-        from scipy.special import kv as _kv, kve as _kve
+    special = _lazy("scipy.special")
     # kv flushes to 0 short of the double range (K_2(700) = 4.7e-306); kve does not
-    return float(_kv(nu, x)) or float(_kve(nu, x)) * math.exp(-x)
+    return float(special.kv(nu, x)) or float(special.kve(nu, x)) * math.exp(-x)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +191,7 @@ def _lattice_sum(gram: np.ndarray, s: float, m2: float, radius: int) -> float:
     the same sum one dimension down.  Rows stream in blocks of about
     ``_BLOCK`` points, each evaluated in place in one preallocated buffer,
     so memory grows like R^(p-1)."""
-    np = _numpy()
+    np = _lazy("numpy")
     p = len(gram)
     side = 2 * radius + 1
     rest = np.indices((side,) * (p - 1)).reshape(p - 1, side ** (p - 1)) - radius
@@ -313,7 +299,7 @@ def z2_direct(
         )
     # shells |.|_inf = k have 8k points with Q >= lam_min k^2
     const = 8 * form.min_eigenvalue ** (-s) if tail == "bound" else None
-    gram = _numpy().array([[form.a, form.b], [form.b, form.c]])
+    gram = _lazy("numpy").array([[form.a, form.b], [form.b, form.c]])
     return _direct(gram, s, 0.0, const, tol, radius, tail)
 
 
@@ -321,20 +307,13 @@ def z2_direct(
 # Kober / Bessel expansion of the binary Epstein function
 # ---------------------------------------------------------------------------
 
-def _bessel_series(
-    w: float, u: float, v: float, target: float, max_terms: int = 4000, store: dict | None = None
-) -> SeriesValue:
+def _bessel_series(w: float, u: float, v: float, target: float, max_terms: int = 4000) -> SeriesValue:
     """sum_n sigma_{2w}(n) n^{-w} cos(2 pi v n) K_w(2 pi u n) with a
-    certified truncation (sigma_{2w}(n) n^{-w} <= 2 n^{1/2+|w|}).
-
-    A non-integer order 2w keeps its sigma table in ``store``: the caller's,
-    to share it between series of the same w, else one for this call only.
-    """
+    certified truncation (sigma_{2w}(n) n^{-w} <= 2 n^{1/2+|w|})."""
     k = 2 * w
     if abs(k - round(k)) < 1e-12 and round(k) >= 0:
-        sigma = _coefficients("sigma", int(round(k)))
-    else:  # a non-integer order seldom repeats outside one caller
-        sigma = _coefficients("sigma", k, {} if store is None else store)
+        k = int(round(k))
+    sigma = _coefficients("sigma", k)
     terms = (
         float(sigma(n)) * n ** (-w) * math.cos(2 * math.pi * v * n)
         * bessel_k(w, 2 * math.pi * u * n)
@@ -444,7 +423,7 @@ def rp_counts(p: int, n_max: int) -> np.ndarray:
     roots = math.isqrt(n_max)
     if (2 * roots + 1) ** p >= 2 ** 63:
         raise DomainError("rp_counts: counts would overflow int64")
-    np = _numpy()
+    np = _lazy("numpy")
     out = np.zeros(n_max + 1, dtype=np.int64)
     out[0] = 1
     for _ in range(p):
@@ -468,7 +447,7 @@ def zp_brute(p: int, s: float, w: float, tol: float = 1e-11, tail: str = "bound"
     if 2 * s <= p:
         raise DomainError("zp_brute needs 2s > p for convergence")
     radius = (1200 if p == 1 else 500) if tail == "integral" else None
-    return _direct(_numpy().eye(p), s, w * w, 2 * p * 3 ** (p - 1), tol, radius, tail)
+    return _direct(_lazy("numpy").eye(p), s, w * w, 2 * p * 3 ** (p - 1), tol, radius, tail)
 
 
 def zp_massive(p: int, s: float, w: float, target_tol: float = 1e-11) -> SeriesValue:
@@ -510,12 +489,12 @@ def xi_completed(z: float) -> float:
 def guinand_lhs_bessel(w: float, u: float, tol: float = 1e-13) -> float:
     """S(u) - (1/u) S(1/u) with S(u) = sum sigma_{2w}(n) n^{-w} K_w(2 pi n u)."""
     inv = 1.0 / u
-    store: dict = {}  # S(u) and S(1/u) read one sigma_{2w} table
     s = {}
-    # the series at the smaller argument is the longer one: run first, it
-    # builds the whole table and the other series only reads it
+    # S(u) and S(1/u) read one sigma_{2w} table.  The series at the smaller
+    # argument is the longer one: run first, it builds the whole table and
+    # the other series only reads it
     for arg in sorted((u, inv)):
-        s[arg] = _bessel_series(w, arg, 0.0, tol, store=store).value
+        s[arg] = _bessel_series(w, arg, 0.0, tol).value
     return s[u] - s[inv] / u
 
 

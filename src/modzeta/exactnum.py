@@ -15,15 +15,19 @@ function.  Odd-zeta constants are precomputed by an accelerated alternating
 series and cached for SymScalar evaluation.
 
 Divisor side: ``divisor_sigma`` (pointwise, the reference) and the one
-cache of sigma_k and r_p tables, keyed by kind and integer order, that
-every series reads its coefficients from.
+cache of sigma_k and r_p tables, keyed by kind and order, that every
+series reads its coefficients from: every integer order is kept, and only
+the last non-integer order.
+
+scipy and numpy are imported on first use, through ``_lazy``.
 """
 from __future__ import annotations
 
 import cmath
+import importlib
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 
 from .errors import ConvergenceError, DomainError, SingularityError
@@ -46,15 +50,19 @@ __all__ = [
 _EM_N = 40
 _EM_M = 20
 
-# scipy.special.gamma, bound by gamma_numeric on its first call: importing
-# scipy is most of a process's start-up, and most routes never call it
-_cgamma = None
-
 # Re s below which zeta_numeric switches to the reflection formula.  Kept
 # negative so both zeta(s) and zeta(1-s) inside the critical strip are
 # computed by the direct Euler-Maclaurin path (functional-equation tests
 # then compare two genuinely different evaluations).
 _REFLECT_BELOW = -0.5
+
+
+@cache
+def _lazy(name: str):
+    """The module ``name``, imported on the first call.  Every scipy and
+    numpy use goes through here: importing them is most of a process's
+    start-up, and most routes never need them."""
+    return importlib.import_module(name)
 
 
 def require_finite(z: complex) -> complex:
@@ -186,14 +194,10 @@ def zeta_numeric(s: complex) -> complex:
 def gamma_numeric(s: complex) -> complex:
     """Gamma(s) for complex s away from the poles 0, -1, -2, ...
     (``scipy.special.gamma``, imported on the first call)."""
-    global _cgamma
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and abs(s.real - round(s.real)) < 1e-12:
         raise SingularityError(f"gamma has a pole at s = {s.real:g}")
-    if _cgamma is None:
-        from scipy.special import gamma as _cgamma
-    val = complex(_cgamma(s))
-    return require_finite(val)
+    return require_finite(complex(_lazy("scipy.special").gamma(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +244,20 @@ def sigma_range(k: int, n_max: int) -> list[int]:
     return out
 
 
+# tables by (kind, order): every integer order for the life of the process,
+# and only the last non-integer sigma order, which repeats back to back at
+# most (guinand_lhs_bessel's S(u), then S(1/u))
 _SIEVES: dict[tuple[str, int], list[int]] = {}
+_LAST_NON_INTEGER: dict[tuple[str, float], list[float]] = {}
 
 
-def _sieve(kind: str, order, n: int, store: dict = _SIEVES) -> list:
+def _sieve(kind: str, order, n: int) -> list:
     """Coefficient table covering index ``n``: sigma_order (kind "sigma",
     built by ``sigma_range``) or r_order (kind "rp", built by
-    ``epstein.rp_counts``).
-
-    Integer orders share the module cache.  A non-integer sigma order
-    seldom repeats, so its caller passes a store of its own.  The first build
-    covers the request and later builds double, so sequential access costs
-    O(log n) builds.
+    ``epstein.rp_counts``).  The first build covers the request and later
+    builds double, so sequential access costs O(log n) builds.
     """
+    store = _SIEVES if isinstance(order, int) else _LAST_NON_INTEGER
     table = store.get((kind, order))
     if table is None or n >= len(table):
         size = n if table is None else max(n, 2 * (len(table) - 1))
@@ -262,11 +267,13 @@ def _sieve(kind: str, order, n: int, store: dict = _SIEVES) -> list:
             from . import epstein  # rp_counts lives with the lattice sums
 
             table = epstein.rp_counts(order, size).tolist()
+        if store is _LAST_NON_INTEGER:
+            store.clear()
         store[(kind, order)] = table
     return table
 
 
-def _coefficients(kind: str, order, store: dict = _SIEVES):
+def _coefficients(kind: str, order):
     """Per-term view n -> table[n] of a ``_sieve`` table.  It keeps the
     table it was last given (entries never change, tables only grow) and
     asks ``_sieve`` again only for an index beyond it."""
@@ -275,7 +282,7 @@ def _coefficients(kind: str, order, store: dict = _SIEVES):
     def at(n: int):
         nonlocal table
         if n >= len(table):
-            table = _sieve(kind, order, n, store)
+            table = _sieve(kind, order, n)
         return table[n]
 
     return at

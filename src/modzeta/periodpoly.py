@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, InconsistencyError
 from .exactnum import SymScalar, _basis_product, zeta_even_exact
@@ -289,24 +290,15 @@ class RationalPeriodFunction:
         return self.weight == o.weight and self.num * o.den == o.num * self.den
 
 
-_STROKE_MATRICES: dict = {}
-
-
+@lru_cache(maxsize=1024)
 def _stroke_columns(g: GroupElement, n: int) -> tuple:
     """Columns of the integer matrix whose row k holds the coefficients of
     (a tau + b)^k (c tau + d)^(n-k), cached per (g, n)."""
-    key = (g.a, g.b, g.c, g.d, n)
-    cols = _STROKE_MATRICES.get(key)
-    if cols is None:
-        tops, bots = [[1]], [[1]]
-        for _ in range(n):
-            tops.append(_conv(tops[-1], [g.b, g.a]))
-            bots.append(_conv(bots[-1], [g.d, g.c]))
-        cols = tuple(zip(*(_conv(tops[k], bots[n - k]) for k in range(n + 1))))
-        if len(_STROKE_MATRICES) >= 1024:
-            _STROKE_MATRICES.clear()
-        _STROKE_MATRICES[key] = cols
-    return cols
+    tops, bots = [[1]], [[1]]
+    for _ in range(n):
+        tops.append(_conv(tops[-1], [g.b, g.a]))
+        bots.append(_conv(bots[-1], [g.d, g.c]))
+    return tuple(zip(*(_conv(tops[k], bots[n - k]) for k in range(n + 1))))
 
 
 def _substitute(p: Poly, g: GroupElement, n: int) -> Poly:

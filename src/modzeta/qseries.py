@@ -31,6 +31,7 @@ from functools import lru_cache
 from .errors import ConvergenceError, DomainError, InconsistencyError, UnsupportedError
 from .exactnum import (
     _coefficients,
+    _lazy,
     bernoulli,
     gamma_numeric,
     require_finite,
@@ -66,23 +67,17 @@ _MELLIN_T = 40.0
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
-# scipy.integrate's quad and IntegrationWarning, bound by _quad on its first
-# call, so a process whose routes never integrate never imports scipy
-_scipy_quad = _IntegrationWarning = None
-
 
 def _quad(f, a, b, **kw):
-    global _scipy_quad, _IntegrationWarning
-    if _scipy_quad is None:
-        from scipy.integrate import IntegrationWarning as _IntegrationWarning, quad as _scipy_quad
+    integrate = _lazy("scipy.integrate")
     # quad's roundoff warning fires on exponentially decaying integrands even
     # when the returned estimate is fine; the estimate itself is propagated
     # into our certified bounds, so the warning carries no extra information
     opts = dict(_QUAD_OPTS)
     opts.update(kw)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _IntegrationWarning)
-        return _scipy_quad(f, a, b, **opts)
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(f, a, b, **opts)
 
 
 @dataclass(frozen=True)
@@ -304,7 +299,7 @@ def lambert_S(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS)
 
 def psi_bar(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
     """psi_bar_{2t} = 4 pi S_t: translation-periodic modular integral."""
-    s = lambert_S(t, p, tol)
+    s = lambert_S(t, p, tol / (4 * math.pi))
     return SeriesValue(4 * math.pi * s.value, s.terms, 4 * math.pi * s.tail_bound)
 
 

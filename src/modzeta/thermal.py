@@ -34,9 +34,9 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .epstein import _numpy, bessel_k
+from .epstein import bessel_k
 from .errors import ConvergenceError, DomainError
-from .exactnum import _coefficients, zeta_negative_exact, zeta_odd_numeric
+from .exactnum import _coefficients, _lazy, zeta_negative_exact, zeta_odd_numeric
 from .qseries import (
     SeriesValue,
     _certified_sum,
@@ -184,7 +184,7 @@ def _negative_somewhere(coeffs) -> bool:
         return False
     near = {1}
     if len(exact) > 1:
-        for root in _numpy().roots([float(c) for c in reversed(exact)]):
+        for root in _lazy("numpy").roots([float(c) for c in reversed(exact)]):
             base = math.floor(root.real)
             near.update(range(max(base - 1, 1), max(base + 3, 1)))
     return any(sum(c * n ** k for k, c in enumerate(exact)) < 0 for n in near)
@@ -202,15 +202,27 @@ def _divisor_series(k: int, weight: float, q2: float, tol: float = 1e-16) -> Ser
     """sum_n sigma_k(n) n^{-weight} q2^n with a simple certified cutoff."""
     bound_pow = max(k - weight + 1.0, 0.0)
     sigma = _coefficients("sigma", k)
-    terms = (
-        sigma(n) * float(n) ** (-weight) * qn
-        for n, qn in enumerate(_powers(q2, 1.0), 1)
-    )
+    # sigma_k(n) and (n + 1)^bound_pow can leave the floats before the terms
+    # and the majorant do: only then are these taken through logs
+    log_q2 = math.log(q2) if q2 else -math.inf
+
+    def term(n: int, qn: float) -> float:
+        try:
+            return sigma(n) * float(n) ** (-weight) * qn
+        except OverflowError:
+            return math.exp(math.log(sigma(n)) - weight * math.log(n) + n * log_q2)
+
+    def tail(n: int) -> float:
+        try:
+            return _power_series_tail(1.3, bound_pow, q2, n)
+        except OverflowError:  # past the ratio >= 1 check, so 1 - ratio > 0
+            ratio = ((n + 2) / (n + 1)) ** bound_pow * q2
+            return 1.3 * math.exp(bound_pow * math.log(n + 1) + (n + 1) * log_q2) / (1.0 - ratio)
+
+    terms = (term(n, qn) for n, qn in enumerate(_powers(q2, 1.0), 1))
     try:
-        return _certified_sum(
-            terms, lambda n: _power_series_tail(1.3, bound_pow, q2, n), tol, 200_000, "divisor series"
-        )
-    except OverflowError:  # sigma_k(n), or the majorant's power of n, is past the floats
+        return _certified_sum(terms, tail, tol, 200_000, "divisor series")
+    except OverflowError:  # a term, or the majorant, is past the floats
         raise ConvergenceError(
             f"divisor series: sigma_{k}(n) at q^2 = {q2:.3g} leaves the float range",
             suggestion=f"t < {(k + 1) // 2}",  # k = 2t - 1 in the partial free energy and entropy
@@ -227,7 +239,12 @@ def free_energy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
     q2 = math.exp(-2.0 * math.pi / xi)
     scale = xi / (2 * math.pi)
     series = _divisor_series(2 * t - 1, 1.0, q2, min(tol, tol / scale))
-    val = float(casimir_constant(t)) - scale * series.value
+    try:
+        val = float(casimir_constant(t)) - scale * series.value
+    except OverflowError:  # B_2t / 4t alone is past the floats
+        val = math.inf
+    if not math.isfinite(val):
+        raise ConvergenceError(f"free energy f_{t}({xi:g}) leaves the float range", suggestion=f"t < {t}")
     return SeriesValue(val, series.terms, scale * series.tail_bound)
 
 
@@ -360,7 +377,10 @@ def thermal_zeta_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-12
     the s -> 0 limit leaves the zeta-regularized Casimir term plus
     -(2/beta) sum_m sqrt(w_n/m) K_{1/2}(2 pi m w_n), w_n = beta n / 2 pi
     (only the half-integer Bessel survives the limit).  Its tail adds the
-    per-mode series' tails, 2 sum_n d_n tail_n / beta, to the mode sum's."""
+    per-mode series' tails, 2 sum_n d_n tail_n / beta, to the mode sum's;
+    mode n's series gets tol beta / (4 max(d_n, 1)) times 6 / (pi n)^2, so
+    the inner tails stay within tol / 2, and the mode sum takes the other
+    half."""
     inner_tails = []
 
     def term(n: int, d: float) -> float:
@@ -370,12 +390,12 @@ def thermal_zeta_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-12
             # the terms are e^{-m beta n} / 2m, so the tail past m is at most the next
             # term over 1 - e^{-beta n}; twice the next term covers that once beta n >= log 2
             lambda m: math.exp(-(m + 1) * beta * n) / ((m + 1) * min(1.0, -2.0 * math.expm1(-beta * n))),
-            tol * beta / (4 * max(d, 1.0)),
+            tol * beta / (4 * max(d, 1.0)) * 6.0 / (math.pi * n) ** 2,
             200_000,
             f"thermal-zeta mode {n}",
         )
         inner_tails.append(d * mode.tail_bound)
         return -2.0 * d * mode.value
 
-    f = _mode_sum(spec, beta, tol, term, "thermal_zeta_free_energy")
+    f = _mode_sum(spec, beta, tol / 2, term, "thermal_zeta_free_energy")
     return SeriesValue(f.value, f.terms, f.tail_bound + 2.0 * sum(inner_tails) / beta)

@@ -1,4 +1,5 @@
 """CLI surface: output formats, exit codes, determinism."""
+import ast
 import importlib
 import json
 import math
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import modzeta
 from modzeta.cli import QUANTITIES, main
 
 
@@ -273,7 +275,6 @@ SPECTRUM_FILES = {
         ("eval eps --t 2 --b 1e-300,1", 3),
         ("eval eps --t 100000 --b 1", 3),
         ("eval free_energy --t 300 --xi 1", 3),
-        ("eval free_energy --t 100 --xi 1", 3),
         ("eval entropy --t 200 --xi 0.5", 3),
         ("eval pbar --t 320 --x 0.5", 3),
         ("eval mode_sum_F --spectrum {dir}/missing.json --beta 1", 2),
@@ -362,15 +363,60 @@ def test_importing_verify_loads_neither_scipy_nor_numpy():
         ("qseries", "mellin_eps_sub(2, 1.0)"),
         ("epstein", "bessel_k(1.3, 2.0)"),
         # every certified berndt_phi ends on a tail that calls gammaincc
-        ("dirichlet", "(berndt_phi(diagonal_epstein_datum(2), 3.0, 1.0), _gammaincc is not None)"),
+        ("dirichlet", "(berndt_phi(diagonal_epstein_datum(2), 3.0, 1.0), 'scipy.special' in sys.modules)"),
         ("epstein", "rp_counts(2, 10).tolist()"),
     ],
 )
 def test_deferred_imports_bind_in_a_fresh_process(module, call):
     # the first call imports what it needs; the value is the one this process computes
-    expect = repr(eval(call, vars(importlib.import_module(f"modzeta.{module}"))))
-    got = _fresh_process(f"import modzeta.{module} as m; print(repr(eval({call!r}, vars(m))))")
+    expect = repr(eval(call, {**vars(importlib.import_module(f"modzeta.{module}")), "sys": sys}))
+    got = _fresh_process(f"import sys, modzeta.{module} as m; print(repr(eval({call!r}, {{**vars(m), 'sys': sys}})))")
     assert got == expect + "\n"
+
+
+def _type_checking_only(tree: ast.Module) -> set:
+    """ids of the nodes under ``if TYPE_CHECKING:``, which never run."""
+    return {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and isinstance(block.test, ast.Name) and block.test.id == "TYPE_CHECKING"
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
+
+
+def test_only_exactnum_imports_scipy_or_numpy():
+    # every other module asks exactnum._lazy, the one place that imports them
+    offenders = []
+    for path in sorted(Path(modzeta.__file__).parent.glob("*.py")):
+        if path.stem == "exactnum":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = _type_checking_only(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if id(node) not in skip and any(name.split(".")[0] in ("scipy", "numpy") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_free_energy_past_the_float_range_of_sigma_exits_0(capsys):
+    # sigma_199(36) and 35^199 leave the floats, but every term stays below 5.1e210
+    mpmath = pytest.importorskip("mpmath")
+    assert main(["eval", "free_energy", "--t", "100", "--xi", "1", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    with mpmath.workdps(50):
+        q2 = mpmath.exp(-2 * mpmath.pi)
+        series = mpmath.fsum(
+            sum(d ** 199 for d in range(1, m + 1) if m % d == 0) * q2 ** m / m for m in range(1, 400)
+        )
+        expect = float(-mpmath.bernoulli(200) / 400 - series / (2 * mpmath.pi))
+    assert abs(float(doc["value"]["re"]) - expect) <= float(doc["est_error"]) + 1e-12 * abs(expect)
 
 
 def test_far_table_spectrum_evaluates(tmp_path, capsys):
@@ -387,6 +433,8 @@ def test_far_table_spectrum_evaluates(tmp_path, capsys):
         "eval z2_kober --form 1,0,1 --w 1.3",
         "eval free_energy --t 2 --xi 3.0",
         "eval mode_sum_F --beta 1",
+        "eval psi_bar --t 2 --b 0.6",
+        "eval phi_bar --t 2 --b 0.6",
     ],
 )
 def test_tol_reaches_the_route(argv, capsys):

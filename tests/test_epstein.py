@@ -609,15 +609,18 @@ def test_guinand_builds_its_sigma_table_once(monkeypatch, w, u):
         return real(k, n_max)
 
     monkeypatch.setattr(exactnum, "sigma_range", recording)
+    exactnum._LAST_NON_INTEGER.clear()
     guinand_lhs_bessel(w, u)
     pair = list(built)
     built.clear()
+    exactnum._LAST_NON_INTEGER.clear()
     _bessel_series(w, min(u, 1.0 / u), 0.0, 1e-13)
     assert pair == built and pair
     assert all(k == 2 * w for k, _ in pair)
     sizes = [n for _, n in pair]
     assert sizes == sorted(set(sizes))  # no size built twice
     assert ("sigma", 2 * w) not in exactnum._SIEVES
+    assert list(exactnum._LAST_NON_INTEGER) == [("sigma", 2 * w)]  # one non-integer table kept
 
 
 def test_guinand_derivative_form_matches_bessel_form():

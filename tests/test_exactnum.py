@@ -203,20 +203,20 @@ def test_sieve_first_build_covers_request_then_doubles(monkeypatch):
         return real(k, n_max)
 
     monkeypatch.setattr(exactnum, "sigma_range", recording)
-    store = {}
+    monkeypatch.setattr(exactnum, "_SIEVES", {})
     for n in (10, 5, 11, 100, 30, 201):
-        assert _sieve("sigma", 2, n, store)[n] == divisor_sigma(2, n)
+        assert _sieve("sigma", 2, n)[n] == divisor_sigma(2, n)
     assert built == [10, 20, 100, 201]
 
 
 @pytest.mark.parametrize("k", [2.6, -1.4, 0.37, 5.0000001])
 def test_non_integer_sigma_table_is_the_direct_divisor_sum(k):
-    store = {}
-    sigma = _coefficients("sigma", k, store)
+    sigma = _coefficients("sigma", k)
     for n in range(1, 301):
         assert sigma(n) == sum(d ** k for d in range(1, n + 1) if n % d == 0)
-    assert list(store) == [("sigma", k)]
-    assert ("sigma", k) not in exactnum._SIEVES
+    # only the last non-integer order is kept, and never in the integer cache
+    assert list(exactnum._LAST_NON_INTEGER) == [("sigma", k)]
+    assert all(isinstance(order, int) for _, order in exactnum._SIEVES)
 
 
 @settings(max_examples=60, deadline=None)

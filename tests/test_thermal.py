@@ -258,7 +258,7 @@ def test_partial_tails_stay_within_tol(fn, args, tol):
 @pytest.mark.parametrize(
     "spec,beta,mode_sum,thermal_zeta",
     [
-        (S3_SPEC, 1.0, (-2.1341980103638787, 40), (-2.1341980103620384, 35)),
+        (S3_SPEC, 1.0, (-2.1341980103638787, 40), (-2.134198010363547, 36)),
         (S3_SPEC, 3.0, (-0.01657126615560636, 12), (-0.01657126615549535, 11)),
         (S3_SPEC, 2 * math.pi, (0.0038669465907374533, 5), (0.003866946590738217, 5)),
         (S3_SPEC, 8.0, (0.0041246704930709465, 4), (0.0041246704930998366, 3)),
@@ -279,10 +279,10 @@ POLYNOMIAL_SPECTRA = [S3_SPEC, SpectrumSpec("linear", (0, 1)), SpectrumSpec("sex
 @pytest.mark.parametrize("spec", POLYNOMIAL_SPECTRA, ids=lambda spec: spec.label)
 def test_mode_sum_tails_are_their_own(spec, beta):
     # the certificate is the majorant at the stop, not the requested tol echoed back;
-    # thermal-zeta's also carries its per-mode series' tails, which can pass tol
+    # thermal-zeta's also carries its per-mode series' tails
     for tol in (1e-14, 1e-8):
         assert 0.0 < mode_sum_free_energy(spec, beta, tol).tail_bound <= tol
-        assert thermal_zeta_free_energy(spec, beta, tol).tail_bound > 0.0
+        assert 0.0 < thermal_zeta_free_energy(spec, beta, tol).tail_bound <= tol
     assert mode_sum_free_energy(SINGLE_MODE, beta).tail_bound == 0.0
 
 
@@ -293,6 +293,17 @@ def test_mode_sum_tails_bound_a_tighter_run(route, spec, beta):
     # a real bound on the truncation error also bounds the gap to a far tighter run
     loose = route(spec, beta, 1e-6)
     assert abs(loose.value - route(spec, beta, 1e-14).value) <= loose.tail_bound
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+@pytest.mark.parametrize(
+    "spec,beta", [(SINGLE_MODE, 3.0), (S3_SPEC, 2 * math.pi), (S3_SPEC, 1.0), (S3_SPEC, 0.3)]
+)
+def test_thermal_zeta_free_energy_meets_its_tol(spec, beta, tol):
+    # each mode's series gets a 6 / (pi n)^2 share of tol / 2, the mode sum the other half
+    got = thermal_zeta_free_energy(spec, beta, tol)
+    assert got.tail_bound <= tol
+    assert abs(got.value - mode_sum_free_energy(spec, beta).value) <= tol
 
 
 @pytest.mark.parametrize("doc", [{"label": "x"}, {"omega": "n"}, [1, 2], "nope"])
