@@ -22,6 +22,7 @@ top of the real-axis evaluator.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 import warnings
@@ -135,13 +136,6 @@ def _certified_sum(terms, tail, tol: float, max_terms: int, what: str, acc=0.0) 
     )
 
 
-def _powers(q, qn):
-    """qn q, qn q^2, ... by repeated multiplication."""
-    while True:
-        qn *= q
-        yield qn
-
-
 def _point(p) -> complex:
     if isinstance(p, HalfPlanePoint):
         return complex(p.b)
@@ -168,6 +162,16 @@ def _casimir_constant(t: int) -> Fraction:
     return -bernoulli(2 * t) / (4 * t)
 
 
+def _casimir(t: int, what: str = "") -> float:
+    """casimir_constant(t) as a float.  From t = 131 on it is past the floats,
+    and a ConvergenceError says that ``what`` (by default the constant) is."""
+    try:
+        return float(casimir_constant(t))
+    except OverflowError:
+        what = what or f"the Casimir constant -B_{2 * t}/(4t) at t = {t}"
+        raise ConvergenceError(f"{what} leaves the float range", suggestion=f"t < {t}") from None
+
+
 def _sigma_ratio_majorant(k: int) -> tuple[float, float]:
     """(C, p) with sigma_k(m)/m^k = sum_{d | m} d^{-k} <= C m^p: the sum is
     below zeta(k) < 1.21 for k >= 3, and below H_m <= m for k = 1."""
@@ -175,61 +179,74 @@ def _sigma_ratio_majorant(k: int) -> tuple[float, float]:
 
 
 def _power_series_tail(const_c: float, power: float, r: float, m: int) -> float:
-    # tail of sum_{k>m} C k^power r^k by the term-ratio majorant
+    # tail of sum_{k>m} C k^power r^k by the term-ratio majorant; (m + 1)^power
+    # is taken through logs only where it leaves the floats
     ratio = ((m + 2) / (m + 1)) ** power * r
     if ratio >= 1.0:
         return math.inf
-    return const_c * (m + 1) ** power * r ** (m + 1) / (1.0 - ratio)
+    try:
+        return const_c * (m + 1) ** power * r ** (m + 1) / (1.0 - ratio)
+    except OverflowError:
+        log_r = math.log(r) if r else -math.inf
+        return const_c * math.exp(power * math.log(m + 1) + (m + 1) * log_r) / (1.0 - ratio)
 
 
-def _lambert_q2(b: complex) -> tuple[complex, float, float]:
-    """q^2 = exp(-2 pi b), r = |q^2| and 1/(1 - r), which bounds every
-    Lambert denominator 1/|1 - q^{2n}|; a ConvergenceError where r rounds
-    to 1 and no such bound exists."""
+def _q_series(term, q2, const_c: float, power: float, tol: float, what: str, acc=0.0, overflow=None) -> SeriesValue:
+    """acc + sum_{n>=1} term(n, q2^n) in at most _MAX_TERMS terms, certified on
+    |term(n, q2^n)| <= const_c n^power |q2|^n.  A term or majorant past the
+    floats raises the ConvergenceError ``overflow()``, or one naming ``what``."""
+    r = abs(q2)
+
+    def terms():
+        qn = 1.0
+        for n in itertools.count(1):
+            qn *= q2
+            yield term(n, qn)
+
+    try:
+        return _certified_sum(
+            terms(), lambda n: _power_series_tail(const_c, power, r, n), tol, _MAX_TERMS, what, acc
+        )
+    except OverflowError:  # a term, or the majorant's ratio, is past the floats
+        raise overflow() if overflow else ConvergenceError(f"{what} leaves the float range") from None
+
+
+def _lambert_q2(b: complex) -> tuple[complex, float]:
+    """q^2 = exp(-2 pi b) and 1/(1 - |q^2|), which bounds every Lambert
+    denominator 1/|1 - q^{2n}|; a ConvergenceError where |q^2| rounds to 1
+    and no such bound exists."""
     q2 = require_finite(cmath.exp(-2 * math.pi * b))
     r = abs(q2)
     if r >= 1.0:
         raise ConvergenceError(
             f"Lambert series at b = {b}: |q^2| rounds to 1, Re b is too small for a q-series"
         )
-    return q2, r, 1.0 / (1.0 - r)
+    return q2, 1.0 / (1.0 - r)
 
 
-def _sum_lambert(
-    t: int, term, power: float, b: complex, tol: float, max_terms: int, what: str
-) -> SeriesValue:
-    """sum_{n>=1} term(n, q^{2n}) for a Lambert series of exponent 2t - 1,
-    certified on |term(n, q^{2n})| <= n^power r^n / (1 - r), r = |q^2|."""
-    q2, r, inv = _lambert_q2(b)
-    terms = (term(n, qn) for n, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
-    try:
-        return _certified_sum(
-            terms, lambda n: _power_series_tail(inv, power, r, n), tol, max_terms, what, 0.0 + 0.0j
-        )
-    except OverflowError:  # the integer n^(2t-1), or its majorant, no longer converts to a float
-        raise ConvergenceError(
-            f"{what}: n^{2 * t - 1} at b = {b} leaves the float range (weight {2 * t} too large)",
-            suggestion=f"t < {t}",
-        ) from None
+def _eps_q(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
+    """The q-part sum_n n^{2t-1} q^{2n} / (1 - q^{2n}) of eps_t, summed
+    without the constant -B_2t/(4t), which can dwarf it."""
+    k = 2 * _check_t(t) - 1
+    b = _point(p)
+    return _q_series(
+        lambda n, qn: (n ** k) * qn / (1.0 - qn), *_lambert_q2(b), k, tol, "eps", 0.0 + 0.0j,
+        lambda: ConvergenceError(  # the integer n^k no longer converts to a float
+            f"eps: n^{k} at b = {b} leaves the float range (weight {2 * t} too large)", suggestion=f"t < {t}"),
+    )
 
 
-def eps(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS) -> SeriesValue:
+def eps(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
     """Weight-2t partial-energy series eps_t at the half-plane point p."""
-    _check_t(t)
-    b = _point(p)
-    k = 2 * t - 1
-    s = _sum_lambert(t, lambda n, qn: (n ** k) * qn / (1.0 - qn), k, b, tol, max_terms, "eps")
-    return SeriesValue(s.value + float(casimir_constant(t)), s.terms, s.tail_bound)
+    s = _eps_q(t, p, tol)
+    return SeriesValue(s.value + _casimir(t), s.terms, s.tail_bound)
 
 
-def eps_sub(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS) -> SeriesValue:
-    """Fully subtracted series: Casimir and Planck terms removed."""
-    _check_t(t)
-    b = _point(p)
-    e = eps(t, b, tol, max_terms)
-    c = float(casimir_constant(t))
-    val = e.value - c * (1.0 + (1j * b) ** (-2 * t))
-    return SeriesValue(val, e.terms, e.tail_bound)
+def eps_sub(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
+    """Fully subtracted series, the q-part less -B_2t/(4t) (i b)^{-2t}."""
+    s = _eps_q(t, p, tol)
+    val = s.value - _casimir(t) * (1j * _point(p)) ** (-2 * t)
+    return SeriesValue(val, s.terms, s.tail_bound)
 
 
 @lru_cache(maxsize=8192)
@@ -270,7 +287,7 @@ def mellin_eps_sub(t: int, b: float, tol: float = 1e-10) -> SeriesValue:
     return SeriesValue(complex(val), 0, err)
 
 
-def lambert_S(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS) -> SeriesValue:
+def lambert_S(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
     """S_t = sum_m m^{1-2t} q^{2m}/(1-q^{2m}).
 
     Evaluates the Lambert form and, as a structural check, the divisor form
@@ -283,12 +300,14 @@ def lambert_S(t: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS)
 
     def term(n: int, qn: complex) -> complex:
         try:
-            return qn / ((n ** k) * (1.0 - qn))
+            if (n.bit_length() - 1) * k < 1024:  # else n^k >= 2^1024 is past the floats: not built
+                return qn / ((n ** k) * (1.0 - qn))
         except OverflowError:  # n^k is past the floats; its reciprocal only underflows
-            return qn * n ** -k / (1.0 - qn)
+            pass
+        return qn * n ** -k / (1.0 - qn)
 
-    lam = _sum_lambert(t, term, 0, b, tol, max_terms, "lambert_S")
-    div = log_deriv_D(lambert_expansion(t), 0, b, tol, max_terms)
+    lam = _q_series(term, *_lambert_q2(b), 0, tol, "lambert_S", 0.0 + 0.0j)
+    div = log_deriv_D(lambert_expansion(t), 0, b, tol)
     gap = abs(div.value - lam.value)
     if gap > max(1e-12, 10 * (lam.tail_bound + div.tail_bound)):
         raise InconsistencyError(
@@ -326,18 +345,20 @@ class QExpansion:
     bound_p: float
     label: str = ""
 
-    def evaluate(self, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS) -> SeriesValue:
-        return log_deriv_D(self, 0, p, tol, max_terms)
+    def evaluate(self, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
+        return log_deriv_D(self, 0, p, tol)
 
 
 def lambert_expansion(t: int) -> QExpansion:
     """q-expansion of S_t: coefficients sigma_{2t-1}(m)/m^{2t-1}."""
     _check_t(t)
     k = 2 * t - 1
-    sigma = _coefficients("sigma", k)
+    # sigma_k(m)/m^k lies in [1, zeta(k)); from k = 55 on zeta(k) - 1 < 2^-k + 2^(1-k)/(k-1)
+    # < 2^-53, so the correctly rounded quotient is 1.0 at every m and needs no table
+    sigma = _coefficients("sigma", k) if k < 55 else None
 
     def coef(m: int) -> float:
-        return sigma(m) / m ** k
+        return sigma(m) / m ** k if sigma else 1.0
 
     return QExpansion(0.0, coef, *_sigma_ratio_majorant(k), label=f"S_{t}")
 
@@ -354,10 +375,10 @@ def eps_expansion(t: int) -> QExpansion:
         bound_c, bound_p = 1.0, 2.0          # sigma_1(m) <= m^2
     else:
         bound_c, bound_p = float(zeta_numeric(2 * t - 1).real), 2 * t - 1
-    return QExpansion(float(casimir_constant(t)), coef, bound_c, bound_p, label=f"eps_{t}")
+    return QExpansion(_casimir(t), coef, bound_c, bound_p, label=f"eps_{t}")
 
 
-def log_deriv_D(f, k: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_TERMS) -> SeriesValue:
+def log_deriv_D(f, k: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
     """Apply D^k termwise, D = q d/dq, so D(q^{2m}) = 2m q^{2m}.
 
     Requires coefficient access; a bare callable is rejected.  D annihilates
@@ -367,13 +388,10 @@ def log_deriv_D(f, k: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_T
         raise UnsupportedError("log_deriv_D needs a QExpansion with coefficient access")
     if k < 0:
         raise DomainError("log_deriv_D: k must be >= 0")
-    q2, r, _ = _lambert_q2(_point(p))
-    cbound = f.bound_c * (2.0 ** k)
-    power = f.bound_p + k
-    terms = (f.coef(m) * ((2 * m) ** k) * qn for m, qn in enumerate(_powers(q2, 1.0 + 0.0j), 1))
-    return _certified_sum(
-        terms, lambda m: _power_series_tail(cbound, power, r, m), tol, max_terms, "log_deriv_D",
-        complex(f.const) if k == 0 else 0.0 + 0.0j,
+    q2, _ = _lambert_q2(_point(p))
+    return _q_series(
+        lambda m, qn: f.coef(m) * ((2 * m) ** k) * qn, q2, f.bound_c * (2.0 ** k), f.bound_p + k, tol,
+        "log_deriv_D", complex(f.const) if k == 0 else 0.0 + 0.0j,
     )
 
 
@@ -383,15 +401,14 @@ def log_deriv_D(f, k: int, p, tol: float = _DEFAULT_TOL, max_terms: int = _MAX_T
 
 def _exp_majorant(t: int) -> float:
     # C(t) with |eps_t(b) - const| <= C(t) e^{-2 pi Re b} for Re b >= 1
-    e = eps(t, 1.0)
-    return (e.value.real - float(casimir_constant(t))) * math.exp(2 * math.pi)
+    return _eps_q(t, 1.0).value.real * math.exp(2 * math.pi)
 
 
 def eps_qpart_real(t: int, x: float) -> float:
     """The pure q-part eps_t(x) - const on the real axis (exponentially
     small for large x; quadratures use it so the power law never enters
     the numeric integrand)."""
-    return eps(t, x).value.real - float(casimir_constant(t))
+    return _eps_q(t, x).value.real
 
 
 def _exp_tail_bound(t: int, x: float, h: int, big_x: float) -> float:
@@ -426,7 +443,7 @@ def weyl_integral(t: int, x: float, h: int, tol: float = 1e-9) -> SeriesValue:
         return (b - x) ** (h - 1) * eps_qpart_real(t, b)
 
     val, err = _quad(f, x, big_x)
-    c = float(casimir_constant(t))
+    c = _casimir(t)
     beta_h = math.gamma(h) * math.gamma(2 * t - h) / math.gamma(2 * t)
     val += -((-1) ** t) * c * beta_h * x ** (h - 2 * t)
     bound = err + _exp_tail_bound(t, x, h, big_x)
@@ -462,7 +479,7 @@ def moment(t: int, k: int, tol: float = 1e-9) -> SeriesValue:
         return (b ** k + sign * b ** (2 * t - 2 - k)) * eps_qpart_real(t, b)
 
     val, err = _quad(f, 1.0, big_x)
-    c = float(casimir_constant(t))
+    c = _casimir(t)
     val += -((-1) ** t) * c / (2 * t - 1 - k) - c / (1 + k)
     bound = err + 2.0 * abs(_exp_majorant(t)) * big_x ** (2 * t - 2) * math.exp(
         -2 * math.pi * big_x

@@ -37,14 +37,7 @@ from fractions import Fraction
 from .epstein import bessel_k
 from .errors import ConvergenceError, DomainError
 from .exactnum import _coefficients, _lazy, zeta_negative_exact, zeta_odd_numeric
-from .qseries import (
-    SeriesValue,
-    _certified_sum,
-    _power_series_tail,
-    _powers,
-    casimir_constant,
-    eps,
-)
+from .qseries import SeriesValue, _casimir, _certified_sum, _eps_q, _q_series
 
 __all__ = [
     "ThermalPoint",
@@ -199,34 +192,23 @@ SINGLE_MODE = SpectrumSpec("single-mode", table=((1, 1.0),))
 # ---------------------------------------------------------------------------
 
 def _divisor_series(k: int, weight: float, q2: float, tol: float = 1e-16) -> SeriesValue:
-    """sum_n sigma_k(n) n^{-weight} q2^n with a simple certified cutoff."""
-    bound_pow = max(k - weight + 1.0, 0.0)
+    """sum_n sigma_k(n) n^{-weight} q2^n, certified by the q-series kernel."""
     sigma = _coefficients("sigma", k)
-    # sigma_k(n) and (n + 1)^bound_pow can leave the floats before the terms
-    # and the majorant do: only then are these taken through logs
     log_q2 = math.log(q2) if q2 else -math.inf
 
     def term(n: int, qn: float) -> float:
         try:
             return sigma(n) * float(n) ** (-weight) * qn
-        except OverflowError:
+        except OverflowError:  # sigma_k(n) can leave the floats before the term does
             return math.exp(math.log(sigma(n)) - weight * math.log(n) + n * log_q2)
 
-    def tail(n: int) -> float:
-        try:
-            return _power_series_tail(1.3, bound_pow, q2, n)
-        except OverflowError:  # past the ratio >= 1 check, so 1 - ratio > 0
-            ratio = ((n + 2) / (n + 1)) ** bound_pow * q2
-            return 1.3 * math.exp(bound_pow * math.log(n + 1) + (n + 1) * log_q2) / (1.0 - ratio)
-
-    terms = (term(n, qn) for n, qn in enumerate(_powers(q2, 1.0), 1))
-    try:
-        return _certified_sum(terms, tail, tol, 200_000, "divisor series")
-    except OverflowError:  # a term, or the majorant, is past the floats
-        raise ConvergenceError(
+    return _q_series(
+        term, q2, 1.3, max(k - weight + 1.0, 0.0), tol, "divisor series",
+        overflow=lambda: ConvergenceError(
             f"divisor series: sigma_{k}(n) at q^2 = {q2:.3g} leaves the float range",
             suggestion=f"t < {(k + 1) // 2}",  # k = 2t - 1 in the partial free energy and entropy
-        ) from None
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +221,24 @@ def free_energy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
     q2 = math.exp(-2.0 * math.pi / xi)
     scale = xi / (2 * math.pi)
     series = _divisor_series(2 * t - 1, 1.0, q2, min(tol, tol / scale))
-    try:
-        val = float(casimir_constant(t)) - scale * series.value
-    except OverflowError:  # B_2t / 4t alone is past the floats
-        val = math.inf
+    what = f"free energy f_{t}({xi:g})"
+    val = _casimir(t, what) - scale * series.value
     if not math.isfinite(val):
-        raise ConvergenceError(f"free energy f_{t}({xi:g}) leaves the float range", suggestion=f"t < {t}")
+        raise ConvergenceError(f"{what} leaves the float range", suggestion=f"t < {t}")
     return SeriesValue(val, series.terms, scale * series.tail_bound)
 
 
 def entropy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
-    """s_t = df_t/dxi = -(1/2pi) G - (1/xi)(eps_t - eps_{t,0}) with
-    G the resummed double series sum sigma_{2t-1}(m) q^{2m}/m."""
+    """s_t = df_t/dxi = -(1/2pi) G - (1/xi) E with G the resummed double series
+    sum sigma_{2t-1}(m) q^{2m}/m and E the q-part of eps_t at b = 1/xi."""
     xi = _xi(pt)
     q2 = math.exp(-2.0 * math.pi / xi)
     # each series keeps its tail times its prefactor within tol/2: G's
-    # prefactor 1/2pi already does at tol, eps's 1/xi needs xi tol/2
+    # prefactor 1/2pi already does at tol, E's 1/xi needs xi tol/2
     g = _divisor_series(2 * t - 1, 1.0, q2, tol)
-    e = eps(t, 1.0 / xi, min(tol, 0.5 * xi * tol))
+    e = _eps_q(t, 1.0 / xi, min(tol, 0.5 * xi * tol))
     return SeriesValue(
-        -g.value / (2 * math.pi) - (e.value.real - float(casimir_constant(t))) / xi,
+        -g.value / (2 * math.pi) - e.value.real / xi,
         g.terms + e.terms,
         g.tail_bound / (2 * math.pi) + e.tail_bound / xi,
     )

@@ -1,13 +1,18 @@
 """CLI surface: output formats, exit codes, determinism."""
 import ast
+import contextlib
 import importlib
+import io
 import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import modzeta
 from modzeta.cli import QUANTITIES, main
@@ -70,10 +75,20 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("eval rbar --t 2 --x 0.7", "eval-rbar-t2-x0.7.txt"),
         ("eval rbar --t 2 --x 0.7 --format json", "eval-rbar-t2-x0.7.json"),
         ("eval rbar --t 5 --format csv", "eval-rbar-t5.csv"),
+        # q-series and thermal routes that never add and subtract the Casimir constant
+        ("eval eps --t 3 --b 0.8,0.2", "eval-eps-t3-b0.8_0.2.txt"),
+        ("eval S --t 2 --b 0.6 --format json", "eval-S-t2-b0.6.json"),
+        ("eval psi_bar --t 600 --b 1", "eval-psi_bar-t600-b1.txt"),
+        ("eval phi_bar --t 2 --b 0.6 --format csv", "eval-phi_bar-t2-b0.6.csv"),
+        ("eval free_energy --t 100 --xi 1 --format json", "eval-free_energy-t100-xi1.json"),
+        ("eval f3 --xi 1.7", "eval-f3-xi1.7.txt"),
+        ("eval z2_quartic --xi 0.8", "eval-z2_quartic-xi0.8.txt"),
+        ("table f3-grid", "table-f3-grid.csv"),
     ],
 )
 def test_exact_algebra_outputs_are_byte_identical(argv, name, capsys):
-    # the full stdout of the period-polynomial commands, byte for byte
+    # the full stdout, byte for byte: the period-polynomial commands, and the
+    # pure-Python q-series routes
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
@@ -274,6 +289,8 @@ SPECTRUM_FILES = {
         ("eval eps --t 2 --xi -1", 2),
         ("eval eps --t 2 --b 1e-300,1", 3),
         ("eval eps --t 100000 --b 1", 3),
+        ("eval eps --t 140 --b 20", 3),  # the q-part is fine, -B_280/560 is past the floats
+        ("eval eps_sub --t 200 --b 20", 3),
         ("eval free_energy --t 300 --xi 1", 3),
         ("eval entropy --t 200 --xi 0.5", 3),
         ("eval pbar --t 320 --x 0.5", 3),
@@ -313,13 +330,17 @@ def test_error_contract(argv, code, tmp_path, capsys):
     assert captured.err.startswith("usage error:" if code == 2 else "error:")
 
 
-@pytest.mark.parametrize("argv", ["eval S --t 100000 --b 1", "eval psi_bar --t 600 --b 1"])
+@pytest.mark.parametrize(
+    "argv", ["eval S --t 100000 --b 1", "eval psi_bar --t 600 --b 1", "eval psi_bar --t 1000000 --b 0.05"]
+)
 def test_large_weight_lambert_exits_0(argv, capsys):
-    # n^(2t-1) leaves the floats, but S_t(1) is q^2 / (1 - q^2) to double
-    # precision once 2^(1-2t) is below its last bit
+    # n^(2t-1) leaves the floats, but S_t(b) is q^2 / (1 - q^2) to double
+    # precision once 2^(1-2t) is below its last bit; the cost does not grow with t
+    start = time.perf_counter()
     assert main([*argv.split(), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1.0
     doc = json.loads(capsys.readouterr().out)
-    q2 = math.exp(-2 * math.pi)
+    q2 = math.exp(-2 * math.pi * float(argv.split()[-1]))
     scale = 4 * math.pi if "psi_bar" in argv else 1.0
     assert float(doc["value"]["re"]) == pytest.approx(scale * q2 / (1 - q2), rel=1e-15)
     assert float(doc["value"]["im"]) == 0.0
@@ -444,3 +465,44 @@ def test_tol_reaches_the_route(argv, capsys):
     loose = json.loads(capsys.readouterr().out)
     assert loose["truncation"]["terms"] < default["truncation"]["terms"]
     assert float(loose["est_error"]) <= 1e-6
+
+
+# the q-series and thermal routes, and which of them certify a series to --tol
+_B_ROUTES = ("eps", "eps_sub", "S", "psi_bar", "phi_bar")
+_XI_ROUTES = ("f3", "f3_epstein", "f3_modesum", "z2_quartic")
+_CERTIFIED = {*_B_ROUTES, "free_energy", "entropy"}
+_LOG_UNIFORM = st.floats(-3.0, 3.0).map(lambda e: f"{10.0 ** e:.6g}")
+
+
+@st.composite
+def _q_series_argv(draw) -> list:
+    quantity = draw(st.sampled_from([*_B_ROUTES, "free_energy", "entropy", *_XI_ROUTES]))
+    argv = ["eval", quantity]
+    if quantity not in _XI_ROUTES:
+        argv += ["--t", str(draw(st.integers(1, 400) | st.sampled_from([131, 140, 194, 200])))]
+    if quantity in _B_ROUTES:
+        b, im = draw(_LOG_UNIFORM), draw(st.none() | st.floats(-3.0, 3.0))
+        argv += ["--b", b if im is None else f"{b},{im:.6g}"]
+    else:
+        argv += ["--xi", draw(_LOG_UNIFORM)]
+    tol = draw(st.none() | st.floats(-15.0, -3.0))
+    return argv + ([] if tol is None else ["--tol", f"{10.0 ** tol:.3g}"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_q_series_argv())
+@example(argv="eval eps --t 140 --b 20".split())
+@example(argv="eval eps_sub --t 194 --b 285.3".split())
+@example(argv="eval entropy --t 140 --xi 0.05".split())
+def test_q_series_routes_stay_in_the_error_contract(argv):
+    # wherever a value, its constant or a term leaves the floats, the route
+    # names it (exit 3): no raw OverflowError, and no value past its tol
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", "json"])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("usage error:" if code == 2 else "error:")
+        assert "Traceback" not in err.getvalue() and "OverflowError" not in err.getvalue()
+    elif "--tol" in argv and argv[1] in _CERTIFIED:
+        assert float(json.loads(out.getvalue())["est_error"]) <= float(argv[argv.index("--tol") + 1])

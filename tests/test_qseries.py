@@ -143,9 +143,25 @@ def test_eps_sub_translation_gap():
             assert abs(gap - pred) < 1e-10
 
 
-def test_eps_convergence_error_when_budget_too_small():
-    with pytest.raises(ConvergenceError):
-        eps(2, 0.05, max_terms=3)
+def test_eps_convergence_error_when_budget_too_small(monkeypatch):
+    from modzeta import qseries
+
+    monkeypatch.setattr(qseries, "_MAX_TERMS", 3)
+    with pytest.raises(ConvergenceError, match="did not certify .* in 3 terms"):
+        eps(2, 0.05)
+
+
+@pytest.mark.parametrize("t,b", [(20, 4.0), (20, 2.5), (30, 3.0)])
+def test_eps_sub_meets_the_oracle_where_the_constant_dwarfs_it(t, b):
+    # eps_sub reads the q-part of eps_t directly: adding -B_2t/(4t) and
+    # subtracting it again erased the q-part where the constant dwarfs it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q2 = mpmath.exp(-2 * mpmath.pi * b)
+        q_part = mpmath.fsum(n ** (2 * t - 1) * q2 ** n / (1 - q2 ** n) for n in range(1, 400))
+        want = complex(q_part + mpmath.bernoulli(2 * t) / (4 * t) * mpmath.mpc(0, b) ** (-2 * t))
+    got = eps_sub(t, b)
+    assert abs(got.value - want) <= got.tail_bound + 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,21 @@ def test_entropy_termwise_route_matches_double_sum():
         assert abs(a - b) < 1e-10
 
 
+@pytest.mark.parametrize("t,xi", [(20, 0.5), (2, 0.05), (10, 0.25)])
+def test_entropy_meets_the_oracle(t, xi):
+    # s_t = -(1/2pi) sum_n n^{2t-2} (-log(1 - q^{2n})) - (1/xi) sum_n n^{2t-1} q^{2n}/(1 - q^{2n}):
+    # the q-part of eps_t is read directly, not as eps_t less its constant -B_2t/(4t)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(xi)
+        q2 = mpmath.exp(-2 * mpmath.pi / x)
+        g = mpmath.fsum(n ** (2 * t - 2) * -mpmath.log1p(-q2 ** n) for n in range(1, 400))
+        e = mpmath.fsum(n ** (2 * t - 1) * q2 ** n / (1 - q2 ** n) for n in range(1, 400))
+        want = float(-g / (2 * mpmath.pi) - e / x)
+    got = entropy_partial(t, xi)
+    assert abs(got.value - want) <= got.tail_bound + 1e-12 * abs(want)
+
+
 def test_entropy_third_law():
     assert abs(entropy_partial(2, 0.01).value.real) < 1e-30
 
