@@ -535,7 +535,7 @@ def pole_residue(d: DirichletDatum) -> PoleResidueResult:
     def g_at(beta: float) -> float:
         return beta ** nu * phi_kernel(beta)
 
-    # quad takes its nodes on [0, 1] from one fixed grid, so the four r_of_h
+    # QAGS (_quad) bisects one fixed nested grid of [0, 1], so the four r_of_h
     # integrals meet the same betas: memoised for this call only
     g_memo = {}
 

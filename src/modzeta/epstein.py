@@ -258,7 +258,9 @@ def _direct(gram: np.ndarray, s: float, m2: float, const, tol: float, radius, ta
         add = 2.0 * (base + corr)
         est = 6.0 * abs(corr) * (s * s + 1.0) / (cut * cut)
     else:
-        form = BinaryForm(gram[0, 0], gram[0, 1], gram[1, 1])
+        # Python floats, so the exterior terms raise where they leave the float range
+        (a, b), (_, c) = gram.tolist()
+        form = BinaryForm(a, b, c)
         base = _ext_integral(form, s, cut, m2)
         corr = -_ext_laplacian(form, s, cut, m2) / 24.0
         add = base + corr
@@ -297,10 +299,28 @@ def z2_direct(
             f"z2_direct: form ({form.a}, {form.b}, {form.c}) has an eigenvalue ratio over 2^52, "
             "beyond a floating-point lattice sum"
         )
-    # shells |.|_inf = k have 8k points with Q >= lam_min k^2
-    const = 8 * form.min_eigenvalue ** (-s) if tail == "bound" else None
-    gram = _lazy("numpy").array([[form.a, form.b], [form.b, form.c]])
-    return _direct(gram, s, 0.0, const, tol, radius, tail)
+    where = f"z2_direct: form ({form.a}, {form.b}, {form.c}) at s = {s}"
+    try:
+        # shells |.|_inf = k have 8k points with Q >= lam_min k^2
+        const = 8 * form.min_eigenvalue ** (-s) if tail == "bound" else None
+    except OverflowError:
+        raise ConvergenceError(
+            f"{where}: the shell bound 8 lam_min^(-s) leaves the float range; try tail='integral'",
+            suggestion="tail='integral'",
+        ) from None
+    np = _lazy("numpy")
+    try:
+        with np.errstate(over="raise"):
+            sv = _direct(np.array([[form.a, form.b], [form.b, form.c]]), s, 0.0, const, tol, radius, tail)
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
+        sv = None
+    if sv is None or not (math.isfinite(sv.value) and math.isfinite(sv.tail_bound)):
+        raise ConvergenceError(
+            f"{where}: the lattice sum or its exterior terms leave the float range; "
+            "rescale the form, Z_2(c Q; s) = c^(-s) Z_2(Q; s)",
+            suggestion="Z_2(c Q; s) = c^(-s) Z_2(Q; s)",
+        )
+    return sv
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,15 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
+from ._quadpack import _qags
 from .errors import ConvergenceError, DomainError, InconsistencyError, UnsupportedError
 from .exactnum import (
     _coefficients,
-    _lazy,
     bernoulli,
     gamma_numeric,
     require_finite,
@@ -66,19 +66,15 @@ _DEFAULT_TOL = 1e-15
 # < 1e-10 for all b >= 0.3 (checked against the last-ordinate bound below).
 _MELLIN_T = 40.0
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
-
-def _quad(f, a, b, **kw):
-    integrate = _lazy("scipy.integrate")
-    # quad's roundoff warning fires on exponentially decaying integrands even
-    # when the returned estimate is fine; the estimate itself is propagated
-    # into our certified bounds, so the warning carries no extra information
-    opts = dict(_QUAD_OPTS)
-    opts.update(kw)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        return integrate.quad(f, a, b, **opts)
+def _quad(f, a: float, b: float, epsabs: float = 1e-12, epsrel: float = 1e-12, limit: int = 400) -> tuple[float, float]:
+    """(value, abserr) of the integral of f over the finite interval [a, b]
+    by QUADPACK's QAGS, ported in ``_quadpack``: the bits of
+    ``scipy.integrate.quad``.  Every call bisects one fixed nested grid, so
+    calls over the same interval meet the same nodes.  QUADPACK's error flag
+    (subdivision limit, roundoff, divergence) is not raised: abserr is
+    returned as QAGS estimates it.  An exception raised by f propagates."""
+    return _qags(f, a, b, epsabs, epsrel, limit)[:2]
 
 
 @dataclass(frozen=True)
@@ -262,9 +258,11 @@ def mellin_eps_sub(t: int, b: float, tol: float = 1e-10) -> SeriesValue:
 
     Integrates Gamma(s) zeta(s) zeta(s-2t+1) (2 pi b)^{-s} / (2 pi i) on the
     vertical line Re s = 2t - 1/2, truncated at |Im s| = 40 where the Gamma
-    decay certifies the discarded tail.  quad takes its nodes from one fixed
-    nested grid, so calls at other b meet the same ordinates: the b-free
-    factor comes from the bounded cache of ``_mellin_kernel``.
+    decay certifies the discarded tail.  QAGS (``_quad``) bisects one fixed
+    nested grid of [0, 40], so calls at other b meet the same ordinates: the
+    b-free factor comes from the bounded cache of ``_mellin_kernel``.  Where
+    Gamma(s), (2 pi b)^{-s} or their product leave the floats, a
+    ConvergenceError names the factor and points to ``eps_sub``.
     """
     _check_t(t)
     b = float(b)
@@ -272,6 +270,22 @@ def mellin_eps_sub(t: int, b: float, tol: float = 1e-10) -> SeriesValue:
         raise DomainError("mellin_eps_sub requires real b > 0")
     c = 2 * t - 0.5
     w = 2 * math.pi * b
+
+    def out_of_range(what: str, fix: str) -> ConvergenceError:
+        return ConvergenceError(
+            f"mellin_eps_sub: {what} at t = {t}, b = {b} leaves the float range ({fix}); "
+            "eps_sub is the primary route", suggestion="eps_sub")
+
+    # on the line, |Gamma(c + iy)| <= Gamma(c) and |(2 pi b)^{-c-iy}| = (2 pi b)^{-c}
+    try:
+        math.gamma(c)
+    except OverflowError:
+        raise out_of_range("Gamma(2t - 1/2 + iy)", "Gamma(2t - 1/2) is a float up to t = 86") from None
+    try:
+        w ** -c
+    except OverflowError:
+        b_min = math.exp(-math.log(sys.float_info.max) / c) / (2 * math.pi)
+        raise out_of_range("(2 pi b)^(-s) on Re s = 2t - 1/2", f"needs b > {b_min:.3g} at this t") from None
 
     def integrand(y: float) -> complex:
         return _mellin_kernel(t, y) * w ** (-complex(c, y))
@@ -282,6 +296,8 @@ def mellin_eps_sub(t: int, b: float, tol: float = 1e-10) -> SeriesValue:
     val = re / math.pi
     tail = abs(integrand(_MELLIN_T)) * (2.0 / math.pi) / math.pi
     err = re_err / math.pi + tail
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise out_of_range("the integrand Gamma(s) zeta(s) zeta(s-2t+1) (2 pi b)^(-s)", "a larger b, or a smaller t")
     if err > tol:
         raise ConvergenceError(f"Mellin quadrature error {err:.2e} exceeds {tol:.2e}")
     return SeriesValue(complex(val), 0, err)

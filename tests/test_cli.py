@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -331,6 +332,33 @@ def test_error_contract(argv, code, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        "eval z2 --form 1e-100,0,1e-100 --s 3 --tail integral",  # was exit 0 with -inf
+        "eval z2 --form 1e-60,0,1e-60 --s 6 --tail integral",  # was exit 0 with nan
+        "eval z2 --form 1e-60,0,1e-60 --s 6",
+        "eval z2 --form 1,0.2,1 --s 1e5",  # the shell bound 8 lam_min^(-s)
+        "eval mellin_eps_sub --t 3 --b 1e-300",  # (2 pi b)^(-s)
+        "eval mellin_eps_sub --t 6 --b 1e-30",
+        "eval mellin_eps_sub --t 30 --b 1e-8",
+        "eval mellin_eps_sub --t 100 --b 1",  # Gamma(2t - 1/2 + iy)
+        "eval mellin_eps_sub --t 60 --b 0.01",  # their product; was exit 0 with nan
+    ],
+)
+def test_float_range_failures_are_named_by_the_route(argv, capsys):
+    # a warning would raise here, so numpy's RuntimeWarnings cannot pass unseen
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    route = "z2_direct" if argv.split()[1] == "z2" else "mellin_eps_sub"
+    assert captured.err.startswith(f"error: {route}: ")
+    assert "the float range" in captured.err
+    assert "OverflowError" not in captured.err and "non-finite value" not in captured.err
+
+
+@pytest.mark.parametrize(
     "argv", ["eval S --t 100000 --b 1", "eval psi_bar --t 600 --b 1", "eval psi_bar --t 1000000 --b 0.05"]
 )
 def test_large_weight_lambert_exits_0(argv, capsys):
@@ -424,6 +452,35 @@ def test_only_exactnum_imports_scipy_or_numpy():
             if id(node) not in skip and any(name.split(".")[0] in ("scipy", "numpy") for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_module_names_scipy_integrate():
+    # the library integrates with its own QAGS port (modzeta._quadpack)
+    offenders = []
+    for path in sorted(Path(modzeta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]  # a module name handed to _lazy
+            else:
+                continue
+            if any(name == "scipy.integrate" or name.startswith("scipy.integrate.") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_the_library_never_loads_scipy_integrate():
+    code = (
+        "import sys; from modzeta.verify import run_suites; from modzeta.cli import main; "
+        "run_suites('all'); "
+        "main(['eval', 'mellin_eps_sub', '--t', '2', '--b', '1']); "
+        "main(['eval', 'z2', '--form', '1,0,1', '--s', '2', '--tail', 'integral']); "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    assert _fresh_process(code).splitlines()[-1] == "False"
 
 
 def test_free_energy_past_the_float_range_of_sigma_exits_0(capsys):
