@@ -31,8 +31,8 @@ from . import epstein as emod
 from . import periodpoly as pmod
 from . import qseries as qmod
 from . import thermal as tmod
-from .errors import DomainError, ModzetaError
-from .exactnum import bernoulli
+from .errors import DomainError, ModzetaError, SingularityError
+from .exactnum import bernoulli, require_finite
 from .verify import run_suites, suite_names
 
 EXIT_OK = 0
@@ -177,7 +177,11 @@ def _rbar(t, x):
     rp = pmod.rbar(t)
     # numerator coefficient k multiplies x^{k-1}: the extended form starts at 1/x
     coeffs = {str(k - 1): str(c) for k, c in enumerate(rp.num.coeffs) if not c.is_zero()}
-    return coeffs, None if x is None else rp.eval_numeric(complex(x))
+    if x is None:
+        return coeffs, None
+    if x == 0:
+        raise SingularityError(f"rbar: x = 0 is the pole of its end term 2 zeta({2 * t}) / x")
+    return coeffs, require_finite(rp.eval_numeric(complex(x)))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,10 @@ Built-in data: the weight-2t divisor datum (a_n = sigma_{2t-1}(n),
 lambda = 2 pi n, delta = 2t), diagonal lattice data (r_p counts), the
 Jacobi theta datum, a plain sigma datum for direct-sum identities, and
 custom finite tables loadable from JSON.
+
+K_nu comes from ``epstein.bessel_k``, and Gamma and the incomplete gamma
+Q(a, x) of the massive tail from ``exactnum.gamma_numeric`` and
+``_special.gammaincc``, all in pure Python.
 """
 from __future__ import annotations
 
@@ -38,8 +42,10 @@ from .epstein import bessel_k
 from .exactnum import _coefficients, _lazy, gamma_numeric, zeta_negative_exact
 from .qseries import SeriesValue, _certified_sum, _quad
 
-# relative rounding allowance per Bessel term: bessel_k is within 1.3e-13
-# of mpmath, and the powers, products and sum add a few ulps
+# relative rounding allowance per Bessel term, sized when bessel_k was within
+# 1.3e-13 of mpmath (it is within 3e-15 up to order 8 and 5e-14 above since
+# it is pure Python, tests/test_special.py); the powers, products and sum
+# add a few ulps
 _ROUNDING = 2e-13
 
 __all__ = [
@@ -445,28 +451,30 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
                 yield 0.0
                 continue
             mu = d.mu(n)
-            term = 2.0 * b * (mu / (w * w)) ** (nu / 2.0) * bessel_k(nu, 2 * w * math.sqrt(mu))
+            term = 2.0 * b * (mu / w2) ** half_nu * bessel_k(nu, two_w * math.sqrt(mu))
             mag += abs(term)
             yield term
 
     def tail(n: int) -> float:
-        if d.finite_n is not None and n >= d.finite_n:
+        if finite_n is not None and n >= finite_n:
             return 0.0
         n1 = n + 1
-        x1 = kappa * n1 ** (q / 2.0)
-        head = 2.0 * c_b * (c_lo / (w * w)) ** (abs(nu) / 2.0) * math.sqrt(
-            math.pi / (2 * x1)
-        ) * math.exp(nu * nu / (2 * x1))
+        x1 = kappa * n1 ** half_q
+        two_x1 = 2 * x1
+        head = head0 * math.sqrt(math.pi / two_x1) * math.exp(nu2 / two_x1)
         first = head * n1 ** pe * math.exp(-x1)
-        if first / abs(gam_s) > tol:  # rest >= 0 cannot bring the tail under tol
-            return first / abs(gam_s)
-        rest = head * (2.0 / q) * kappa ** (-alpha) * float(
-            _lazy("scipy.special").gammaincc(alpha, x1)
-        ) * gam_alpha
-        return (first + rest) / abs(gam_s)
+        if first / abs_gam_s > tol:  # rest >= 0 cannot bring the tail under tol
+            return first / abs_gam_s
+        q_alpha = _lazy("modzeta._special").gammaincc(alpha, x1)
+        rest = head * (2.0 / q) * kappa ** (-alpha) * q_alpha * gam_alpha
+        return (first + rest) / abs_gam_s
 
     try:
         r = berndt_R(d, s, w)
+        # the loops' constants, each rounded as the loops would round it
+        w2, half_nu, two_w, half_q, nu2 = w * w, nu / 2.0, 2 * w, q / 2.0, nu * nu
+        head0 = 2.0 * c_b * (c_lo / w2) ** (abs(nu) / 2.0)
+        abs_gam_s, finite_n = abs(gam_s), d.finite_n
         series = _certified_sum(terms(), tail, tol, 100_000, "berndt_phi")
     except OverflowError:
         # w^{-2s}, the terms' powers or the Bessel bound's exp(nu^2 / 2x)

