@@ -417,8 +417,8 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
     """
     if not d.supports_modular:
         raise DomainError(f"datum {d.name} carries no functional equation")
-    if w <= 0:
-        raise DomainError("berndt_phi requires w > 0")
+    if not (w > 0 and math.isfinite(s)):  # NaN fails both tests
+        raise DomainError(f"berndt_phi requires a finite s and w > 0, got s = {s}, w = {w}")
     nu = s - d.delta
     for (s0, _) in d.residues:
         if abs((s - s0) - round(s - s0)) < 1e-9 and round(s - s0) <= 0:
@@ -520,6 +520,76 @@ def koshliakov_residue_closed_form(d: DirichletDatum) -> float:
 _RESIDUE_HS = (0.1, 0.05, 0.025)
 _RESIDUE_STABILITY_TOL = 5e-4
 
+# the last index G' may sum before it gives up
+_KERNEL_LAST_M = 150_001
+
+
+def _kernel_majorant(c_a: float, k: float, c_l: float, q_l: float, nu: float, beta: float, m: int) -> float:
+    # bounds the G' terms past m, from a_m <= c_a m^p and lambda_m >= c_l m^q_l
+    # (k = p + q_l).  _first_true may search on it: for the built-in data
+    # (q_l = 1 or 2, c_a >= 1) it rises, then falls, by a relative 1e-4 or
+    # more per step where it crosses 1e-18 at m <= _KERNEL_LAST_M (about
+    # 30/m), far above rounding; for q_l = 0 (custom tables) it never falls
+    return c_a * (m + 1) ** k * (1 + nu + c_l * (m + 1) ** q_l * beta) * math.exp(-c_l * (m + 1) ** q_l * beta)
+
+
+def _first_true(pred, lo: int, hi: int) -> int | None:
+    """The least m in [lo, hi] with pred(m), or None; pred changes from
+    False to True at most once on [lo, hi] when pred(lo) is False.  Gallops
+    up from lo, then bisects: O(log m) calls of pred."""
+    if pred(lo):
+        return lo
+    step = 1
+    while True:
+        probe = min(lo + step, hi)
+        if pred(probe):
+            break
+        if probe == hi:
+            return None
+        lo, step = probe, 2 * step
+    while probe - lo > 1:  # pred(lo) is False, pred(probe) True
+        mid = (lo + probe) // 2
+        if pred(mid):
+            probe = mid
+        else:
+            lo = mid
+    return probe
+
+
+def _kernel_derivative(d: DirichletDatum, beta: float, a_tab: list, lam_tab: list) -> float:
+    """G'(beta) = beta^{nu-1} sum_m a_m (nu - lambda_m beta) e^{-lambda_m beta}
+    for G = beta^nu Phi(beta), nu = delta, summed with fsum: the terms
+    cancel massively at small beta.
+
+    The sum stops at finite_n, or at the first m > 4 where the majorant
+    falls below 1e-18, found by ``_first_true``; past ``_KERNEL_LAST_M``
+    it raises ``ConvergenceError``.  ``a_tab`` and ``lam_tab`` hold a_m and
+    lambda_m from index 1 (index 0 unused) and are extended in place as far
+    as beta needs, so one pair of tables serves every beta of one datum.
+    """
+    nu = d.delta
+    c_a, p_a = d.a_bound
+    c_l, q_l = d.lam_low
+    n = d.finite_n
+    if n is not None and n < 5:
+        count = max(n, 1)  # the first term is always summed
+    else:
+        last = _KERNEL_LAST_M if n is None else min(n, _KERNEL_LAST_M)
+        k = p_a + q_l
+        count = _first_true(lambda m: _kernel_majorant(c_a, k, c_l, q_l, nu, beta, m) < 1e-18, 5, last)
+        if count is None:
+            if last != n:
+                raise ConvergenceError("g_prime kernel did not converge")
+            count = n
+    grow = range(len(a_tab), count + 1)
+    a_tab.extend(map(d.a, grow))
+    lam_tab.extend(map(d.lam, grow))
+    terms = [
+        a * (nu - lam * beta) * math.exp(-lam * beta)
+        for a, lam in zip(a_tab[1 : count + 1], lam_tab[1 : count + 1])
+    ]
+    return beta ** (nu - 1) * math.fsum(terms)
+
 
 def pole_residue(d: DirichletDatum) -> PoleResidueResult:
     """Extract Res_{s=nu} phi(s), nu = delta, from the kernel integrals.
@@ -535,7 +605,6 @@ def pole_residue(d: DirichletDatum) -> PoleResidueResult:
         raise DomainError(f"datum {d.name} carries no functional equation")
     nu = d.delta
     hk = heat_kernels(d)
-    c_l, q_l = d.lam_low
 
     def phi_kernel(beta: float) -> float:
         return hk.phi_series(beta, 1e-16).value.real
@@ -544,30 +613,15 @@ def pole_residue(d: DirichletDatum) -> PoleResidueResult:
         return beta ** nu * phi_kernel(beta)
 
     # QAGS (_quad) bisects one fixed nested grid of [0, 1], so the four r_of_h
-    # integrals meet the same betas: memoised for this call only
+    # integrals meet the same betas: memoised, with the kernel's tables, for
+    # this call only
     g_memo = {}
+    a_tab, lam_tab = [0.0], [0.0]
 
     def g_prime(beta: float) -> float:
-        # beta^{nu-1} sum a_m (nu - lambda_m beta) e^{-lambda_m beta},
-        # summed with fsum: the terms cancel massively at small beta
-        if beta in g_memo:
-            return g_memo[beta]
-        terms = []
-        m = 0
-        while True:
-            m += 1
-            lam = d.lam(m)
-            e = math.exp(-lam * beta)
-            terms.append(d.a(m) * (nu - lam * beta) * e)
-            if d.finite_n is not None and m >= d.finite_n:
-                break
-            if m > 4 and d.a_bound[0] * (m + 1) ** (d.a_bound[1] + q_l) * (
-                1 + nu + c_l * (m + 1) ** q_l * beta
-            ) * math.exp(-c_l * (m + 1) ** q_l * beta) < 1e-18:
-                break
-            if m > 150_000:
-                raise ConvergenceError("g_prime kernel did not converge")
-        return g_memo.setdefault(beta, beta ** (nu - 1) * math.fsum(terms))
+        if beta not in g_memo:
+            g_memo[beta] = _kernel_derivative(d, beta, a_tab, lam_tab)
+        return g_memo[beta]
 
     big_x = 1.0 + 52.0 / d.lam(1)
 

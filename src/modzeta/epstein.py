@@ -130,8 +130,8 @@ def bessel_k(nu: float, x: float) -> float:
     to ``_special.kv`` (power series, Temme's series, the trapezoidal rule
     or Hankel's expansion, by argument and order).
     """
-    if x <= 0:
-        raise DomainError("bessel_k requires x > 0")
+    if not (x > 0 and math.isfinite(nu)):  # NaN fails both tests
+        raise DomainError(f"bessel_k requires a finite order and x > 0, got order {nu}, x = {x}")
     nu = abs(float(nu))  # K is even in its order
     half = nu - 0.5
     if abs(half - round(half)) < 1e-14 and half >= -0.25:

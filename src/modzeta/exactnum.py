@@ -243,12 +243,24 @@ def sigma_range(k: int, n_max: int) -> list[int]:
     ``k`` gives the same floats as the direct divisor sum."""
     if n_max < 1:
         raise DomainError("sigma_range: n_max must be >= 1")
-    out = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
+    return _sigma_extend([0], k, n_max)
+
+
+def _sigma_extend(table: list, k, n_max: int) -> list:
+    """Extend a ``sigma_range`` table in place to cover index ``n_max``:
+    each new entry adds its divisors' powers in increasing order, as a
+    one-shot build of the larger table would."""
+    done = len(table) - 1
+    table.extend([0] * (n_max - done))
+    for d in range(1, done + 1):  # old divisors first: each entry's powers stay in increasing order
+        dk = d ** k
+        for m in range((done // d + 1) * d, n_max + 1, d):
+            table[m] += dk
+    for d in range(done + 1, n_max + 1):
         dk = d ** k
         for m in range(d, n_max + 1, d):
-            out[m] += dk
-    return out
+            table[m] += dk
+    return table
 
 
 # tables by (kind, order): every integer order for the life of the process,
@@ -262,13 +274,17 @@ def _sieve(kind: str, order, n: int) -> list:
     """Coefficient table covering index ``n``: sigma_order (kind "sigma",
     built by ``sigma_range``) or r_order (kind "rp", built by
     ``epstein.rp_counts``).  The first build covers the request and later
-    builds double, so sequential access costs O(log n) builds.
+    builds double, so sequential access costs O(log n) builds.  A sigma
+    table grows in place (``_sigma_extend``), so its doublings cost about
+    one build of the final size; an r_p table is built again.
     """
     store = _SIEVES if isinstance(order, int) else _LAST_NON_INTEGER
     table = store.get((kind, order))
     if table is None or n >= len(table):
         size = n if table is None else max(n, 2 * (len(table) - 1))
         if kind == "sigma":
+            if table is not None:  # the store already holds it
+                return _sigma_extend(table, order, size)
             table = sigma_range(order, size)
         else:
             from . import epstein  # rp_counts lives with the lattice sums

@@ -85,11 +85,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("eval f3 --xi 1.7", "eval-f3-xi1.7.txt"),
         ("eval z2_quartic --xi 0.8", "eval-z2_quartic-xi0.8.txt"),
         ("table f3-grid", "table-f3-grid.csv"),
+        # pure Python too: the pole-residue and modular-relation residuals
+        ("verify dirichlet --format csv", "verify-dirichlet.csv"),
     ],
 )
 def test_exact_algebra_outputs_are_byte_identical(argv, name, capsys):
-    # the full stdout, byte for byte: the period-polynomial commands, and the
-    # pure-Python q-series routes
+    # the full stdout, byte for byte: the period-polynomial commands, the
+    # pure-Python q-series routes and the dirichlet verify suite
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 

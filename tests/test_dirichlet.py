@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from modzeta.errors import DomainError, SingularityError
+import modzeta.dirichlet as dmod
+from modzeta.errors import ConvergenceError, DomainError, SingularityError
 from modzeta.exactnum import gamma_numeric, zeta_numeric
 from modzeta.dirichlet import (
     berndt_R,
@@ -218,6 +219,12 @@ def test_berndt_continuation_pole_residue_p2():
     assert abs(extr - math.pi) < 1e-6
 
 
+@pytest.mark.parametrize("s,w", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1.5, math.nan), (1.5, 0.0)])
+def test_berndt_rejects_nan_and_inf(s, w):
+    with pytest.raises(DomainError):
+        berndt_phi(diagonal_epstein_datum(2), s, w)
+
+
 def test_berndt_gamma_pole_guard():
     with pytest.raises(SingularityError):
         berndt_phi(eisenstein_datum(2), 3.0, 1.0)  # s - 4 = -1
@@ -278,6 +285,81 @@ def test_pole_residue_memo_does_not_leak_between_calls():
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == got
+
+
+def _g_prime_reference(d, beta):
+    # the per-term loop that _kernel_derivative replaced, kept verbatim as the
+    # reference: it evaluates the majorant at every m
+    nu = d.delta
+    c_l, q_l = d.lam_low
+    terms = []
+    m = 0
+    while True:
+        m += 1
+        lam = d.lam(m)
+        e = math.exp(-lam * beta)
+        terms.append(d.a(m) * (nu - lam * beta) * e)
+        if d.finite_n is not None and m >= d.finite_n:
+            break
+        if m > 4 and d.a_bound[0] * (m + 1) ** (d.a_bound[1] + q_l) * (
+            1 + nu + c_l * (m + 1) ** q_l * beta
+        ) * math.exp(-c_l * (m + 1) ** q_l * beta) < 1e-18:
+            break
+        if m > 150_000:
+            raise ConvergenceError("g_prime kernel did not converge")
+    return beta ** (nu - 1) * math.fsum(terms), m
+
+
+@pytest.mark.parametrize(
+    "expr", ["eisenstein_datum(2)", "eisenstein_datum(3)", "eisenstein_datum(4)", "theta_datum()", _POLELESS_DATUM]
+)
+def test_kernel_derivative_is_the_per_term_loop_bit_for_bit(expr, monkeypatch):
+    # every beta that pole_residue's QAGS visits, with the tables the call shares
+    # across its betas; and O(log m) majorant evaluations per beta, not m
+    seen = []
+    majorants = [0]
+    real_kernel, real_majorant = dmod._kernel_derivative, dmod._kernel_majorant
+
+    def counting_majorant(*args):
+        majorants[0] += 1
+        return real_majorant(*args)
+
+    def recording_kernel(d, beta, a_tab, lam_tab):
+        majorants[0] = 0
+        value = real_kernel(d, beta, a_tab, lam_tab)
+        seen.append((beta, value, majorants[0]))
+        return value
+
+    monkeypatch.setattr(dmod, "_kernel_majorant", counting_majorant)
+    monkeypatch.setattr(dmod, "_kernel_derivative", recording_kernel)
+    d = eval(expr)
+    pole_residue(d)
+    assert len(seen) > 20
+    for beta, value, calls in seen:
+        want, terms = _g_prime_reference(d, beta)
+        assert value.hex() == want.hex(), beta
+        assert calls <= 2 * math.log2(terms) + 3, (beta, terms)
+
+
+def test_kernel_derivative_refuses_before_tabulating(monkeypatch):
+    # theta's lambda_m = pi m^2 needs m ~ 1e5 at beta = 1e-9, found in a few
+    # dozen majorant evaluations, and more than the 150,001 terms the loop
+    # allows at beta = 1e-11
+    d = theta_datum()
+    calls = []
+    real_majorant = dmod._kernel_majorant
+    monkeypatch.setattr(dmod, "_kernel_majorant", lambda *args: calls.append(args[-1]) or real_majorant(*args))
+    a_tab, lam_tab = [0.0], [0.0]
+    want, terms = _g_prime_reference(d, 1e-9)
+    assert 50_000 < terms < 150_000
+    assert dmod._kernel_derivative(d, 1e-9, a_tab, lam_tab).hex() == want.hex()
+    assert len(calls) <= 2 * math.log2(terms) + 3 and len(a_tab) == terms + 1
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        _g_prime_reference(d, 1e-11)
+    a_tab, lam_tab = [0.0], [0.0]
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        dmod._kernel_derivative(d, 1e-11, a_tab, lam_tab)
+    assert a_tab == [0.0] and lam_tab == [0.0]
 
 
 def test_koshliakov_closed_form_values():

@@ -102,6 +102,15 @@ def test_bessel_domain():
         bessel_k(1.0, -2.0)
 
 
+@pytest.mark.parametrize(
+    "nu,x", [(math.nan, 1.0), (1.0, math.nan), (0.5, math.nan), (math.inf, 1.0), (-math.inf, 1.0)]
+)
+def test_bessel_rejects_nan_and_inf(nu, x):
+    # a NaN order left round() as a raw ValueError, and a NaN x came back as the value
+    with pytest.raises(DomainError):
+        bessel_k(nu, x)
+
+
 # ------------------------------------------------------------- direct sums
 def test_z2_direct_symmetry_and_scaling():
     xi, s, radius = 2.0, 2.0, 60

@@ -196,17 +196,33 @@ def test_sieve_cache_matches_divisor_sigma_out_of_order(k):
 
 def test_sieve_first_build_covers_request_then_doubles(monkeypatch):
     built = []
-    real = exactnum.sigma_range
+    real = exactnum._sigma_extend
 
-    def recording(k, n_max):
-        built.append(n_max)
-        return real(k, n_max)
+    def recording(table, k, n_max):
+        built.append((len(table) - 1, n_max))
+        return real(table, k, n_max)
 
-    monkeypatch.setattr(exactnum, "sigma_range", recording)
+    monkeypatch.setattr(exactnum, "_sigma_extend", recording)
     monkeypatch.setattr(exactnum, "_SIEVES", {})
     for n in (10, 5, 11, 100, 30, 201):
         assert _sieve("sigma", 2, n)[n] == divisor_sigma(2, n)
-    assert built == [10, 20, 100, 201]
+    # each doubling extends the table from its old end, never from index 1
+    assert built == [(0, 10), (10, 20), (20, 100), (100, 201)]
+
+
+@pytest.mark.parametrize("k", [0, 3, 5, 2.6, -1.4])
+def test_extended_sigma_table_is_a_one_shot_build(k, monkeypatch):
+    # the same entries, bit for bit: a non-integer k must still add each
+    # entry's divisor powers in increasing order
+    table = [0]
+    for n_max in (1, 7, 20, 64, 65, 1000):
+        assert exactnum._sigma_extend(table, k, n_max) is table
+    assert table == sigma_range(k, 1000)
+    monkeypatch.setattr(exactnum, "_SIEVES", {})
+    monkeypatch.setattr(exactnum, "_LAST_NON_INTEGER", {})
+    for n in (3, 10, 150, 700):
+        grown = _sieve("sigma", k, n)
+    assert grown == sigma_range(k, len(grown) - 1)
 
 
 @pytest.mark.parametrize("k", [2.6, -1.4, 0.37, 5.0000001])
