@@ -31,7 +31,7 @@ from . import epstein as emod
 from . import periodpoly as pmod
 from . import qseries as qmod
 from . import thermal as tmod
-from .errors import DomainError, ModzetaError, SingularityError
+from .errors import ConvergenceError, DomainError, ModzetaError, SingularityError
 from .exactnum import bernoulli, require_finite
 from .verify import run_suites, suite_names
 
@@ -170,7 +170,12 @@ def _f3_pair(first, second):
 def _pbar(t, x):
     poly = pmod.pbar(t)
     coeffs = {str(k): str(c) for k, c in enumerate(poly.coeffs) if not c.is_zero()}
-    return coeffs, None if x is None else poly.eval_numeric(x)
+    if x is None:
+        return coeffs, None
+    try:
+        return coeffs, require_finite(poly.eval_numeric(x))
+    except OverflowError:  # x^k is past the floats
+        raise ConvergenceError(f"pbar: x^k at x = {x} leaves the float range") from None
 
 
 def _rbar(t, x):

@@ -26,6 +26,7 @@ Q(a, x) of the massive tail from ``exactnum.gamma_numeric`` and
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -212,8 +213,8 @@ def sigma_datum(k: int) -> DirichletDatum:
 def diagonal_epstein_datum(p: int) -> DirichletDatum:
     """Diagonal lattice datum: a_n = r_p(n), lambda_n = n,
     b_n = pi^{p/2} r_p(n), mu_n = pi^2 n, delta = p/2."""
-    if p < 1 or p > 4:
-        raise DomainError("diagonal_epstein_datum supports 1 <= p <= 4")
+    if not (isinstance(p, int) and 1 <= p <= 4):
+        raise DomainError(f"diagonal_epstein_datum supports integer 1 <= p <= 4, got p = {p!r}")
     pref = math.pi ** (p / 2.0)
     rp = _coefficients("rp", p)
     return DirichletDatum(
@@ -313,6 +314,8 @@ def datum_from_json(doc) -> DirichletDatum:
 def phi_direct(d: DirichletDatum, s: complex, tol: float = 1e-11, max_terms: int = 600_000) -> SeriesValue:
     """Truncated sum a_m lambda_m^{-s} with a certified power tail."""
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"phi_direct requires a finite s, got s = {s}")
     c_a, p_a = d.a_bound
     c_l, q_l = d.lam_low
     decay = s.real * q_l - p_a
@@ -330,6 +333,8 @@ def phi_direct(d: DirichletDatum, s: complex, tol: float = 1e-11, max_terms: int
 
 
 def _kernel_sum(coef, seq, low, bound, beta: float, tol: float, max_terms: int = 200_000, finite_n=None) -> SeriesValue:
+    if not beta > 0:  # NaN too; beta = +inf leaves the zero modes alone
+        raise DomainError(f"heat kernels require beta > 0, got beta = {beta}")
     c_b, p_b = bound
     c_l, q_l = low
 
@@ -476,9 +481,9 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
         head0 = 2.0 * c_b * (c_lo / w2) ** (abs(nu) / 2.0)
         abs_gam_s, finite_n = abs(gam_s), d.finite_n
         series = _certified_sum(terms(), tail, tol, 100_000, "berndt_phi")
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         # w^{-2s}, the terms' powers or the Bessel bound's exp(nu^2 / 2x)
-        # leave the float range: at large order, or at small w
+        # leave the float range, or w^2 underflows to 0: at large order, or at small w
         raise ConvergenceError(
             f"berndt_phi: datum {d.name} at s = {s}, w = {w} leaves the float range "
             f"(Bessel order {nu:g})",

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError
-from .exactnum import _coefficients, _lazy, gamma_numeric, zeta_numeric
-from .qseries import SeriesValue, _certified_sum, _quad, lambert_S, log_deriv_D, lambert_expansion
+from .exactnum import _coefficients, _lazy, gamma_numeric, zeta_numeric, zeta_odd_numeric
+from .qseries import SeriesValue, _certified_sum, _divisor_series, _quad
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,8 +68,9 @@ class BinaryForm:
     c: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.det > 0):  # a NaN det (inf - inf) is no form either
-            raise DomainError("BinaryForm must be positive definite (a > 0, ac - b^2 > 0)")
+        # a NaN entry or det fails the comparisons
+        if not (self.a > 0 and self.det > 0 and all(map(math.isfinite, (self.a, self.b, self.c)))):
+            raise DomainError("BinaryForm must be finite and positive definite (a > 0, ac - b^2 > 0)")
 
     @property
     def det(self) -> float:
@@ -293,7 +294,7 @@ def z2_direct(
     step, an estimate of order radius^{-2s-2} rather than a bound.
     """
     form = _as_form(form)
-    if s <= 1:
+    if not s > 1:  # NaN too
         raise DomainError("z2_direct needs s > 1 for absolute convergence")
     if radius is not None and radius < 1:
         raise DomainError("z2_direct radius must be >= 1")
@@ -374,6 +375,8 @@ def z2_kober(form, w: float, target_tol: float = 1e-12) -> SeriesValue:
     the exponent, so no convergence restriction on w + 1/2 applies.
     """
     form = _as_form(form)
+    if not math.isfinite(w):
+        raise DomainError(f"z2_kober requires a finite w, got w = {w}")
     if abs(w) < 1e-9 or abs(w - 0.5) < 1e-9:
         raise SingularityError("z2_kober: w = 0 and w = 1/2 hit explicit poles")
     u, v = form.u, form.v
@@ -412,23 +415,19 @@ def z2_quartic(xi: float, tol: float = 1e-11) -> SeriesValue:
 
         pi^4/45 + pi zeta(3)/xi^3 + 2 pi chi(q')/xi^3 + 4 pi^2 T(q')/xi^2
 
-    with chi = S_2 and T(q) = sum sigma_3(n) n^-2 q^{2n} (= half the
-    log-derivative of chi), and the low-temperature form obtained from it
-    by the exact scaling Z(xi) = xi^-4 Z(1/xi) (series in q = e^{-pi/xi}).
-    The two must agree to ``tol``; the low-temperature value is returned.
+    with chi(q) = sum sigma_3(n) n^-3 q^{2n} (= S_2) and T(q) = sum
+    sigma_3(n) n^-2 q^{2n}, the sigma_3 series that ``thermal.f3_epstein``
+    also sums, and the low-temperature form obtained from it by the exact
+    scaling Z(xi) = xi^-4 Z(1/xi) (series in q = e^{-pi/xi}).  The two must
+    agree to ``tol``; the low-temperature value is returned.
     """
-    if xi <= 0:
-        raise DomainError("z2_quartic requires xi > 0")
-
-    def half_d_chi(b: float) -> float:
-        # sum sigma_3(n) n^-2 q^{2n} at q = exp(-pi b)
-        return 0.5 * log_deriv_D(lambert_expansion(2), 1, b).value.real
-
-    z3 = float(zeta_numeric(3).real)
+    if not 0 < xi < math.inf:
+        raise DomainError(f"z2_quartic requires a finite xi > 0, got xi = {xi}")
+    z3 = zeta_odd_numeric(3)
 
     def high_t(x: float) -> float:
-        chi = lambert_S(2, x).value.real          # series in exp(-pi x)
-        tq = half_d_chi(x)
+        q2 = math.exp(-2.0 * math.pi * x)
+        chi, tq = (_divisor_series(3, weight, q2).value for weight in (3.0, 2.0))
         return (
             math.pi ** 4 / 45
             + math.pi * z3 / x ** 3
@@ -478,10 +477,12 @@ def zp_brute(p: int, s: float, w: float, tol: float = 1e-11, tail: str = "bound"
     meet ``tol``, enabling oracle duty at exponents where certified radii
     are out of reach.
     """
-    if p < 1 or p > 4:
-        raise DomainError("zp_brute supports 1 <= p <= 4")
-    if 2 * s <= p:
+    if not (isinstance(p, int) and 1 <= p <= 4):
+        raise DomainError("zp_brute supports integer 1 <= p <= 4")
+    if not 2 * s > p:  # NaN too; at s = +inf the limit is the points with m.m = 1
         raise DomainError("zp_brute needs 2s > p for convergence")
+    if math.isnan(w):  # w = +-inf is the limit 0
+        raise DomainError("zp_brute requires w to be a number, got NaN")
     radius = (1200 if p == 1 else 500) if tail == "integral" else None
     return _direct(_lazy("numpy").eye(p), s, w * w, 2 * p * 3 ** (p - 1), tol, radius, tail)
 
@@ -498,13 +499,6 @@ def zp_massive(p: int, s: float, w: float, target_tol: float = 1e-11) -> SeriesV
     The series is ``dirichlet.berndt_phi`` on the diagonal datum, which
     certifies its truncation against ``target_tol``.
     """
-    if p < 1 or p > 4:
-        raise DomainError("zp_massive supports 1 <= p <= 4")
-    if w <= 0:
-        raise DomainError("zp_massive requires w > 0")
-    shift = s - p / 2.0
-    if abs(shift - round(shift)) < 1e-9 and round(shift) <= 0:
-        raise SingularityError("zp_massive: s - p/2 at a nonpositive integer (Gamma pole)")
     from . import dirichlet  # dirichlet imports this module
 
     return dirichlet.berndt_phi(dirichlet.diagonal_epstein_datum(p), s, w, tol=target_tol)
@@ -517,6 +511,8 @@ def zp_massive(p: int, s: float, w: float, target_tol: float = 1e-11) -> SeriesV
 def xi_completed(z: float) -> float:
     """xi(z) = (1/2) pi^{-z/2} Gamma(z/2) zeta(z) (completed zeta;
     xi(z) = xi(1-z))."""
+    if not math.isfinite(z):
+        raise DomainError(f"xi_completed requires a finite z, got z = {z}")
     return 0.5 * math.pi ** (-z / 2.0) * float(gamma_numeric(z / 2.0).real) * float(
         zeta_numeric(z).real
     )
@@ -524,6 +520,8 @@ def xi_completed(z: float) -> float:
 
 def guinand_lhs_bessel(w: float, u: float, tol: float = 1e-13) -> float:
     """S(u) - (1/u) S(1/u) with S(u) = sum sigma_{2w}(n) n^{-w} K_w(2 pi n u)."""
+    if not (math.isfinite(w) and 0 < u < math.inf):  # NaN fails both
+        raise DomainError(f"the Guinand relation requires a finite w and a finite u > 0, got w = {w}, u = {u}")
     inv = 1.0 / u
     s = {}
     # S(u) and S(1/u) read one sigma_{2w} table.  The series at the smaller
@@ -543,8 +541,6 @@ def guinand_gap(w: float, u: float) -> float:
     xi(-2w) is evaluated as xi(1 + 2w): at integer w the direct form meets a
     gamma pole times a trivial zero of zeta, whose limit is finite.
     """
-    if u <= 0:
-        raise DomainError("guinand_gap requires u > 0")
     lhs = guinand_lhs_bessel(w, u)
     rhs = 0.5 * xi_completed(2 * w) * (u ** (w - 1) - u ** (-w)) + 0.5 * xi_completed(
         1 + 2 * w
@@ -594,4 +590,6 @@ def _derivative_bessel_sum(t: int, u: float, tol: float = 1e-13, max_terms: int 
 
 def guinand_lhs_derivative(t: int, u: float) -> float:
     """LHS of the Guinand relation for w = t - 1/2 via the derivative form."""
+    if not 0 < u < math.inf:
+        raise DomainError(f"the Guinand relation requires a finite u > 0, got u = {u}")
     return _derivative_bessel_sum(t, u) - _derivative_bessel_sum(t, 1.0 / u) / u

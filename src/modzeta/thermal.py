@@ -36,8 +36,8 @@ from fractions import Fraction
 
 from .epstein import bessel_k
 from .errors import ConvergenceError, DomainError
-from .exactnum import _coefficients, _lazy, zeta_negative_exact, zeta_odd_numeric
-from .qseries import SeriesValue, _casimir, _certified_sum, _eps_q, _q_series
+from .exactnum import _lazy, zeta_negative_exact, zeta_odd_numeric
+from .qseries import SeriesValue, _casimir, _certified_sum, _divisor_series, _eps_q
 
 __all__ = [
     "ThermalPoint",
@@ -61,8 +61,7 @@ class ThermalPoint:
     xi: float
 
     def __post_init__(self):
-        if self.xi <= 0:
-            raise DomainError("ThermalPoint requires xi > 0")
+        _xi(float(self.xi))
 
     @property
     def beta_scaled(self) -> float:
@@ -81,8 +80,8 @@ def _xi(pt) -> float:
     if isinstance(pt, ThermalPoint):
         return pt.xi
     xi = float(pt)
-    if xi <= 0:
-        raise DomainError("xi must be > 0")
+    if not 0 < xi < math.inf:  # NaN too
+        raise DomainError(f"xi must be finite and > 0, got xi = {xi}")
     return xi
 
 
@@ -188,30 +187,6 @@ SINGLE_MODE = SpectrumSpec("single-mode", table=((1, 1.0),))
 
 
 # ---------------------------------------------------------------------------
-# divisor q-series (sigma_k from the shared sieve cache in exactnum)
-# ---------------------------------------------------------------------------
-
-def _divisor_series(k: int, weight: float, q2: float, tol: float = 1e-16) -> SeriesValue:
-    """sum_n sigma_k(n) n^{-weight} q2^n, certified by the q-series kernel."""
-    sigma = _coefficients("sigma", k)
-    log_q2 = math.log(q2) if q2 else -math.inf
-
-    def term(n: int, qn: float) -> float:
-        try:
-            return sigma(n) * float(n) ** (-weight) * qn
-        except OverflowError:  # sigma_k(n) can leave the floats before the term does
-            return math.exp(math.log(sigma(n)) - weight * math.log(n) + n * log_q2)
-
-    return _q_series(
-        term, q2, 1.3, max(k - weight + 1.0, 0.0), tol, "divisor series",
-        overflow=lambda: ConvergenceError(
-            f"divisor series: sigma_{k}(n) at q^2 = {q2:.3g} leaves the float range",
-            suggestion=f"t < {(k + 1) // 2}",  # k = 2t - 1 in the partial free energy and entropy
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
 # partial free energy and entropy
 # ---------------------------------------------------------------------------
 
@@ -310,8 +285,8 @@ def _mode_sum(spec: SpectrumSpec, beta: float, tol: float, term, what: str) -> S
     spectrum on the majorant of sum_{m>n} d_m log(1 - e^{-m beta}), at
     min(tol, tol beta) since F is the sum over beta.  ``terms`` is the last
     mode summed, or a table's largest mode."""
-    if beta <= 0:
-        raise DomainError(f"{what} requires beta > 0")
+    if not beta > 0:  # NaN too; beta = +inf is the zero-temperature limit
+        raise DomainError(f"{what} requires beta > 0, got beta = {beta}")
     if spec.table:
         # entries at n < 1 are no modes; an all-such table sums one zero
         modes = sorted((n, d) for n, d in spec._degeneracies.items() if n >= 1) or [(1, 0.0)]
@@ -319,13 +294,18 @@ def _mode_sum(spec: SpectrumSpec, beta: float, tol: float, term, what: str) -> S
         def tail(k: int) -> float:
             return 0.0 if k >= len(modes) else math.inf
     else:
-        if 1.0 / beta >= 1_000_000:  # the first checked mode would be past the budget
+        decay = max(1 - math.exp(-beta), 1e-300)
+        # tail(n) >= 2 e^{-(n+1) beta} / decay, which is 0 only once the exponential
+        # underflows near (n+1) beta = 745: where no n up to 1% past the budget
+        # certifies, or the first checked mode is past it, nothing is summed
+        floor = 2 * math.exp(-min(745.0, 1.01e6 * beta)) / decay
+        if 1.0 / beta >= 1_000_000 or floor > min(tol, tol * beta):
             raise ConvergenceError(
-                f"{what} at beta = {beta:.3g} starts past its 1000000-mode budget", suggestion="beta > 1e-6"
+                f"{what} at beta = {beta:.3g} cannot certify {tol:.1e} in its 1000000-mode budget",
+                suggestion="larger beta",
             )
         modes = ((n, spec.degeneracy(n)) for n in itertools.count(1))
         first = max(2, int(1.0 / beta) + 1) + 1
-        decay = max(1 - math.exp(-beta), 1e-300)
 
         def tail(n: int) -> float:
             # |d_n log(1 - e^{-n beta})| <= 2 d_n e^{-n beta} for n beta >= 0.7

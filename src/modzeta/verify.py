@@ -51,10 +51,9 @@ def suite_inversion() -> list[CheckResult]:
         worst = 0.0
         for _ in range(20):
             b = rng.uniform(0.2, 5.0)
-            scale = max(1.0, abs(qmod.eps(t, b).value) * b ** (2 * t))
-            r1 = abs(
-                qmod.eps(t, 1 / b).value - (-1) ** t * b ** (2 * t) * qmod.eps(t, b).value
-            )
+            e_b = qmod.eps(t, b).value
+            scale = max(1.0, abs(e_b) * b ** (2 * t))
+            r1 = abs(qmod.eps(t, 1 / b).value - (-1) ** t * b ** (2 * t) * e_b)
             r2 = abs(
                 qmod.eps_sub(t, 1 / b).value
                 - (-1) ** t * b ** (2 * t) * qmod.eps_sub(t, b).value
@@ -111,6 +110,15 @@ def suite_inversion() -> list[CheckResult]:
             for b in (0.4, 0.7, 1.0, 1.6, 2.5)
         )
         out.append(_c("inversion", f"Mellin contour oracle t={t} (5 points)", worst, 1e-8))
+    # S_t summed in its Lambert form and in its divisor form; from t = 28 on
+    # the divisor coefficients are 1.0 and no sigma table is built
+    worst = 0.0
+    for t in (1, 2, 3, 28):
+        divisor_form = qmod.lambert_expansion(t)
+        for b in (0.3, 0.7, 1.0, 1.7):
+            lam = qmod.lambert_S(t, b).value
+            worst = max(worst, abs(divisor_form.evaluate(b).value - lam) / abs(lam))
+    out.append(_c("inversion", "Lambert form = divisor form of S_t (t=1,2,3,28)", worst, 1e-12))
     # quadrature route reproduces the q-series route
     for (t, x) in ((2, 0.7), (2, 1.3), (3, 1.0)):
         w = qmod.phi_bar_from_weyl(t, x).value

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -564,16 +565,10 @@ def _q_series_argv(draw) -> list:
     return argv + ([] if tol is None else ["--tol", f"{10.0 ** tol:.3g}"])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(argv=_q_series_argv())
-@example(argv="eval eps --t 140 --b 20".split())
-@example(argv="eval eps_sub --t 194 --b 285.3".split())
-@example(argv="eval entropy --t 140 --xi 0.05".split())
-@example(argv="eval rbar --t 2 --x 0".split())
-def test_q_series_routes_stay_in_the_error_contract(argv):
-    # wherever a value, its constant or a term leaves the floats, or a pole
-    # is met, the route names it (exit 3): no raw OverflowError or
-    # ZeroDivisionError, and no value past its tol
+def _run_in_contract(argv, certified) -> tuple[int, str]:
+    """main(argv) as JSON: exit 0, 2 or 3 with the matching stderr prefix, no
+    raw OverflowError or ZeroDivisionError, and, where ``certified`` names
+    the quantity and --tol is given, an est_error within it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "--format", "json"])
@@ -582,5 +577,129 @@ def test_q_series_routes_stay_in_the_error_contract(argv):
         assert err.getvalue().startswith("usage error:" if code == 2 else "error:")
         assert "Traceback" not in err.getvalue()
         assert "OverflowError" not in err.getvalue() and "ZeroDivisionError" not in err.getvalue()
-    elif "--tol" in argv and argv[1] in _CERTIFIED:
+    elif "--tol" in argv and argv[1] in certified:
         assert float(json.loads(out.getvalue())["est_error"]) <= float(argv[argv.index("--tol") + 1])
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_q_series_argv())
+@example(argv="eval eps --t 140 --b 20".split())
+@example(argv="eval eps_sub --t 194 --b 285.3".split())
+@example(argv="eval entropy --t 140 --xi 0.05".split())
+@example(argv="eval rbar --t 2 --x 0".split())
+# small b: values of size 1e3 to 1e13 summed in 7e3 to 2.5e4 terms
+@example(argv="eval psi_bar --t 3 --b 0.001".split())
+@example(argv="eval phi_bar --t 2 --b 0.0003".split())
+@example(argv="eval z2_quartic --xi 0.0005".split())
+def test_q_series_routes_stay_in_the_error_contract(argv):
+    # wherever a value, its constant or a term leaves the floats, or a pole
+    # is met, the route names it (exit 3): no raw OverflowError or
+    # ZeroDivisionError, and no value past its tol
+    _run_in_contract(argv, _CERTIFIED)
+
+
+# the lattice, Mellin, mode-sum and exact routes; zp_massive's est_error adds a
+# rounding allowance that may pass --tol, and z2's integral tail is an
+# estimate, so neither is held to it
+_OTHER_ROUTES = ("z2", "z2_kober", "zp_massive", "mellin_eps_sub", "mode_sum_F", "pbar", "rbar")
+_OTHER_CERTIFIED = {"z2_kober", "mellin_eps_sub", "mode_sum_F"}
+# per example, under tracemalloc (which slows pure-Python loops about five-fold):
+# the slowest example seen, the zp_massive @example, took 7 s and 13 MB
+_RUN_BUDGET_S, _PEAK_BUDGET_BYTES = 30.0, 64e6
+_GOOD_FORMS = st.sampled_from(["1,0,1", "2,1,3", "1,0.3,2", "1,0.999,1", "1,0,1e6"])
+# singular, indefinite, malformed and past-the-floats forms, a third of the draws
+_FORMS = _GOOD_FORMS | _GOOD_FORMS | st.sampled_from(
+    ["1,0,0", "1,2,1", "-1,0,1", "0,0,0", "1,0", "1,0,1,1", "1e300,0,1e300", "1e-300,0,1", "1,x,1", "1,,1"]
+)
+_SPECTRA = {
+    "bad-json.json": "{",
+    "not-an-object.json": "[1, 2]",
+    "negative.json": '{"degeneracy_coeffs": [1, -3, 1]}',
+    "degree-7.json": '{"degeneracy_coeffs": [0, 0, 0, 0, 0, 0, 0, 1]}',
+    "nan.json": '{"degeneracy_coeffs": [NaN]}',
+    "strings.json": '{"table": [["a", 1]]}',
+    "omega.json": '{"omega": "n^2", "table": [[1, 1]]}',
+    "huge.json": '{"table": [[1, 1e300], [2, 1e300]]}',
+    "far.json": '{"table": [[1000000000, 1]]}',
+    "below-one.json": '{"table": [[0, 2], [-3, 1]]}',
+    "degree-6.json": '{"degeneracy_coeffs": [0, 0, 0, 0, 0, 0, 1]}',
+}
+# log-uniform and signed numbers, and in a quarter of the draws 0, +-huge,
+# past the floats, or not numbers at all
+_NUMBER = st.one_of(
+    _LOG_UNIFORM,
+    _LOG_UNIFORM,
+    st.floats(-30.0, 30.0).map(lambda x: f"{x:.6g}"),
+    st.sampled_from(["0", "-0", "1e300", "-1e300", "1e-300", "1e308", "1e309", "nan", "-inf", "x"]),
+)
+
+
+def _near(poles):
+    """Values at a pole and just off it."""
+    offsets = st.sampled_from([0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-3])
+    return st.tuples(st.sampled_from(poles), offsets).map(lambda pd: f"{pd[0] + pd[1]:.17g}")
+
+
+@pytest.fixture(scope="module")
+def spectra_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("spectra")
+    for name, text in _SPECTRA.items():
+        (path / name).write_text(text, encoding="utf-8")
+    return path
+
+
+@st.composite
+def _other_argv(draw) -> list:
+    """An eval argv, each value joined to its flag by '=' (argparse reads a
+    separate '-1e300' as a flag); a spectrum file is named by its key in
+    _SPECTRA, and the test puts it in its directory."""
+    quantity = draw(st.sampled_from(_OTHER_ROUTES))
+    argv = ["eval", quantity]
+    if quantity == "z2":
+        argv += [f"--form={draw(_FORMS)}", f"--s={draw(_NUMBER | _near([1.0, 1.5, 2.0]))}"]
+        argv += draw(st.sampled_from([[], ["--tail=integral"]]))
+    elif quantity == "z2_kober":
+        argv += [f"--form={draw(_FORMS)}", f"--w={draw(_NUMBER | _near([0.0, 0.5, -0.5]))}"]
+    elif quantity == "zp_massive":
+        p = draw(st.integers(-1, 6))
+        s = draw(_NUMBER | _near([p / 2 - k for k in range(3)] + [0.0, -1.0]))
+        argv += [f"--p={p}", f"--s={s}", f"--w={draw(_NUMBER)}"]
+    elif quantity == "mellin_eps_sub":
+        argv += [f"--t={draw(st.integers(-1, 100))}", f"--b={draw(_NUMBER | _near([0.0]))}"]
+    elif quantity == "mode_sum_F":
+        argv += ["--spectrum", draw(st.sampled_from(["s3", "single-mode", "missing.json", *_SPECTRA]))]
+        argv += [f"--beta={draw(_NUMBER | _near([1e-6, 0.0]))}"]
+    else:  # pbar, rbar: exact coefficients, and the value at --x when given
+        argv += [f"--t={draw(st.integers(-2, 40))}"]
+        x = draw(st.none() | _NUMBER | _near([0.0]))
+        argv += [] if x is None else [f"--x={x}"]
+    if quantity not in ("pbar", "rbar"):
+        tol = draw(st.none() | st.floats(-15.0, -3.0))
+        argv += [] if tol is None else ["--tol", f"{10.0 ** tol:.3g}"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_other_argv())
+# an exit-0 value whose est_error (81.9, in 80k terms) is far past its tol
+@example(argv="eval zp_massive --p 3 --s 5.5 --w 0.05".split())
+def test_lattice_mellin_mode_sum_and_exact_routes_stay_in_the_error_contract(argv, spectra_dir):
+    # the q-series contract for the other eval quantities, and each example
+    # within a time and a traced-memory budget: nothing runs unbounded or
+    # allocates gigabytes
+    if "--spectrum" in argv and argv[argv.index("--spectrum") + 1] in _SPECTRA:
+        i = argv.index("--spectrum") + 1
+        argv = [*argv[:i], str(spectra_dir / argv[i]), *argv[i + 1:]]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out = _run_in_contract(argv, _OTHER_CERTIFIED | ({"z2"} if "--tail=integral" not in argv else set()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < _RUN_BUDGET_S, argv
+    assert peak < _PEAK_BUDGET_BYTES, argv
+    if code == 0 and "value" in json.loads(out):
+        value = json.loads(out)["value"]
+        assert math.isfinite(float(value["re"])) and math.isfinite(float(value["im"]))

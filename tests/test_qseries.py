@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from modzeta.errors import ConvergenceError, DomainError, InconsistencyError, UnsupportedError
+from modzeta.errors import ConvergenceError, DomainError, UnsupportedError
 from modzeta.exactnum import bernoulli, zeta_even_exact, zeta_odd_numeric
 from modzeta.qseries import (
     HalfPlanePoint,
@@ -253,10 +253,20 @@ def test_lambert_vanishes_at_zero_temperature():
     assert abs(lambert_S(3, 40.0).value) < 1e-60
 
 
+_LAMBERT_DIVISOR = "Lambert form = divisor form of S_t (t=1,2,3,28)"
+
+
+def _lambert_divisor_check():
+    from modzeta.verify import suite_inversion
+
+    return next(r for r in suite_inversion() if r.name == _LAMBERT_DIVISOR)
+
+
 def test_lambert_divisor_form_cross_check_runs():
-    # the divisor/Lambert agreement is asserted inside lambert_S
-    v = lambert_S(3, 0.6)
-    assert v.tail_bound < 1e-14
+    # the divisor/Lambert agreement is a verify check, not part of each call
+    assert lambert_S(3, 0.6).tail_bound < 1e-14
+    check = _lambert_divisor_check()
+    assert check.passed and check.tol <= 1e-12
 
 
 def test_lambert_divisor_form_cross_check_fires(monkeypatch):
@@ -269,8 +279,40 @@ def test_lambert_divisor_form_cross_check_fires(monkeypatch):
         return dataclasses.replace(f, coef=lambda m: f.coef(m) * (1 + 1e-6))
 
     monkeypatch.setattr(qseries, "lambert_expansion", perturbed)
-    with pytest.raises(InconsistencyError):
-        lambert_S(2, 1.0)
+    assert not _lambert_divisor_check().passed
+    lambert_S(2, 1.0)  # the route itself no longer reads the divisor form
+
+
+def test_lambert_S_sums_one_route(monkeypatch):
+    from modzeta import qseries
+
+    def divisor_route(*args):
+        raise AssertionError("lambert_S ran the divisor form")
+
+    monkeypatch.setattr(qseries, "lambert_expansion", divisor_route)
+    monkeypatch.setattr(qseries, "log_deriv_D", divisor_route)
+    for t in (1, 3, 28):
+        lambert_S(t, 0.7)
+        psi_bar(t, 0.7 + 0.2j)
+        phi_bar(t, 1.3)
+
+
+@pytest.mark.parametrize("t,b", [(3, 0.001), (2, 0.0003)])
+def test_small_b_values_the_divisor_check_refused(t, b):
+    # values of size 1e3 to 1e4 summed in 7e3 to 2.5e4 terms
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        q2 = mpmath.exp(-2 * mpmath.pi * b)
+        s, qm = mpmath.mpf(0), mpmath.mpf(1)
+        for m in range(1, int(25 * math.log(10) / (2 * math.pi * b)) + 2):  # q2^m < 1e-25 at the end
+            qm *= q2
+            s += m ** (1 - 2 * t) * qm / (1 - qm)
+        psi = complex(4 * mpmath.pi * s)
+        phi = complex(4 * mpmath.pi * s - 2 * mpmath.zeta(2 * t) / b)
+    assert abs(psi_bar(t, b).value - psi) <= 1e-12 * abs(psi)
+    # phi_bar = psi_bar - 2 zeta(2t)/b cancels to a thousandth of psi_bar here:
+    # its error is psi_bar's rounding, measured against psi_bar's size
+    assert abs(phi_bar(t, b).value - phi) <= 1e-12 * abs(psi)
 
 
 def test_psi_bar_lemniscate_value():
