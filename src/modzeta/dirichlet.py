@@ -428,6 +428,10 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
     for (s0, _) in d.residues:
         if abs((s - s0) - round(s - s0)) < 1e-9 and round(s - s0) <= 0:
             raise SingularityError(f"berndt_phi: Gamma(s - s') pole at s = {s}, s' = {s0}")
+    if w * w == 0:  # every (mu / w^2) power would divide by it
+        raise ConvergenceError(
+            f"berndt_phi: datum {d.name} at s = {s}: w^2 underflows at w = {w}", suggestion=f"w > {w:g}"
+        )
     c_b, p_b = d.b_bound
     c_lo, q = d.mu_low
     kappa = 2.0 * w * math.sqrt(c_lo)
@@ -481,9 +485,9 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
         head0 = 2.0 * c_b * (c_lo / w2) ** (abs(nu) / 2.0)
         abs_gam_s, finite_n = abs(gam_s), d.finite_n
         series = _certified_sum(terms(), tail, tol, 100_000, "berndt_phi")
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         # w^{-2s}, the terms' powers or the Bessel bound's exp(nu^2 / 2x)
-        # leave the float range, or w^2 underflows to 0: at large order, or at small w
+        # leave the float range: at large order, or at small w
         raise ConvergenceError(
             f"berndt_phi: datum {d.name} at s = {s}, w = {w} leaves the float range "
             f"(Bessel order {nu:g})",

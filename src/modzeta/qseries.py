@@ -339,6 +339,11 @@ def lambert_S(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
     """
     _check_t(t)
     b = _point(p)
+    return _q_series(_lambert_term(t), *_lambert_q2(b), 0, tol, "lambert_S", 0.0 + 0.0j)
+
+
+def _lambert_term(t: int):
+    """The term (n, q^{2n}) -> n^{-k} q^{2n}/(1 - q^{2n}) of S_t, k = 2t - 1."""
     k = 2 * t - 1
 
     def term(n: int, qn: complex) -> complex:
@@ -349,7 +354,7 @@ def lambert_S(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
             pass
         return qn * n ** -k / (1.0 - qn)
 
-    return _q_series(term, *_lambert_q2(b), 0, tol, "lambert_S", 0.0 + 0.0j)
+    return term
 
 
 def psi_bar(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
@@ -359,11 +364,39 @@ def psi_bar(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
 
 
 def phi_bar(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
-    """phi_bar_{2t} = psi_bar_{2t} - (2/b) zeta(2t): inversion-covariant form."""
+    """phi_bar_{2t} = psi_bar_{2t} - (2/b) zeta(2t): inversion-covariant form.
+
+    As b -> 0 both sides grow like 2 zeta(2t)/b and cancel, so psi_bar's
+    rounding, which its ``tail_bound`` does not count, reaches phi_bar
+    undiminished.  A first-order bound on it: q^2 = exp(-2 pi b) is off by
+    about u (1 + 4 pi |b|) relative (u = 2^-53: exp's rounding, and its
+    argument's times 2 pi |b|); q^{2n} = (q^2)^n carries that n times, and its
+    n products add up to n u more; 1/(1 - q^{2n}) passes the sum on to the
+    term divided by |1 - q^{2n}|.  As Re b -> 0 that is about u / (pi Re b)
+    of psi_bar.  Where it passes max(tol, 1e-12 |phi_bar|), phi_bar raises a
+    ConvergenceError rather than return fewer than 12 digits.
+    """
     b = _point(p)
-    s = psi_bar(t, p, tol)
+    _check_t(t)
+    term, mag = _lambert_term(t), 0.0  # mag: sum of n |term| / |1 - q^{2n}|
+
+    def counted(n: int, qn: complex) -> complex:
+        nonlocal mag
+        a = term(n, qn)
+        mag += n * abs(a) / abs(1.0 - qn)
+        return a
+
+    s = _q_series(counted, *_lambert_q2(b), 0, tol / (4 * math.pi), "lambert_S", 0.0 + 0.0j)
     z2t = zeta_even_exact(2 * t).numeric()
-    return SeriesValue(s.value - 2.0 * z2t / b, s.terms, s.tail_bound)
+    val = 4 * math.pi * s.value - 2.0 * z2t / b
+    rounding = 4 * math.pi * mag * 2.0 ** -53 * (2.0 + 4 * math.pi * abs(b)) if mag else 0.0
+    if rounding > max(tol, 1e-12 * abs(val)):
+        raise ConvergenceError(
+            f"phi_bar at b = {b}: psi_bar and 2 zeta({2 * t})/b cancel to |phi_bar| = {abs(val):.3g}, "
+            f"and psi_bar's rounding, up to about {rounding:.1e}, passes 1e-12 of that",
+            suggestion="larger Re b",
+        )
+    return SeriesValue(val, s.terms, 4 * math.pi * s.tail_bound)
 
 
 # ---------------------------------------------------------------------------

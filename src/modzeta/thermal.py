@@ -294,24 +294,25 @@ def _mode_sum(spec: SpectrumSpec, beta: float, tol: float, term, what: str) -> S
         def tail(k: int) -> float:
             return 0.0 if k >= len(modes) else math.inf
     else:
-        decay = max(1 - math.exp(-beta), 1e-300)
-        # tail(n) >= 2 e^{-(n+1) beta} / decay, which is 0 only once the exponential
-        # underflows near (n+1) beta = 745: where no n up to 1% past the budget
-        # certifies, or the first checked mode is past it, nothing is summed
-        floor = 2 * math.exp(-min(745.0, 1.01e6 * beta)) / decay
-        if 1.0 / beta >= 1_000_000 or floor > min(tol, tol * beta):
-            raise ConvergenceError(
-                f"{what} at beta = {beta:.3g} cannot certify {tol:.1e} in its 1000000-mode budget",
-                suggestion="larger beta",
-            )
         modes = ((n, spec.degeneracy(n)) for n in itertools.count(1))
-        first = max(2, int(1.0 / beta) + 1) + 1
+        # capped, since 1/beta can be inf: any first past 1e6 is past the budget
+        first = max(2, int(min(1.0 / beta, 2e6)) + 1) + 1
+        decay = max(1 - math.exp(-beta), 1e-300)
 
         def tail(n: int) -> float:
             # |d_n log(1 - e^{-n beta})| <= 2 d_n e^{-n beta} for n beta >= 0.7
             if n < first:
                 return math.inf
             return 2 * max(spec.degeneracy(n + 1), 1.0) * math.exp(-(n + 1) * beta) / decay
+
+        # the majorant falls once n > deg(d)/beta, and short of that it is near
+        # d_n / beta, far over tol: where it misses at the budget's last mode (inf
+        # where even the first checked mode is past it), no mode certifies
+        if tail(1_000_000) > min(tol, tol * beta):
+            raise ConvergenceError(
+                f"{what} at beta = {beta:.3g} cannot certify {tol:.1e} in its 1000000-mode budget",
+                suggestion="larger beta",
+            )
 
     terms = (term(n, d) if d else 0.0 for n, d in modes)
     s = _certified_sum(terms, tail, min(tol, tol * beta), 1_000_000, f"{what} at beta = {beta:.3g}")

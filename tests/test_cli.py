@@ -588,7 +588,8 @@ def _run_in_contract(argv, certified) -> tuple[int, str]:
 @example(argv="eval eps_sub --t 194 --b 285.3".split())
 @example(argv="eval entropy --t 140 --xi 0.05".split())
 @example(argv="eval rbar --t 2 --x 0".split())
-# small b: values of size 1e3 to 1e13 summed in 7e3 to 2.5e4 terms
+# small b: values of size 1e3 to 1e13 summed in 7e3 to 2.5e4 terms; phi_bar
+# refuses (exit 3) where its cancellation would leave it under 12 digits
 @example(argv="eval psi_bar --t 3 --b 0.001".split())
 @example(argv="eval phi_bar --t 2 --b 0.0003".split())
 @example(argv="eval z2_quartic --xi 0.0005".split())

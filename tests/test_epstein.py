@@ -476,6 +476,11 @@ def test_zp_massive_refuses_a_non_finite_s(s):
         zp_massive(2, s, 1.0)
 
 
+def test_zp_massive_refuses_a_mass_whose_square_underflows():
+    with pytest.raises(ConvergenceError, match="underflows"):
+        zp_massive(1, 0.1, 3.6e-181)
+
+
 @pytest.mark.parametrize("p,s,w", [(1, 1.0, 1.0), (2, 0.75, 1.0), (2, 3.0, 0.8), (3, 2.6, 0.5), (4, 3.0, 1.3)])
 def test_zp_massive_is_berndt_phi_on_the_diagonal_datum(p, s, w):
     got = zp_massive(p, s, w, target_tol=1e-10)

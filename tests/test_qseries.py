@@ -297,22 +297,40 @@ def test_lambert_S_sums_one_route(monkeypatch):
         phi_bar(t, 1.3)
 
 
-@pytest.mark.parametrize("t,b", [(3, 0.001), (2, 0.0003)])
-def test_small_b_values_the_divisor_check_refused(t, b):
-    # values of size 1e3 to 1e4 summed in 7e3 to 2.5e4 terms
+def _psi_phi_oracle(t, b):
+    """psi_bar and phi_bar at dps 30, the Lambert sum run until q^{2m} < 1e-25."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
+        b = mpmath.mpc(b)
         q2 = mpmath.exp(-2 * mpmath.pi * b)
         s, qm = mpmath.mpf(0), mpmath.mpf(1)
-        for m in range(1, int(25 * math.log(10) / (2 * math.pi * b)) + 2):  # q2^m < 1e-25 at the end
+        for m in range(1, int(25 * math.log(10) / (2 * math.pi * b.real)) + 2):
             qm *= q2
-            s += m ** (1 - 2 * t) * qm / (1 - qm)
-        psi = complex(4 * mpmath.pi * s)
-        phi = complex(4 * mpmath.pi * s - 2 * mpmath.zeta(2 * t) / b)
+            s += mpmath.mpf(m) ** (1 - 2 * t) * qm / (1 - qm)
+        return complex(4 * mpmath.pi * s), complex(4 * mpmath.pi * s - 2 * mpmath.zeta(2 * t) / b)
+
+
+@pytest.mark.parametrize("t,b", [(3, 0.001), (2, 0.0003), (1, 0.0001)])
+def test_psi_bar_at_small_b_keeps_12_digits(t, b):
+    # values of size 2e3 to 3e4 summed in 7e3 to 8e4 terms
+    psi, _ = _psi_phi_oracle(t, b)
     assert abs(psi_bar(t, b).value - psi) <= 1e-12 * abs(psi)
-    # phi_bar = psi_bar - 2 zeta(2t)/b cancels to a thousandth of psi_bar here:
-    # its error is psi_bar's rounding, measured against psi_bar's size
-    assert abs(phi_bar(t, b).value - phi) <= 1e-12 * abs(psi)
+
+
+@pytest.mark.parametrize("t,b", [(2, 0.0003), (1, 0.0001), (3, 0.001), (2, 0.003), (28, 0.002), (1, 0.001 + 0.001j)])
+def test_phi_bar_refuses_where_its_cancellation_costs_12_digits(t, b):
+    # psi_bar and 2 zeta(2t)/b agree to 2 to 3 digits here, and psi_bar's
+    # rounding (1e-13 of it and less) could leave phi_bar under 12 digits
+    with pytest.raises(ConvergenceError, match="cancel"):
+        phi_bar(t, b)
+
+
+@pytest.mark.parametrize(
+    "t,b", [(1, 0.002), (1, 0.003), (2, 0.01), (28, 0.01), (2, 0.0003 - 1j), (5, 0.001 + 0.5j), (3, 0.003 - 0.01j)]
+)
+def test_phi_bar_values_next_to_its_refusals_keep_12_digits(t, b):
+    _, phi = _psi_phi_oracle(t, b)
+    assert abs(phi_bar(t, b).value - phi) <= 1e-12 * abs(phi)
 
 
 def test_psi_bar_lemniscate_value():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modzeta import thermal
 from modzeta.errors import ConvergenceError, DomainError
 from modzeta.thermal import (
     S3_SPEC,
@@ -308,6 +309,17 @@ def test_mode_sum_tails_bound_a_tighter_run(route, spec, beta):
     # a real bound on the truncation error also bounds the gap to a far tighter run
     loose = route(spec, beta, 1e-6)
     assert abs(loose.value - route(spec, beta, 1e-14).value) <= loose.tail_bound
+
+
+@pytest.mark.parametrize("beta", [1.01e-6, 4e-5, 6e-5])
+@pytest.mark.parametrize("spec", POLYNOMIAL_SPECTRA[:2], ids=lambda spec: spec.label)
+def test_mode_sum_refuses_past_its_budget_before_summing(spec, beta):
+    # the tail majorant at the millionth mode decides: no term is evaluated
+    def term(n, d):
+        raise AssertionError(f"mode {n} summed")
+
+    with pytest.raises(ConvergenceError, match="1000000-mode budget"):
+        thermal._mode_sum(spec, beta, 1e-14, term, "mode sum")
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-12])
