@@ -58,6 +58,7 @@ __all__ = [
 
 _MAX_POINTS = (2 * 8192 + 1) ** 2 - 1  # the largest sum z2_direct admitted: radius 8192
 _BLOCK = 1 << 20  # lattice points per streamed block
+_BUFFERS: list = []  # block buffers between lattice sums, one per concurrent caller
 
 @dataclass(frozen=True)
 class BinaryForm:
@@ -188,8 +189,11 @@ def _lattice_sum(gram: np.ndarray, s: float, m2: float, radius: int) -> float:
     """Sum over nonzero x in [-R, R]^p of (x^T G x + m2)^{-s}.  The terms at x
     and -x agree, so the rows x_0 = 1..R count twice and the slab x_0 = 0 is
     the same sum one dimension down.  Rows stream in blocks of about
-    ``_BLOCK`` points, each evaluated in place in one preallocated buffer,
-    so memory grows like R^(p-1)."""
+    ``_BLOCK`` points, each evaluated in place in one buffer, so memory
+    grows like R^(p-1).  The buffer is taken from ``_BUFFERS`` and put back,
+    not freed: a fresh 8 MB buffer per sum costs its page faults each time,
+    and freeing one raises glibc's dynamic mmap threshold, after which the
+    process's peak memory depends on whatever else was allocated meanwhile."""
     np = _lazy("numpy")
     p = len(gram)
     side = 2 * radius + 1
@@ -197,7 +201,11 @@ def _lattice_sum(gram: np.ndarray, s: float, m2: float, radius: int) -> float:
     inner = np.einsum("ij,ik,jk->k", gram[1:, 1:], rest, rest) + m2
     cross = 2.0 * (gram[0, 1:] @ rest)
     step = max(1, _BLOCK // side ** (p - 1))
-    buf = np.empty((min(step, radius), side ** (p - 1)))
+    shape = (min(step, radius), side ** (p - 1))
+    block = _BUFFERS.pop() if _BUFFERS else np.empty(0)
+    if block.size < shape[0] * shape[1]:
+        block = np.empty(max(_BLOCK, shape[0] * shape[1]))
+    buf = block[: shape[0] * shape[1]].reshape(shape)
     rows = 0.0
     for lo in range(1, radius + 1, step):
         x0 = np.arange(lo, min(lo + step, radius + 1), dtype=float)[:, None]
@@ -207,6 +215,7 @@ def _lattice_sum(gram: np.ndarray, s: float, m2: float, radius: int) -> float:
         q += gram[0, 0] * x0 * x0
         q += inner
         rows += float(np.power(q, -s, out=q).sum())
+    _BUFFERS.append(block)
     slab = _lattice_sum(gram[1:, 1:], s, m2, radius) if p > 1 else 0.0
     return slab + 2.0 * rows
 

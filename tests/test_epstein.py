@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from modzeta import dirichlet, exactnum
+from modzeta import dirichlet, epstein, exactnum
 from modzeta.cli import main
 from modzeta.dirichlet import berndt_phi, custom_datum, diagonal_epstein_datum, eisenstein_datum, theta_datum
 from modzeta.errors import ConvergenceError, DomainError, SingularityError
@@ -216,8 +216,10 @@ def test_lattice_sums_are_pinned(call, pinned):
     assert (got.value, got.terms, got.tail_bound) == pinned
 
 
-def test_zp_brute_memory_grows_with_a_face_not_the_cube():
-    # radius 128 in p = 3: one float64 array over the whole cube would be 136 MB
+def test_zp_brute_memory_grows_with_a_face_not_the_cube(monkeypatch):
+    # radius 128 in p = 3: one float64 array over the whole cube would be 136 MB.
+    # An empty pool, so that the block buffer is allocated under tracemalloc
+    monkeypatch.setattr(epstein, "_BUFFERS", [])
     tracemalloc.start()
     try:
         zb = zp_brute(3, 4.0, 1.3, tol=1e-9)
@@ -226,6 +228,16 @@ def test_zp_brute_memory_grows_with_a_face_not_the_cube():
         tracemalloc.stop()
     assert zb.terms == 257 ** 3 - 1
     assert peak < 64e6
+
+
+def test_lattice_sums_reuse_one_pooled_buffer(monkeypatch):
+    # a pooled buffer too small for the block is replaced, and the sums of
+    # one caller, nested slabs included, share a single buffer
+    monkeypatch.setattr(epstein, "_BUFFERS", [np.empty(4)])
+    for _ in range(2):
+        got = zp_brute(4, 3.0, 1.0, tol=2.0)
+        assert (got.value, got.terms, got.tail_bound) == (4.1765905699049855, 83520, 1.6296296296296295)
+    assert [b.size for b in epstein._BUFFERS] == [epstein._BLOCK]
 
 
 @pytest.mark.parametrize(
