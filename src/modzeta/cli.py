@@ -4,6 +4,9 @@ benchmark the series acceleration, emit tables.
 Every command is table-driven: ``QUANTITIES`` (eval), ``BENCH_PAIRS``
 (bench) and ``TABLES`` (table) are its registries, and ``COMMANDS`` maps
 each command to the function that runs it and the one that renders it.
+The registries name each route by module and attribute; the module is
+imported, through ``exactnum._lazy``, when a command calls the route, so a
+one-shot process compiles only the route module it runs.
 
 Every float flag, and each number inside ``--b`` and ``--form``, must be a
 finite number; ``--tol``, when given, goes to the route's own tolerance
@@ -27,13 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import epstein as emod
-from . import periodpoly as pmod
-from . import qseries as qmod
-from . import thermal as tmod
 from .errors import ConvergenceError, DomainError, ModzetaError, SingularityError
-from .exactnum import bernoulli, require_finite
-from .verify import run_suites, suite_names
+from .exactnum import _lazy, bernoulli, require_finite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -59,6 +57,11 @@ def _number(text: str, flag: str) -> float:
     if not math.isfinite(x):
         raise DomainError(f"{flag} expects finite numbers; got {text!r}")
     return x
+
+
+def _route(module: str, name: str) -> Callable:
+    """The function ``modzeta.<module>.<name>``, looked up when called."""
+    return lambda *args, **kwargs: getattr(_lazy(f"modzeta.{module}"), name)(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +105,8 @@ def _form(args) -> list:
     return parts
 
 
-def _spectrum(args) -> tmod.SpectrumSpec:
+def _spectrum(args):
+    tmod = _lazy("modzeta.thermal")
     arg = args.spectrum or "s3"
     if arg == "s3":
         return tmod.S3_SPEC
@@ -168,7 +172,7 @@ def _f3_pair(first, second):
 
 
 def _pbar(t, x):
-    poly = pmod.pbar(t)
+    poly = _lazy("modzeta.periodpoly").pbar(t)
     coeffs = {str(k): str(c) for k, c in enumerate(poly.coeffs) if not c.is_zero()}
     if x is None:
         return coeffs, None
@@ -179,7 +183,7 @@ def _pbar(t, x):
 
 
 def _rbar(t, x):
-    rp = pmod.rbar(t)
+    rp = _lazy("modzeta.periodpoly").rbar(t)
     # numerator coefficient k multiplies x^{k-1}: the extended form starts at 1/x
     coeffs = {str(k - 1): str(c) for k, c in enumerate(rp.num.coeffs) if not c.is_zero()}
     if x is None:
@@ -201,31 +205,36 @@ class Quantity:
     options: Callable = _tol_as("tol")
 
 
+_F3E, _F3M = _route("thermal", "f3_epstein"), _route("thermal", "f3_modesum")
+
 QUANTITIES = {
-    "eps": Quantity((_T, _B), qmod.eps),
-    "eps_sub": Quantity((_T, _B), qmod.eps_sub),
-    "mellin_eps_sub": Quantity((_T, _float_flag("b")), qmod.mellin_eps_sub),
-    "S": Quantity((_T, _B), qmod.lambert_S),
-    "psi_bar": Quantity((_T, _B), qmod.psi_bar),
-    "phi_bar": Quantity((_T, _B), qmod.phi_bar),
+    "eps": Quantity((_T, _B), _route("qseries", "eps")),
+    "eps_sub": Quantity((_T, _B), _route("qseries", "eps_sub")),
+    "mellin_eps_sub": Quantity((_T, _float_flag("b")), _route("qseries", "mellin_eps_sub")),
+    "S": Quantity((_T, _B), _route("qseries", "lambert_S")),
+    "psi_bar": Quantity((_T, _B), _route("qseries", "psi_bar")),
+    "phi_bar": Quantity((_T, _B), _route("qseries", "phi_bar")),
     "pbar": Quantity((_T, _X), _pbar, _exact, lambda args: {}),
     "rbar": Quantity((_T, _X), _rbar, _exact, lambda args: {}),
     "z2": Quantity(
-        (_FORM, _float_flag("s")), emod.z2_direct, _lattice,
+        (_FORM, _float_flag("s")), _route("epstein", "z2_direct"), _lattice,
         # without --tol the CLI asks 1e-10 of direct sums (the route's default is 1e-12)
         lambda args: {"tol": 1e-10 if args.tol is None else _tol(args), "tail": args.tail},
     ),
-    "z2_kober": Quantity((_FORM, _float_flag("w")), emod.z2_kober, options=_tol_as("target_tol")),
-    "z2_quartic": Quantity((_XI,), emod.z2_quartic),
+    "z2_kober": Quantity((_FORM, _float_flag("w")), _route("epstein", "z2_kober"), options=_tol_as("target_tol")),
+    "z2_quartic": Quantity((_XI,), _route("epstein", "z2_quartic")),
     "zp_massive": Quantity(
-        (_flag("p"), _float_flag("s"), _float_flag("w")), emod.zp_massive, options=_tol_as("target_tol")
+        (_flag("p"), _float_flag("s"), _float_flag("w")), _route("epstein", "zp_massive"),
+        options=_tol_as("target_tol"),
     ),
-    "f3": Quantity((_XI,), _f3_pair(tmod.f3_modesum, tmod.f3_epstein), _gap),
-    "f3_epstein": Quantity((_XI,), _f3_pair(tmod.f3_epstein, tmod.f3_modesum), _gap),
-    "f3_modesum": Quantity((_XI,), _f3_pair(tmod.f3_modesum, tmod.f3_epstein), _gap),
-    "free_energy": Quantity((_T, _XI), tmod.free_energy_partial),
-    "entropy": Quantity((_T, _XI), tmod.entropy_partial),
-    "mode_sum_F": Quantity((("spectrum", _spectrum), _float_flag("beta")), tmod.mode_sum_free_energy),
+    "f3": Quantity((_XI,), _f3_pair(_F3M, _F3E), _gap),
+    "f3_epstein": Quantity((_XI,), _f3_pair(_F3E, _F3M), _gap),
+    "f3_modesum": Quantity((_XI,), _f3_pair(_F3M, _F3E), _gap),
+    "free_energy": Quantity((_T, _XI), _route("thermal", "free_energy_partial")),
+    "entropy": Quantity((_T, _XI), _route("thermal", "entropy_partial")),
+    "mode_sum_F": Quantity(
+        (("spectrum", _spectrum), _float_flag("beta")), _route("thermal", "mode_sum_free_energy")
+    ),
 }
 EVAL_QUANTITIES = list(QUANTITIES)
 
@@ -266,16 +275,16 @@ def _render_eval(doc: dict, args) -> tuple[str, int]:
 # target -> its two routes as (method, route(tol), size is a lattice radius)
 BENCH_PAIRS = {
     "kober-vs-direct": (  # exponent s = w + 1/2 = 3, u = 1
-        ("kober", lambda tol: emod.z2_kober((1, 0, 1), 2.5, target_tol=tol), False),
-        ("direct", lambda tol: emod.z2_direct((1, 0, 1), 3.0, tol=tol), True),
+        ("kober", lambda tol: _lazy("modzeta.epstein").z2_kober((1, 0, 1), 2.5, target_tol=tol), False),
+        ("direct", lambda tol: _lazy("modzeta.epstein").z2_direct((1, 0, 1), 3.0, tol=tol), True),
     ),
     "massive-vs-direct": (
-        ("massive", lambda tol: emod.zp_massive(2, 3.0, 0.8, target_tol=tol), False),
-        ("direct", lambda tol: emod.zp_brute(2, 3.0, 0.8, tol=tol), True),
+        ("massive", lambda tol: _lazy("modzeta.epstein").zp_massive(2, 3.0, 0.8, target_tol=tol), False),
+        ("direct", lambda tol: _lazy("modzeta.epstein").zp_brute(2, 3.0, 0.8, tol=tol), True),
     ),
     "qseries-vs-mellin": (
-        ("qseries", lambda tol: qmod.eps_sub(2, 1.0, tol=tol), False),
-        ("mellin", lambda tol: qmod.mellin_eps_sub(2, 1.0, tol=max(tol, 1e-9)), False),
+        ("qseries", lambda tol: _lazy("modzeta.qseries").eps_sub(2, 1.0, tol=tol), False),
+        ("mellin", lambda tol: _lazy("modzeta.qseries").mellin_eps_sub(2, 1.0, tol=max(tol, 1e-9)), False),
     ),
 }
 BENCH_TARGETS = list(BENCH_PAIRS)
@@ -298,6 +307,7 @@ def _bench(args) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 
 def _period_polynomial_rows():
+    pmod = _lazy("modzeta.periodpoly")
     for t in range(2, 9):
         for k, c in enumerate(pmod.pbar(t).coeffs):
             if not c.is_zero():
@@ -305,6 +315,7 @@ def _period_polynomial_rows():
 
 
 def _moment_rows():
+    qmod = _lazy("modzeta.qseries")
     for t in range(2, 7):
         for k in range(0, 2 * t - 1):
             quad_val = qmod.moment(t, k).value.real
@@ -322,6 +333,7 @@ def _moment_rows():
 
 
 def _lerch_rows():
+    pmod = _lazy("modzeta.periodpoly")
     for t in (2, 4, 6, 8):
         exact = pmod.rbar(t).eval_exact(1)
         # at the self-dual point psi_bar(1) = R(1)/2 for even t
@@ -332,8 +344,8 @@ def _lerch_rows():
 
 def _f3_grid_rows():
     for xi in (0.3, 0.5, 0.8, 1.0, 1.7, 3.0, 5.0):
-        a = tmod.f3_epstein(xi).value.real
-        b = tmod.f3_modesum(xi).value.real
+        a = _F3E(xi).value.real
+        b = _F3M(xi).value.real
         yield [_fmt(xi), _fmt(a), _fmt(b), _fmt(a - b)]
 
 
@@ -395,10 +407,27 @@ def _render_rows(table, args) -> tuple[str, int]:
 # command -> (run(args) -> result, render(result, args) -> (text, exit code))
 COMMANDS = {
     "eval": (_eval, _render_eval),
-    "verify": (lambda args: run_suites(args.suite), _render_verify),
+    "verify": (lambda args: _lazy("modzeta.verify").run_suites(args.suite), _render_verify),
     "bench": (_bench, _render_rows),
     "table": (_table, _render_rows),
 }
+
+
+# the eval flags whose values go to _number
+_NUMBER_FLAGS = ("--b", "--x", "--xi", "--s", "--w", "--form", "--beta", "--tol")
+
+
+def _glue_number_values(argv: list[str]) -> list[str]:
+    """``--w -1e-3`` as ``--w=-1e-3``.  argparse takes a word that starts
+    with '-' and is not a plain decimal (``-1e-3``, ``-inf``) for an
+    option, so such a value would never reach ``_number``."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _NUMBER_FLAGS and word.startswith("-") and not word.startswith("--"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out")
 
     vf = sub.add_parser("verify", help="run a verification suite")
-    vf.add_argument("suite", choices=suite_names())
+    vf.add_argument("suite", help="a suite name, or all")
     vf.add_argument("--format", choices=["json", "csv", "text"], default="text")
     vf.add_argument("--out")
 
@@ -441,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_number_values(sys.argv[1:] if argv is None else argv))
     run, render = COMMANDS[args.command]
     try:
         result = run(args)

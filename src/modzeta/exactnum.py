@@ -20,8 +20,9 @@ cache of sigma_k and r_p tables, keyed by kind and order, that every
 series reads its coefficients from: every integer order is kept, and only
 the last non-integer order.
 
-numpy and ``modzeta._special`` are imported on first use, through
-``_lazy``; no module imports scipy.
+numpy, ``modzeta._special``, ``modzeta._quadpack`` and, for the CLI, the
+route modules are imported on first use, through ``_lazy``; no module
+imports scipy.
 """
 from __future__ import annotations
 
@@ -61,10 +62,13 @@ _REFLECT_BELOW = -0.5
 
 @cache
 def _lazy(name: str):
-    """The module ``name``, imported on the first call.  Every use of numpy
-    and of ``modzeta._special`` goes through here: importing numpy is most
-    of a process's start-up, compiling ``_special`` where no bytecode cache
-    is written costs milliseconds, and most routes need neither."""
+    """The module ``name``, imported on the first call.  Every use of numpy,
+    of ``modzeta._special`` and of ``modzeta._quadpack`` goes through here,
+    and so does ``cli``'s every use of a route module (``qseries``,
+    ``periodpoly``, ``epstein``, ``thermal``) and of ``verify``: importing
+    numpy is most of a process's start-up, compiling a module where no
+    bytecode cache is written costs milliseconds, and a one-shot ``eval``
+    calls into one route module."""
     return importlib.import_module(name)
 
 

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._quadpack import _qags
 from .errors import ConvergenceError, DomainError, UnsupportedError
 from .exactnum import (
     _coefficients,
+    _lazy,
     bernoulli,
     gamma_numeric,
     require_finite,
@@ -74,7 +74,7 @@ def _quad(f, a: float, b: float, epsabs: float = 1e-12, epsrel: float = 1e-12, l
     calls over the same interval meet the same nodes.  QUADPACK's error flag
     (subdivision limit, roundoff, divergence) is not raised: abserr is
     returned as QAGS estimates it.  An exception raised by f propagates."""
-    return _qags(f, a, b, epsabs, epsrel, limit)[:2]
+    return _lazy("modzeta._quadpack")._qags(f, a, b, epsabs, epsrel, limit)[:2]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from . import epstein as emod
 from . import periodpoly as pmod
 from . import qseries as qmod
 from . import thermal as tmod
+from .errors import DomainError
 from .exactnum import bernoulli, gamma_numeric, zeta_even_exact, zeta_odd_numeric
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "suite_names"]
@@ -424,10 +425,8 @@ def suite_names() -> list[str]:
 def run_suites(names) -> list[CheckResult]:
     if isinstance(names, str):
         names = [names]
+    for name in names:
+        if name not in suite_names():
+            raise DomainError(f"unknown suite {name!r}; choose from {', '.join(suite_names())}")
     todo = list(SUITES) if "all" in names else names
-    out: list[CheckResult] = []
-    for name in todo:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; choose from {suite_names()}")
-        out.extend(SUITES[name]())
-    return out
+    return [result for name in todo for result in SUITES[name]()]

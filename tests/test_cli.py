@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import modzeta
 from modzeta.cli import QUANTITIES, main
+from modzeta.errors import DomainError
 
 
 def run_cli(*argv, capsys=None):
@@ -322,6 +323,7 @@ SPECTRUM_FILES = {
         ("eval eps --t 2 --b 1 --tol 0", 2),
         ("eval z2 --form 1,0,1 --s 3 --tol=-0.001", 2),
         ("eval eps --t 2 --b 1 --out {dir}/no-such-dir/out.txt", 2),
+        ("eval eps --t 2 --b -1e300", 2),
     ],
 )
 def test_error_contract(argv, code, tmp_path, capsys):
@@ -334,6 +336,44 @@ def test_error_contract(argv, code, tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert "OverflowError" not in captured.err  # the route names the failure, not Python
     assert captured.err.startswith("usage error:" if code == 2 else "error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["eval z2_kober --form 1,0,1 --w -1e-3", "eval eps --t 2 --b -1e300", "eval z2 --form 1,0,1 --s -inf"],
+)
+def test_a_negative_number_after_its_flag_is_its_value(argv, capsys):
+    # argparse alone takes -1e-3 or -inf for an option and reports "expected one argument"
+    *head, flag, value = argv.split()
+    spaced = main([*head, flag, value]), *capsys.readouterr()
+    glued = main([*head, f"{flag}={value}"]), *capsys.readouterr()
+    assert spaced == glued
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("eval z2 --form 1,0,1 --s -inf", "usage error: --s expects finite numbers; got '-inf'\n"),
+        (
+            "verify nope",
+            "usage error: unknown suite 'nope'; choose from inversion, cocycle, eichler-shimura, bol, "
+            "moments, kober, massive, guinand, dirichlet, thermal, all\n",
+        ),
+    ],
+)
+def test_usage_errors_name_the_accepted_input(argv, message, capsys):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("names", [["bol", "nope"], ["all", "nope"]])
+def test_run_suites_refuses_an_unknown_suite_before_running_any(names, monkeypatch):
+    from modzeta import verify
+
+    for suite in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, suite, lambda: pytest.fail("a suite ran"))
+    with pytest.raises(DomainError, match="unknown suite 'nope'"):
+        verify.run_suites(names)
 
 
 @pytest.mark.parametrize(
@@ -414,6 +454,47 @@ def _scipy_numpy_loaded_after(code: str) -> str:
 )
 def test_closed_form_routes_import_neither_scipy_nor_numpy(argv):
     assert _scipy_numpy_loaded_after(f"import modzeta.cli; modzeta.cli.main({argv.split()!r})") == "[]"
+
+
+CLI_MODULES = {"modzeta", "modzeta.cli", "modzeta.errors", "modzeta.exactnum"}
+# the library modules each quantity's SMOKE argv loads beyond CLI_MODULES
+ROUTE_MODULES = {
+    "eps": {"qseries"},
+    "eps_sub": {"qseries"},
+    "mellin_eps_sub": {"qseries", "_quadpack", "_special"},
+    "S": {"qseries"},
+    "psi_bar": {"qseries"},
+    "phi_bar": {"qseries"},
+    "pbar": {"periodpoly"},
+    "rbar": {"periodpoly"},
+    "z2": {"epstein", "qseries"},
+    "z2_kober": {"epstein", "qseries", "_special"},
+    "z2_quartic": {"epstein", "qseries"},
+    "zp_massive": {"epstein", "qseries", "dirichlet", "_special"},
+    "f3": {"thermal", "epstein", "qseries"},
+    "f3_epstein": {"thermal", "epstein", "qseries"},
+    "f3_modesum": {"thermal", "epstein", "qseries"},
+    "free_energy": {"thermal", "epstein", "qseries"},
+    "entropy": {"thermal", "epstein", "qseries"},
+    "mode_sum_F": {"thermal", "epstein", "qseries"},
+}
+
+
+def _modzeta_loaded_after(code: str) -> set:
+    out = _fresh_process(f"import sys; {code}; print(sorted(n for n in sys.modules if n.split('.')[0] == 'modzeta'))")
+    return set(ast.literal_eval(out.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_no_route_module():
+    # no process compiles a route module, verify or the QAGS port before a command calls it
+    assert _modzeta_loaded_after("import modzeta.cli") == CLI_MODULES
+
+
+@pytest.mark.parametrize("quantity", list(QUANTITIES))
+def test_eval_loads_only_the_modules_its_route_needs(quantity):
+    argv = ["eval", quantity, *SMOKE[quantity].split()]
+    loaded = _modzeta_loaded_after(f"import modzeta.cli; modzeta.cli.main({argv!r})")
+    assert loaded == CLI_MODULES | {f"modzeta.{name}" for name in ROUTE_MODULES[quantity]}
 
 
 def test_importing_verify_loads_neither_scipy_nor_numpy():
