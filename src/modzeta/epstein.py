@@ -444,7 +444,12 @@ def z2_quartic(xi: float, tol: float = 1e-11) -> SeriesValue:
             + 4 * math.pi ** 2 * tq / x ** 2
         )
 
-    val_a = high_t(xi)
+    try:
+        val_a = high_t(xi)
+    except OverflowError:  # x^3 from xi = 5.6e102 on; below 1/5.6e102 the q-series refuses first
+        raise ConvergenceError(
+            f"z2_quartic at xi = {xi:g}: xi^3 leaves the float range", suggestion="xi nearer 1"
+        ) from None
     val_b = high_t(1.0 / xi) * xi ** (-4)
     if abs(val_a - val_b) > tol * max(1.0, abs(val_b)):
         raise InconsistencyError(

@@ -26,9 +26,5 @@ class InconsistencyError(ModzetaError, AssertionError):
     """Two internal routes that must agree did not."""
 
 
-class UnsupportedError(ModzetaError, TypeError):
-    """Operation applied to an object lacking the required structure."""
-
-
 class DiagnosticsError(ModzetaError, ArithmeticError):
     """A numerical extraction was too unstable to trust."""

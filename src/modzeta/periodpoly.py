@@ -524,21 +524,22 @@ def bol_check(phi: Poly, g: GroupElement, r: int) -> bool:
 def diff_relation_constant(t: int, rel_tol: float = 1e-8) -> float:
     """Measure c(t) with D^{2t-1} phi_bar_{2t} = c(t) eps_sub_t, D = q d/dq.
 
-    The ratio is fitted on a 6-point grid (D applied termwise to the
-    q-series part of phi_bar, the 1/x pole differentiated in closed form)
-    and must be constant to ``rel_tol``.  The same constant must relate the
+    The ratio is fitted on a 6-point grid (D^{2t-1} of phi_bar's q-series
+    part 4 pi S_t is 4 pi 2^{2t-1} sum sigma_{2t-1}(m) q^{2m}, the divisor
+    series of weight 0; the 1/x pole is differentiated in closed form) and
+    must be constant to ``rel_tol``.  The same constant must relate the
     translation cocycles: D^{2t-1} P(T) = c(t) E(T) with
     E(T, x) = (-1)^{t+1} (1/2) zeta(1-2t) ((x-i)^{-2t} - x^{-2t}),
     checked at x = 1 - i.  The measured value is 2^{2t+1} pi.
     """
-    from .qseries import casimir_constant, eps_sub, lambert_expansion, log_deriv_D
+    from .qseries import _divisor_series, casimir_constant, eps_sub
 
     _check_t(t)
     z2t = zeta_even_exact(2 * t).numeric()
     fact = math.factorial(2 * t - 1)
 
-    def d_phi_bar(x: complex) -> complex:
-        ds = log_deriv_D(lambert_expansion(t), 2 * t - 1, x).value
+    def d_phi_bar(x: float) -> float:
+        ds = 2.0 ** (2 * t - 1) * _divisor_series(2 * t - 1, 0, math.exp(-2 * math.pi * x)).value
         pole = -2.0 * z2t * fact * math.pi ** (1 - 2 * t) * x ** (-2 * t)
         return 4 * math.pi * ds + pole
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConvergenceError, DomainError, UnsupportedError
+from .errors import ConvergenceError, DomainError
 from .exactnum import (
     _coefficients,
     _lazy,
@@ -43,16 +43,12 @@ from .exactnum import (
 __all__ = [
     "HalfPlanePoint",
     "SeriesValue",
-    "QExpansion",
     "eps",
     "eps_sub",
     "mellin_eps_sub",
     "lambert_S",
     "psi_bar",
     "phi_bar",
-    "log_deriv_D",
-    "lambert_expansion",
-    "eps_expansion",
     "weyl_integral",
     "phi_bar_from_weyl",
     "moment",
@@ -169,12 +165,6 @@ def _casimir(t: int, what: str = "") -> float:
         raise ConvergenceError(f"{what} leaves the float range", suggestion=f"t < {t}") from None
 
 
-def _sigma_ratio_majorant(k: int) -> tuple[float, float]:
-    """(C, p) with sigma_k(m)/m^k = sum_{d | m} d^{-k} <= C m^p: the sum is
-    below zeta(k) < 1.21 for k >= 3, and below H_m <= m for k = 1."""
-    return (1.0, 1.0) if k == 1 else (1.21, 0.0)
-
-
 def _power_series_tail(const_c: float, power: float, r: float, m: int) -> float:
     # tail of sum_{k>m} C k^power r^k by the term-ratio majorant; (m + 1)^power
     # is taken through logs only where it leaves the floats
@@ -209,7 +199,25 @@ def _q_series(term, q2, const_c: float, power: float, tol: float, what: str, acc
 
 
 def _divisor_series(k: int, weight: float, q2: float, tol: float = 1e-16) -> SeriesValue:
-    """sum_n sigma_k(n) n^{-weight} q2^n, certified by the q-series kernel."""
+    """sum_n sigma_k(n) n^{-weight} q2^n, certified by the q-series kernel on
+    sigma_k(n) n^{-weight} <= 1.3 n^max(k - weight + 1, 0): sigma_k(n) n^{-k}
+    is below zeta(3) < 1.3 for k >= 3, and sigma_1(n) <= n^2.
+
+    D = q d/dq maps sum_n c_n q^{2n} to sum_n 2n c_n q^{2n}, so D^j of this
+    series is 2^j times the series of weight ``weight - j``.  The majorant's
+    tail does not grow with the number of terms, so where it misses tol after
+    _MAX_TERMS terms (q2 = 1.0 among those inputs) a ConvergenceError says so
+    before any term is summed."""
+    power = max(k - weight + 1.0, 0.0)
+    try:
+        last_tail = _power_series_tail(1.3, power, q2, _MAX_TERMS)
+    except OverflowError:  # the majorant itself is past the floats
+        last_tail = math.inf
+    if last_tail > tol:
+        raise ConvergenceError(
+            f"divisor series at q^2 = {q2:.17g}: {_MAX_TERMS} terms cannot certify {tol:.1e}",
+            suggestion="q^2 further below 1",
+        )
     sigma = _coefficients("sigma", k)
     log_q2 = math.log(q2) if q2 else -math.inf
 
@@ -220,7 +228,7 @@ def _divisor_series(k: int, weight: float, q2: float, tol: float = 1e-16) -> Ser
             return math.exp(math.log(sigma(n)) - weight * math.log(n) + n * log_q2)
 
     return _q_series(
-        term, q2, 1.3, max(k - weight + 1.0, 0.0), tol, "divisor series",
+        term, q2, 1.3, power, tol, "divisor series",
         overflow=lambda: ConvergenceError(
             f"divisor series: sigma_{k}(n) at q^2 = {q2:.3g} leaves the float range",
             suggestion=f"t < {(k + 1) // 2}",  # k = 2t - 1 in the partial free energy and entropy
@@ -335,7 +343,9 @@ def lambert_S(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
     """S_t = sum_m m^{1-2t} q^{2m}/(1-q^{2m}), summed in this Lambert form.
 
     The divisor form sum_m sigma_{2t-1}(m) m^{1-2t} q^{2m} is the same double
-    sum rearranged; ``verify inversion`` checks that the two agree.
+    sum rearranged; ``verify inversion`` checks that the two agree, summing it
+    as ``_divisor_series(2t - 1, 2t - 1, q^2)``, which builds a sigma_{2t-1}
+    table at every t (sigma_55 at t = 28).
     """
     _check_t(t)
     b = _point(p)
@@ -400,84 +410,12 @@ def phi_bar(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
 
 
 # ---------------------------------------------------------------------------
-# q-expansions with coefficient access, and the log-derivative operator
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QExpansion:
-    """A series const + sum_m coef(m) q^{2m} with a coefficient majorant
-    |coef(m)| <= bound_c * m^bound_p (used for certified truncation)."""
-
-    const: complex
-    coef: object  # callable m -> complex
-    bound_c: float
-    bound_p: float
-    label: str = ""
-
-    def evaluate(self, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
-        return log_deriv_D(self, 0, p, tol)
-
-
-def lambert_expansion(t: int) -> QExpansion:
-    """q-expansion of S_t: coefficients sigma_{2t-1}(m)/m^{2t-1}."""
-    _check_t(t)
-    k = 2 * t - 1
-    # sigma_k(m)/m^k lies in [1, zeta(k)); from k = 55 on zeta(k) - 1 < 2^-k + 2^(1-k)/(k-1)
-    # < 2^-53, so the correctly rounded quotient is 1.0 at every m and needs no table
-    sigma = _coefficients("sigma", k) if k < 55 else None
-
-    def coef(m: int) -> float:
-        return sigma(m) / m ** k if sigma else 1.0
-
-    return QExpansion(0.0, coef, *_sigma_ratio_majorant(k), label=f"S_{t}")
-
-
-def eps_expansion(t: int) -> QExpansion:
-    """q-expansion of eps_t: constant -B_2t/4t, coefficients sigma_{2t-1}(m)."""
-    _check_t(t)
-    sigma = _coefficients("sigma", 2 * t - 1)
-
-    def coef(m: int) -> float:
-        return float(sigma(m))
-
-    if t == 1:
-        bound_c, bound_p = 1.0, 2.0          # sigma_1(m) <= m^2
-    else:
-        bound_c, bound_p = float(zeta_numeric(2 * t - 1).real), 2 * t - 1
-    return QExpansion(_casimir(t), coef, bound_c, bound_p, label=f"eps_{t}")
-
-
-def log_deriv_D(f, k: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
-    """Apply D^k termwise, D = q d/dq, so D(q^{2m}) = 2m q^{2m}.
-
-    Requires coefficient access; a bare callable is rejected.  D annihilates
-    the constant term for k >= 1.
-    """
-    if not isinstance(f, QExpansion):
-        raise UnsupportedError("log_deriv_D needs a QExpansion with coefficient access")
-    if k < 0:
-        raise DomainError("log_deriv_D: k must be >= 0")
-    q2, _ = _lambert_q2(_point(p))
-    return _q_series(
-        lambda m, qn: f.coef(m) * ((2 * m) ** k) * qn, q2, f.bound_c * (2.0 ** k), f.bound_p + k, tol,
-        "log_deriv_D", complex(f.const) if k == 0 else 0.0 + 0.0j,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Weyl fractional integrals and moments of eps_sub
 # ---------------------------------------------------------------------------
 
 def _exp_majorant(t: int) -> float:
     # C(t) with |eps_t(b) - const| <= C(t) e^{-2 pi Re b} for Re b >= 1
     return _eps_q(t, 1.0).value.real * math.exp(2 * math.pi)
-
-
-def eps_qpart_real(t: int, x: float) -> float:
-    """The pure q-part eps_t(x) - const on the real axis (exponentially
-    small for large x; quadratures use it so the power law never enters
-    the numeric integrand)."""
-    return _eps_q(t, x).value.real
 
 
 def _exp_tail_bound(t: int, x: float, h: int, big_x: float) -> float:
@@ -509,7 +447,7 @@ def weyl_integral(t: int, x: float, h: int, tol: float = 1e-9) -> SeriesValue:
     # split eps_sub = (eps - const) - (-1)^t const b^{-2t}: the q-part is
     # quadratured, the power part integrates exactly to a Beta function
     def f(b: float) -> float:
-        return (b - x) ** (h - 1) * eps_qpart_real(t, b)
+        return (b - x) ** (h - 1) * _eps_q(t, b).value.real
 
     val, err = _quad(f, x, big_x)
     c = _casimir(t)
@@ -545,7 +483,7 @@ def moment(t: int, k: int, tol: float = 1e-9) -> SeriesValue:
     # after folding [0,1] onto [1,inf), quadrature only the q-part; the
     # power-law part of eps_sub integrates in closed form over [1,inf)
     def f(b: float) -> float:
-        return (b ** k + sign * b ** (2 * t - 2 - k)) * eps_qpart_real(t, b)
+        return (b ** k + sign * b ** (2 * t - 2 - k)) * _eps_q(t, b).value.real
 
     val, err = _quad(f, 1.0, big_x)
     c = _casimir(t)

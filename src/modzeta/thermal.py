@@ -252,6 +252,12 @@ def f3_epstein(pt, tol: float = 1e-15) -> SeriesValue:
 
     with chi, T, U the sigma_3 series of weights 3, 2, 1 in q'."""
     xi = _xi(pt)
+    try:
+        xi4 = xi ** 4
+    except OverflowError:  # from xi = 1.16e77 on, before xi^3 does
+        raise ConvergenceError(
+            f"f3_epstein at xi = {xi:g}: xi^4 leaves the float range", suggestion="xi < 1.1e77"
+        ) from None
     q2p = math.exp(-2.0 * math.pi * xi)
     scales = (xi / (4 * math.pi ** 3), xi * xi / (2 * math.pi ** 2), xi ** 3 / (2 * math.pi))
     # each series keeps its tail times its prefactor within tol/3
@@ -261,7 +267,7 @@ def f3_epstein(pt, tol: float = 1e-15) -> SeriesValue:
     )
     z3 = zeta_odd_numeric(3)
     val = (
-        -(xi ** 4) / 720.0
+        -xi4 / 720.0
         + xi * z3 / (8 * math.pi ** 3)
         + xi * chi.value / (4 * math.pi ** 3)
         + xi * xi * t_series.value / (2 * math.pi ** 2)

@@ -111,14 +111,15 @@ def suite_inversion() -> list[CheckResult]:
             for b in (0.4, 0.7, 1.0, 1.6, 2.5)
         )
         out.append(_c("inversion", f"Mellin contour oracle t={t} (5 points)", worst, 1e-8))
-    # S_t summed in its Lambert form and in its divisor form; from t = 28 on
-    # the divisor coefficients are 1.0 and no sigma table is built
+    # S_t summed in its Lambert form and in its divisor form, the sigma_{2t-1}
+    # series of weight 2t - 1 that the free energy sums at weight 1; at t = 28
+    # it builds a sigma_55 table
     worst = 0.0
     for t in (1, 2, 3, 28):
-        divisor_form = qmod.lambert_expansion(t)
         for b in (0.3, 0.7, 1.0, 1.7):
             lam = qmod.lambert_S(t, b).value
-            worst = max(worst, abs(divisor_form.evaluate(b).value - lam) / abs(lam))
+            divisor_form = qmod._divisor_series(2 * t - 1, 2 * t - 1, math.exp(-2 * math.pi * b))
+            worst = max(worst, abs(divisor_form.value - lam) / abs(lam))
     out.append(_c("inversion", "Lambert form = divisor form of S_t (t=1,2,3,28)", worst, 1e-12))
     # quadrature route reproduces the q-series route
     for (t, x) in ((2, 0.7), (2, 1.3), (3, 1.0)):

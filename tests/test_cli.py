@@ -674,6 +674,9 @@ def _run_in_contract(argv, certified) -> tuple[int, str]:
 @example(argv="eval psi_bar --t 3 --b 0.001".split())
 @example(argv="eval phi_bar --t 2 --b 0.0003".split())
 @example(argv="eval z2_quartic --xi 0.0005".split())
+# past the sampled xi: xi^4 in f3_epstein and xi^3 in z2_quartic leave the floats
+@example(argv="eval f3_epstein --xi 1e78".split())
+@example(argv="eval z2_quartic --xi 1e103".split())
 def test_q_series_routes_stay_in_the_error_contract(argv):
     # wherever a value, its constant or a term leaves the floats, or a pole
     # is met, the route names it (exit 3): no raw OverflowError or

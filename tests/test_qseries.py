@@ -10,20 +10,17 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from modzeta.errors import ConvergenceError, DomainError, UnsupportedError
-from modzeta.exactnum import bernoulli, zeta_even_exact, zeta_odd_numeric
+from modzeta.errors import ConvergenceError, DomainError
+from modzeta.exactnum import _coefficients, bernoulli, zeta_even_exact, zeta_odd_numeric
 from modzeta.qseries import (
     HalfPlanePoint,
     _certified_sum,
+    _divisor_series,
     _mellin_kernel,
-    QExpansion,
     casimir_constant,
     eps,
-    eps_expansion,
     eps_sub,
     lambert_S,
-    lambert_expansion,
-    log_deriv_D,
     mellin_eps_sub,
     moment,
     phi_bar,
@@ -272,13 +269,13 @@ def test_lambert_divisor_form_cross_check_runs():
 def test_lambert_divisor_form_cross_check_fires(monkeypatch):
     from modzeta import qseries
 
-    exact = qseries.lambert_expansion
+    exact = qseries._divisor_series
 
-    def perturbed(t):
-        f = exact(t)
-        return dataclasses.replace(f, coef=lambda m: f.coef(m) * (1 + 1e-6))
+    def perturbed(*args):
+        s = exact(*args)
+        return dataclasses.replace(s, value=s.value * (1 + 1e-6))
 
-    monkeypatch.setattr(qseries, "lambert_expansion", perturbed)
+    monkeypatch.setattr(qseries, "_divisor_series", perturbed)
     assert not _lambert_divisor_check().passed
     lambert_S(2, 1.0)  # the route itself no longer reads the divisor form
 
@@ -289,8 +286,7 @@ def test_lambert_S_sums_one_route(monkeypatch):
     def divisor_route(*args):
         raise AssertionError("lambert_S ran the divisor form")
 
-    monkeypatch.setattr(qseries, "lambert_expansion", divisor_route)
-    monkeypatch.setattr(qseries, "log_deriv_D", divisor_route)
+    monkeypatch.setattr(qseries, "_divisor_series", divisor_route)
     for t in (1, 3, 28):
         lambert_S(t, 0.7)
         psi_bar(t, 0.7 + 0.2j)
@@ -395,33 +391,21 @@ def test_phi_bar_matches_psi_bar_minus_pole_term():
     assert abs(got - expect2) < 1e-11
 
 
-# ------------------------------------------------------------- D operator
-def test_log_deriv_identity_and_constants():
-    f = lambert_expansion(2)
-    p = 0.9
-    assert abs(log_deriv_D(f, 0, p).value - lambert_S(2, p).value) < 1e-13
-    const = QExpansion(5.0, lambda m: 0.0, 0.0, 0.0)
-    assert log_deriv_D(const, 3, p).value == 0.0
-    assert log_deriv_D(const, 0, p).value == 5.0
-
-
-def test_log_deriv_refuses_where_q2_rounds_to_one_at_once():
+# ------------------------------------------------- divisor series and D
+def test_divisor_series_refuses_where_q2_rounds_to_one_at_once():
     start = time.perf_counter()
-    with pytest.raises(ConvergenceError, match="rounds to 1"):
-        log_deriv_D(lambert_expansion(2), 1, 1e-300 + 1j)
+    with pytest.raises(ConvergenceError, match=r"q\^2 = 1: 200000 terms cannot certify") as exc:
+        _divisor_series(3, 1, 1.0)
+    assert exc.value.suggestion is not None
     assert time.perf_counter() - start < 0.1
 
 
-def test_log_deriv_rejects_bare_callable():
-    with pytest.raises(UnsupportedError):
-        log_deriv_D(lambda b: b, 1, 1.0)
-
-
 def test_log_deriv_resums_double_sum():
-    # D^{2t-2} S_t = 2^{2t-2} sum_{m,n} (n^{2t-2}/m) q^{2mn}, exact
-    # termwise with D(q^{2m}) = 2m q^{2m}
+    # D^{2t-2} S_t = 2^{2t-2} sum_{m,n} (n^{2t-2}/m) q^{2mn}, exact termwise
+    # with D = q d/dq, D(q^{2m}) = 2m q^{2m}: 2^{2t-2} times the divisor
+    # series of weight 1, the free-energy series
     t, b = 2, 0.9
-    lhs = log_deriv_D(lambert_expansion(t), 2 * t - 2, b).value
+    lhs = 2 ** (2 * t - 2) * _divisor_series(2 * t - 1, 1, math.exp(-2 * math.pi * b)).value
     direct = sum(
         (n ** (2 * t - 2) / m) * math.exp(-2 * math.pi * b * m * n)
         for m in range(1, 120)
@@ -432,17 +416,15 @@ def test_log_deriv_resums_double_sum():
 
 @pytest.mark.parametrize("t", range(1, 7))
 def test_expansion_majorants_hold(t):
-    # log_deriv_D certifies its truncation on |coef(m)| <= bound_c m^bound_p;
-    # sigma_1(m)/m is unbounded (1.5 at m = 2), so S_1 needs a growing bound
-    for f in (lambert_expansion(t), eps_expansion(t)):
-        worst = max(abs(f.coef(m)) / (f.bound_c * m ** f.bound_p) for m in range(1, 10_001))
-        assert worst <= 1.0, (f.label, worst)
-
-
-def test_eps_expansion_matches_eps():
-    for t in (1, 2, 3):
-        v = eps_expansion(t).evaluate(0.8)
-        assert abs(v.value - eps(t, 0.8).value) < 1e-13
+    # _divisor_series certifies its truncation on sigma_k(m) m^-w <= 1.3 m^max(k-w+1, 0)
+    # at every (k, w) the library passes: (2t-1, 1) in the free energy and
+    # entropy, (2t-1, 2t-1) for S_t in verify, (2t-1, 0) for D^(2t-1) S_t in
+    # diff_relation_constant, and (3, 3), (3, 2), (3, 1) in f3_epstein and z2_quartic
+    k = 2 * t - 1
+    sigma = _coefficients("sigma", k)
+    for w in {0, 1, k} | ({2} if k == 3 else set()):
+        worst = max(sigma(m) * m ** -w / (1.3 * m ** max(k - w + 1, 0)) for m in range(1, 10_001))
+        assert worst <= 1.0, (k, w, worst)
 
 
 # ------------------------------------------------------------ Weyl integral
