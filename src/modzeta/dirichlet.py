@@ -16,9 +16,9 @@ follow, and are implemented here:
   route, independent of the closed form it is tested against).
 
 Built-in data: the weight-2t divisor datum (a_n = sigma_{2t-1}(n),
-lambda = 2 pi n, delta = 2t), diagonal lattice data (r_p counts), the
-Jacobi theta datum, a plain sigma datum for direct-sum identities, and
-custom finite tables loadable from JSON.
+lambda = 2 pi n, delta = 2t), diagonal lattice data (r_p counts, read
+from ``exactnum``'s tables), the Jacobi theta datum, a plain sigma datum
+for direct-sum identities, and custom finite tables loadable from JSON.
 
 K_nu comes from ``epstein.bessel_k``, and Gamma and the incomplete gamma
 Q(a, x) of the massive tail from ``exactnum.gamma_numeric`` and

@@ -24,7 +24,7 @@ series truncations use the rigorous bound
 ``K_nu(x) <= sqrt(pi/2x) exp(-x + nu^2/(2x))``.
 
 numpy is imported on first use, through ``exactnum._lazy``: the lattice
-sums and ``rp_counts`` load it, and the Bessel routes do not.
+sums load it, and the Bessel routes do not.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ __all__ = [
     "z2_quartic",
     "zp_massive",
     "zp_brute",
-    "rp_counts",
     "guinand_gap",
     "guinand_lhs_bessel",
     "guinand_lhs_derivative",
@@ -409,8 +408,10 @@ def z2_kober(form, w: float, target_tol: float = 1e-12) -> SeriesValue:
             * float(zeta_numeric(2 * w + 1).real)
             + bess.value
         )
+        if not math.isfinite(scale * rhs):  # a float product past the range does not raise
+            raise OverflowError
     except (OverflowError, ZeroDivisionError):
-        # at large |w| the Bessel bound, sigma_{2w}(n) n^{-w} or the scale leave the float range
+        # at large |w| or u the Bessel bound, sigma_{2w}(n) n^{-w}, the scale or their product leave the floats
         raise ConvergenceError(
             f"z2_kober: form ({form.a}, {form.b}, {form.c}) at w = {w} leaves the float range"
         ) from None
@@ -459,29 +460,8 @@ def z2_quartic(xi: float, tol: float = 1e-11) -> SeriesValue:
 
 
 # ---------------------------------------------------------------------------
-# diagonal lattices: representation counts and the massive representation
+# diagonal lattices: the brute-force and massive representations
 # ---------------------------------------------------------------------------
-
-def rp_counts(p: int, n_max: int) -> np.ndarray:
-    """r_p(0..n_max): number of representations as a sum of p squares,
-    by convolution over one coordinate at a time: each square j^2 adds a
-    shifted int64 slice, exact while the point count of the enclosing cube
-    fits in int64 (checked)."""
-    if p < 1 or n_max < 0:
-        raise DomainError("rp_counts requires p >= 1 and n_max >= 0")
-    roots = math.isqrt(n_max)
-    if (2 * roots + 1) ** p >= 2 ** 63:
-        raise DomainError("rp_counts: counts would overflow int64")
-    np = _lazy("numpy")
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    out[0] = 1
-    for _ in range(p):
-        new = out.copy()
-        for j in range(1, roots + 1):
-            new[j * j:] += 2 * out[: n_max + 1 - j * j]
-        out = new
-    return out
-
 
 def zp_brute(p: int, s: float, w: float, tol: float = 1e-11, tail: str = "bound") -> SeriesValue:
     """Brute-force sum over Z^p of (m.m + w^2)^{-s} (m != 0), the oracle.

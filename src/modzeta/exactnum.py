@@ -17,18 +17,17 @@ alternating series and cached for SymScalar evaluation.
 
 Divisor side: ``divisor_sigma`` (pointwise, the reference) and the one
 cache of sigma_k and r_p tables, keyed by kind and order, that every
-series reads its coefficients from: every integer order is kept, and only
-the last non-integer order.
+series reads its coefficients from: exact Python numbers, each table grown
+in place, every integer order kept, and only the last non-integer order.
 
-numpy, ``modzeta._special``, ``modzeta._quadpack`` and, for the CLI, the
-route modules are imported on first use, through ``_lazy``; no module
-imports scipy.
+Every deferred import goes through ``_lazy``; no module imports scipy.
 """
 from __future__ import annotations
 
 import cmath
 import importlib
 import math
+import struct
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb
@@ -267,6 +266,29 @@ def _sigma_extend(table: list, k, n_max: int) -> list:
     return table
 
 
+def _rp_extend(table: list, p: int, n_max: int) -> list:
+    """Extend an r_p table in place to cover index ``n_max``, one
+    coordinate at a time: r_1 marks the squares, and r_p(n) = r_{p-1}(n)
+    + 2 sum_{j >= 1} r_{p-1}(n - j^2) sums shifted copies of the cached
+    r_{p-1} as fixed-width fields of one integer, keeping the new entries."""
+    done = len(table) - 1
+    if p == 1:
+        table.extend([0] * (n_max - done))
+        for j in range(math.isqrt(done) + 1, math.isqrt(n_max) + 1):
+            table[j * j] = 2
+        return table
+    # no field carries into the next: p - 1 coordinates take at most 2 sqrt(n) + 1
+    # values each and fix the last one up to its sign, so r_p(n) <= 2 (2 sqrt(n) + 1)^(p-1)
+    bound = 2 * (2 * math.isqrt(n_max) + 1) ** (p - 1)
+    size, code = next((size, code) for size, code in ((2, "H"), (4, "I"), (8, "Q")) if bound < 256 ** size)
+    fields = f"<{n_max + 1}{code}"
+    prev = int.from_bytes(struct.pack(fields, *_sieve("rp", p - 1, n_max)[: n_max + 1]), "little")
+    counts = prev + sum(prev << (8 * size * j * j + 1) for j in range(1, math.isqrt(n_max) + 1))
+    counts &= (1 << 8 * size * (n_max + 1)) - 1
+    table += struct.unpack(fields, counts.to_bytes(size * (n_max + 1), "little"))[done + 1 :]
+    return table
+
+
 # tables by (kind, order): every integer order for the life of the process,
 # and only the last non-integer sigma order, which repeats back to back at
 # most (guinand_lhs_bessel's S(u), then S(1/u))
@@ -275,28 +297,22 @@ _LAST_NON_INTEGER: dict[tuple[str, float], list[float]] = {}
 
 
 def _sieve(kind: str, order, n: int) -> list:
-    """Coefficient table covering index ``n``: sigma_order (kind "sigma",
-    built by ``sigma_range``) or r_order (kind "rp", built by
-    ``epstein.rp_counts``).  The first build covers the request and later
-    builds double, so sequential access costs O(log n) builds.  A sigma
-    table grows in place (``_sigma_extend``), so its doublings cost about
-    one build of the final size; an r_p table is built again.
+    """Coefficient table covering index ``n``: sigma_order (kind "sigma")
+    or r_order, the representations as a sum of ``order`` squares (kind
+    "rp", orders 1 to 4, with r_p(0) = 1).  The first build covers the
+    request and later builds double, each growing the table in place
+    (``_sigma_extend``, ``_rp_extend``), so sequential access costs
+    O(log n) builds.
     """
     store = _SIEVES if isinstance(order, int) else _LAST_NON_INTEGER
     table = store.get((kind, order))
-    if table is None or n >= len(table):
-        size = n if table is None else max(n, 2 * (len(table) - 1))
-        if kind == "sigma":
-            if table is not None:  # the store already holds it
-                return _sigma_extend(table, order, size)
-            table = sigma_range(order, size)
-        else:
-            from . import epstein  # rp_counts lives with the lattice sums
-
-            table = epstein.rp_counts(order, size).tolist()
+    if table is None:
         if store is _LAST_NON_INTEGER:
             store.clear()
+        table = sigma_range(order, n) if kind == "sigma" else _rp_extend([1], order, n)
         store[(kind, order)] = table
+    elif n >= len(table):
+        (_sigma_extend if kind == "sigma" else _rp_extend)(table, order, max(n, 2 * (len(table) - 1)))
     return table
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .epstein import bessel_k
 from .errors import ConvergenceError, DomainError
-from .exactnum import _lazy, zeta_negative_exact, zeta_odd_numeric
+from .exactnum import zeta_negative_exact, zeta_odd_numeric
 from .qseries import SeriesValue, _casimir, _certified_sum, _divisor_series, _eps_q
 
 __all__ = [
@@ -158,14 +158,27 @@ class SpectrumSpec:
         }
 
 
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of two coefficient lists, constant term first."""
+    a, q = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in reversed(range(len(q))):
+        q[i] = a[i + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            a[i + j] -= q[i] * c
+    r = a[: len(b) - 1]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
 def _negative_somewhere(coeffs) -> bool:
     """Whether sum_k c_k n^k < 0 at some integer n >= 1, decided exactly.
 
-    Past its largest real root the polynomial has the sign of its leading
-    coefficient.  Below it, a stretch where it is negative either contains
-    n = 1 or starts at a real root, so it contains the first integer past
-    that root: n = 1 and the integers next to each root (as ``numpy.roots``
-    finds it, within one) are the only places to look.
+    Sturm's theorem over the square-free part (the same roots, each simple)
+    counts the roots in (a, b] as changes(a) - changes(b).  Past Cauchy's
+    bound on the roots the sign is the leading coefficient's; below it,
+    bisection over the integers splits each interval that holds a root down
+    to one integer, and elsewhere the sign at an interval's end holds on it.
     """
     exact = [Fraction(c) for c in coeffs]
     while exact and exact[-1] == 0:
@@ -174,12 +187,32 @@ def _negative_somewhere(coeffs) -> bool:
         return bool(exact)
     if min(exact) >= 0:  # no negative coefficient: positive at every n >= 1
         return False
-    near = {1}
-    if len(exact) > 1:
-        for root in _lazy("numpy").roots([float(c) for c in reversed(exact)]):
-            base = math.floor(root.real)
-            near.update(range(max(base - 1, 1), max(base + 3, 1)))
-    return any(sum(c * n ** k for k, c in enumerate(exact)) < 0 for n in near)
+    chain = [exact, [k * c for k, c in enumerate(exact)][1:]]
+    while chain[-1]:  # signed remainders, down to the gcd of the polynomial and its derivative
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    chain = [_poly_divmod(p, chain[-1])[0] for p in chain]  # each over the gcd: the square-free part's chain
+    # each polynomial times a positive integer: the same signs, in integers
+    exact, *chain = ([int(c * math.lcm(*(q.denominator for q in p))) for c in p] for p in (exact, *chain))
+
+    def value(p, x):
+        return sum(c * x ** k for k, c in enumerate(p))
+
+    def changes(x):
+        signs = [v for v in (value(p, x) for p in chain) if v]
+        return sum((u < 0) != (v < 0) for u, v in zip(signs, signs[1:]))
+
+    top = 2 + max(map(abs, exact)) // exact[-1]  # Cauchy: every root lies below 1 + max |c_k| / c_d
+    stack = [(0, top, changes(0), changes(top))]  # (a, b, changes(a), changes(b))
+    while stack:
+        a, b, at_a, at_b = stack.pop()
+        if b - a > 1 and at_a != at_b:
+            mid = (a + b) // 2
+            at_mid = changes(mid)
+            stack += [(a, mid, at_a, at_mid), (mid, b, at_mid, at_b)]
+        elif value(exact, b) < 0:
+            return True
+    return False
 
 
 S3_SPEC = SpectrumSpec("s3-conformal-scalar", (0, 0, 1))

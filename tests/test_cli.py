@@ -450,10 +450,23 @@ def _scipy_numpy_loaded_after(code: str) -> str:
         "eval f3 --xi 1.3",
         "eval mode_sum_F --beta 2",
         "eval mode_sum_F --spectrum single-mode --beta 2",
+        "eval zp_massive --p 3 --s 2.6 --w 0.5",  # r_p tables in Python integers
     ],
 )
 def test_closed_form_routes_import_neither_scipy_nor_numpy(argv):
     assert _scipy_numpy_loaded_after(f"import modzeta.cli; modzeta.cli.main({argv.split()!r})") == "[]"
+
+
+@pytest.mark.parametrize(
+    "code,loaded",
+    [
+        # the sign test of a degeneracy polynomial is exact, in fractions
+        ("from modzeta.thermal import SpectrumSpec; SpectrumSpec('x', (6, -5, 1))", "[]"),
+        ("import modzeta.cli; modzeta.cli.main('eval z2 --form 1,0.3,2 --s 2.5'.split())", "['numpy']"),
+    ],
+)
+def test_only_the_lattice_sums_load_numpy(code, loaded):
+    assert _scipy_numpy_loaded_after(code) == loaded
 
 
 CLI_MODULES = {"modzeta", "modzeta.cli", "modzeta.errors", "modzeta.exactnum"}
@@ -509,7 +522,6 @@ def test_importing_verify_loads_neither_scipy_nor_numpy():
         ("epstein", "bessel_k(1.3, 2.0)"),
         # every certified berndt_phi ends on a tail that calls gammaincc
         ("dirichlet", "berndt_phi(diagonal_epstein_datum(2), 3.0, 1.0)"),
-        ("epstein", "rp_counts(2, 10).tolist()"),
     ],
 )
 def test_deferred_imports_bind_in_a_fresh_process(module, call):
@@ -769,6 +781,8 @@ def _other_argv(draw) -> list:
 @given(argv=_other_argv())
 # an exit-0 value whose est_error (81.9, in 80k terms) is far past its tol
 @example(argv="eval zp_massive --p 3 --s 5.5 --w 0.05".split())
+# u = sqrt(det)/a = 1e150: the value passes the floats without an OverflowError
+@example(argv=["eval", "z2_kober", "--form=1e-300,0,1", "--w=1"])
 def test_lattice_mellin_mode_sum_and_exact_routes_stay_in_the_error_contract(argv, spectra_dir):
     # the q-series contract for the other eval quantities, and each example
     # within a time and a traced-memory budget: nothing runs unbounded or

@@ -15,7 +15,7 @@ from modzeta import dirichlet, epstein, exactnum
 from modzeta.cli import main
 from modzeta.dirichlet import berndt_phi, custom_datum, diagonal_epstein_datum, eisenstein_datum, theta_datum
 from modzeta.errors import ConvergenceError, DomainError, SingularityError
-from modzeta.exactnum import gamma_numeric, zeta_numeric
+from modzeta.exactnum import _sieve, gamma_numeric, zeta_numeric
 from modzeta.epstein import (
     BinaryForm,
     _bessel_series,
@@ -25,7 +25,6 @@ from modzeta.epstein import (
     guinand_gap,
     guinand_lhs_bessel,
     guinand_lhs_derivative,
-    rp_counts,
     xi_completed,
     z2_direct,
     z2_kober,
@@ -261,9 +260,9 @@ def test_point_budget_refuses_before_allocating(call, radius):
 
 def test_z2_direct_shell_grouping_matches_r2():
     # sum over n <= 50 of r_2(n) n^{-s} equals the shell-grouped partial sum
-    counts = rp_counts(2, 50)
+    counts = _sieve("rp", 2, 50)
     s = 2.3
-    by_shell = sum(int(counts[n]) * n ** (-s) for n in range(1, 51))
+    by_shell = sum(counts[n] * n ** (-s) for n in range(1, 51))
     direct = 0.0
     for m in range(-8, 9):
         for n in range(-8, 9):
@@ -607,27 +606,23 @@ def test_epstein_imports_alone_for_zp_massive():
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_rp_counts_matches_lattice_count(p):
+def test_rp_table_matches_lattice_count(p, monkeypatch):
+    monkeypatch.setattr(exactnum, "_SIEVES", {})
     axis = np.arange(-14, 15)  # 15^2 > 200 reaches every vector with m.m <= 200
     norms = sum(g * g for g in np.meshgrid(*[axis] * p, indexing="ij")).ravel()
     brute = np.bincount(norms[norms <= 200], minlength=201)
-    counts = rp_counts(p, 200)
-    assert counts.dtype == np.int64
-    assert counts.tolist() == brute.tolist()
+    counts = _sieve("rp", p, 200)
+    assert all(type(c) is int for c in counts)
+    assert counts == brute.tolist()
 
 
-def test_rp_counts_refuses_int64_overflow():
-    with pytest.raises(DomainError):
-        rp_counts(40, 10_000)
-
-
-def test_rp_counts_small_values():
-    r2 = rp_counts(2, 10)
-    assert list(r2[:6]) == [1, 4, 4, 0, 4, 8]
-    r1 = rp_counts(1, 9)
-    assert int(r1[9]) == 2 and int(r1[8]) == 0
-    r3 = rp_counts(3, 6)
-    assert int(r3[1]) == 6 and int(r3[2]) == 12 and int(r3[3]) == 8
+def test_rp_table_small_values(monkeypatch):
+    monkeypatch.setattr(exactnum, "_SIEVES", {})
+    assert _sieve("rp", 2, 10)[:6] == [1, 4, 4, 0, 4, 8]
+    r1 = _sieve("rp", 1, 9)
+    assert r1[9] == 2 and r1[8] == 0
+    r3 = _sieve("rp", 3, 6)
+    assert r3[1] == 6 and r3[2] == 12 and r3[3] == 8
 
 
 # ----------------------------------------------------------------- Guinand

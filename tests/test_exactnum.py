@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,6 +224,24 @@ def test_extended_sigma_table_is_a_one_shot_build(k, monkeypatch):
     for n in (3, 10, 150, 700):
         grown = _sieve("sigma", k, n)
     assert grown == sigma_range(k, len(grown) - 1)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_rp_table_grown_by_doublings_is_a_one_shot_build(p, monkeypatch):
+    n_max = 20_000
+    monkeypatch.setattr(exactnum, "_SIEVES", {})
+    for n in (1, 2, 3, 5, 100, 101, 150, 4097, n_max):  # grown to 2, 4, 8, 100, 200, 4097, n_max
+        grown = _sieve("rp", p, n)
+    one_shot = exactnum._rp_extend([1], p, n_max)
+    # oracle: one coordinate at a time, each square j^2 adding a shifted slice
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    counts[0] = 1
+    for _ in range(p):
+        new = counts.copy()
+        for j in range(1, math.isqrt(n_max) + 1):
+            new[j * j :] += 2 * counts[: n_max + 1 - j * j]
+        counts = new
+    assert grown[: n_max + 1] == one_shot == counts.tolist()
 
 
 @pytest.mark.parametrize("k", [2.6, -1.4, 0.37, 5.0000001])

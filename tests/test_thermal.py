@@ -1,6 +1,7 @@
 """Thermal layer: free energies, entropy, and the two F3 routes."""
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,8 @@ def test_spectrum_spec_validation_and_json():
         {"degeneracy_coeffs": (0, 0, 1, 0, 0, 0, -1e-15)},  # negative only for n >= 5624
         {"degeneracy_coeffs": (100, -30, 1)},  # negative for 4 <= n <= 26
         {"degeneracy_coeffs": (0, float("nan"))},
+        # (n - 1000.5)^2 - 3/10: negative on (999.95, 1001.05), at n = 1000 and 1001
+        {"degeneracy_coeffs": (Fraction(2001, 2) ** 2 - Fraction(3, 10), -2001, 1)},
     ],
 )
 def test_spectrum_spec_refuses_negative_degeneracies_anywhere(kwargs):
@@ -193,9 +196,24 @@ def test_spectrum_spec_refuses_negative_degeneracies_anywhere(kwargs):
 
 
 def test_spectrum_spec_accepts_polynomials_nonnegative_on_the_integers():
-    # (n - 3)(n - 4) and (n - 7/2)^2 touch or dip below 0 only between integers
-    for coeffs in ((12, -7, 1), (12.25, -7, 1), (0, 0, 1)):
+    # (n - 3)(n - 4), (n - 2)(n - 3), (n - 7/2)^2, (n - 3)^2 and
+    # (n - 1000.5)^2 - 1/5 touch or dip below 0 only between integers
+    near = (Fraction(2001, 2) ** 2 - Fraction(1, 5), -2001, 1)
+    for coeffs in ((12, -7, 1), (6, -5, 1), (12.25, -7, 1), (9, -6, 1), near, (0, 0, 1)):
         SpectrumSpec("ok", coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=7))
+def test_negative_somewhere_matches_a_search_of_every_integer_below_the_root_bound(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return
+    # Cauchy: every root lies below 1 + max |c_k / c_d|, past which the sign is c_d's
+    bound = 1 + max(abs(c) for c in coeffs) // abs(coeffs[-1]) + 1
+    brute = any(sum(c * n ** k for k, c in enumerate(coeffs)) < 0 for n in range(1, bound + 1))
+    assert thermal._negative_somewhere(coeffs) == brute
 
 
 def test_large_table_spectrum_builds_fast():
