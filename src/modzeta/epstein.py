@@ -223,13 +223,14 @@ def _direct(
     gram: np.ndarray, s: float, m2: float, const, tol: float, radius, tail: str, log_const: float | None = None
 ) -> SeriesValue:
     """Direct sum of (x^T G x + m2)^{-s} over nonzero x in Z^p, 2s > p, for
-    z2_direct and zp_brute: one radius search (doubling from 8 or from the
-    caller's radius) against the shell bound const * (r^(p-1-2s) +
-    r^(p-2s)/(2s-p)), r = R + 1, and one point budget checked before any
-    allocation.  Where the constant alone passes the floats, the caller
-    gives its logarithm instead (const None): the bound is then taken in
-    logs, log_const + (p-1-2s) log r + log(1 + r/(2s-p)), and never reported
-    below the smallest positive double."""
+    z2_direct and zp_brute: one radius search against the shell bound
+    const * (r^(p-1-2s) + r^(p-2s)/(2s-p)), r = R + 1, which finds the least
+    radius from 8 (or from the caller's radius) that meets tol, and one
+    point budget checked before any allocation; a refusal suggests that
+    radius.  Where the constant alone passes the floats, the caller gives
+    its logarithm instead (const None): the bound is then taken in logs,
+    log_const + (p-1-2s) log r + log(1 + r/(2s-p)), and never reported below
+    the smallest positive double."""
     p = len(gram)
     if tail not in ("bound", "integral") or (tail == "integral" and p > 2):
         raise DomainError("tail must be 'bound', or 'integral' for p <= 2")
@@ -244,14 +245,19 @@ def _direct(
 
     if tail == "bound":
         # past 2^60 the search stops, short of float overflow
-        need = 8 if radius is None else radius
+        short = need = 8 if radius is None else radius
         while bound(need) > tol:
             if need > 1 << 60:
                 raise ConvergenceError(
                     f"direct sum: no radius up to 2^60 certifies {tol:.2e} at s = {s}",
                     suggestion="tail='integral'" if p <= 2 else None,
                 )
-            need *= 2
+            short, need = need, need * 2
+        # bound(r) falls as r grows, so bisection between the last radius that
+        # fails (short) and the first that holds (need) finds the least one
+        while need - short > 1:
+            mid = (short + need) // 2
+            short, need = (mid, need) if bound(mid) > tol else (short, mid)
         if radius is not None and need > radius:
             raise ConvergenceError(f"direct sum needs radius {need} to certify {tol:.2e}", suggestion=need)
         radius = need

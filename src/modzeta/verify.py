@@ -321,8 +321,9 @@ def suite_massive() -> list[CheckResult]:
     out = []
     got = emod.zp_massive(1, 1.0, 1.0).value.real
     out.append(_c("massive", "p=1, s=1, w=1 equals pi coth pi - 1", got - (math.pi / math.tanh(math.pi) - 1), 1e-11))
-    for (p, s, w) in ((1, 3.0, 1.0), (2, 3.0, 0.8), (3, 4.0, 1.3)):
-        zb = emod.zp_brute(p, s, w, tol=1e-9)
+    # p = 1 and 2 ask the sum for 1e-10, so the least radius's tail stays well inside the check's 1e-9
+    for (p, s, w, tol) in ((1, 3.0, 1.0, 1e-10), (2, 3.0, 0.8, 1e-10), (3, 4.0, 1.3, 1e-9)):
+        zb = emod.zp_brute(p, s, w, tol=tol)
         zm = emod.zp_massive(p, s, w)
         out.append(_c("massive", f"Bessel = brute force, p={p}", zb.value.real - zm.value.real, 1e-9))
     h = 0.02

@@ -1,6 +1,7 @@
 """CLI surface: output formats, exit codes, determinism."""
 import ast
 import contextlib
+import csv
 import importlib
 import io
 import json
@@ -217,6 +218,19 @@ def test_bench_csv_shape(capsys):
     assert code == 0
     assert out[0] == "tolerance,method,terms_or_radius,points,wall_time_s,value"
     assert len(out) == 11  # header + 5 tolerances x 2 methods
+
+
+@pytest.mark.parametrize("target", ["kober-vs-direct", "massive-vs-direct", "qseries-vs-mellin"])
+def test_committed_bench_csv_is_what_bench_writes(target, capsys):
+    # every column but the single-shot timing, to the bit
+    assert main(["bench", target]) == 0
+    fresh = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    committed_path = Path(__file__).resolve().parents[1] / "bench" / f"{target.replace('-', '_')}.csv"
+    committed = list(csv.reader(io.StringIO(committed_path.read_text(encoding="utf-8"))))
+    timing = fresh[0].index("wall_time_s")
+    assert [row[:timing] + row[timing + 1:] for row in fresh] == [
+        row[:timing] + row[timing + 1:] for row in committed
+    ]
 
 
 def test_installed_entry_point_runs():

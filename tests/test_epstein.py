@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import kv
 
 from modzeta import dirichlet, epstein, exactnum
@@ -201,11 +203,11 @@ def test_direct_sums_match_a_plain_loop(call, gram, s, m2, radius):
 @pytest.mark.parametrize(
     "call,pinned",
     [
-        (lambda: z2_direct((1, 0.3, 2), 2.5, tol=1e-10), (2.863499422500084, 67125248, 4.820344806163288e-11)),
-        (lambda: zp_brute(1, 2.3, 0.5), (1.2864786766617502, 2048, 8.084333743449442e-12)),
-        (lambda: zp_brute(1, 1.0, 0.5, tol=1e-2), (2.8429570486355287, 512, 0.007812381716604339)),
+        (lambda: z2_direct((1, 0.3, 2), 2.5, tol=1e-10), (2.8634994224870036, 41280624, 9.996114958760337e-11)),
+        (lambda: zp_brute(1, 2.3, 0.5), (1.2864786766598664, 1932, 9.972544917387685e-12)),
+        (lambda: zp_brute(1, 1.0, 0.5, tol=1e-2), (2.8407792788496606, 400, 0.009999752481374222)),
         (lambda: zp_brute(2, 2.1, 0.3, tail="integral"), (4.995839296261979, 1002000, 5.219543957156569e-15)),
-        (lambda: zp_brute(3, 3.5, 0.5, tol=1e-6), (3.7819435520384634, 2146688, 8.028161048013294e-07)),
+        (lambda: zp_brute(3, 3.5, 0.5, tol=1e-6), (3.7819435322949966, 1860866, 9.72566388713378e-07)),
         (lambda: zp_brute(4, 3.0, 1.0, tol=2.0), (4.1765905699049855, 83520, 1.6296296296296295)),
     ],
 )
@@ -216,7 +218,7 @@ def test_lattice_sums_are_pinned(call, pinned):
 
 
 def test_zp_brute_memory_grows_with_a_face_not_the_cube(monkeypatch):
-    # radius 128 in p = 3: one float64 array over the whole cube would be 136 MB.
+    # radius 102 in p = 3: one float64 array over the whole cube would be 69 MB.
     # An empty pool, so that the block buffer is allocated under tracemalloc
     monkeypatch.setattr(epstein, "_BUFFERS", [])
     tracemalloc.start()
@@ -225,7 +227,7 @@ def test_zp_brute_memory_grows_with_a_face_not_the_cube(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert zb.terms == 257 ** 3 - 1
+    assert zb.terms == 205 ** 3 - 1
     assert peak < 64e6
 
 
@@ -242,7 +244,7 @@ def test_lattice_sums_reuse_one_pooled_buffer(monkeypatch):
 @pytest.mark.parametrize(
     "call,radius",
     [
-        (lambda: zp_brute(3, 4.0, 1.3, tol=1e-12), 512),  # 1.08e9 points
+        (lambda: zp_brute(3, 4.0, 1.3, tol=1e-12), 405),  # 5.3e8 points
         (lambda: z2_direct((1, 0, 1), 3.0, radius=20000, tail="integral"), 20000),
     ],
 )
@@ -256,6 +258,82 @@ def test_point_budget_refuses_before_allocating(call, radius):
         tracemalloc.stop()
     assert exc.value.suggestion == radius
     assert peak < 1e6
+
+
+def _shell(p: int, s: float, const: float):
+    """The shell bound at radius R, written out here apart from _direct."""
+
+    def bound(radius: int) -> float:
+        r1 = radius + 1
+        return const * (r1 ** (p - 1 - 2 * s) + r1 ** (p - 2 * s) / (2 * s - p))
+
+    return bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    excess=st.floats(0.1, 4.0),
+    w=st.floats(0.0, 2.0),
+    target=st.integers(1, 60),
+    between=st.floats(0.0, 0.5),
+)
+def test_zp_brute_sums_to_the_least_certified_radius(p, excess, w, target, between):
+    # tol lies between the bounds at target and target - 1, so the least
+    # radius from 8 is known and every sum is quick
+    s = (p + excess) / 2
+    shell = _shell(p, s, 2 * p * 3 ** (p - 1))
+    tol = shell(target) + between * (shell(target - 1) - shell(target))
+    got = zp_brute(p, s, w, tol=tol)
+    side = round((got.terms + 1) ** (1 / p))
+    assert side ** p == got.terms + 1
+    radius = (side - 1) // 2
+    assert got.tail_bound == shell(radius) <= tol
+    assert radius == 8 or shell(radius - 1) > tol
+    assert radius == max(target, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([1, 2, 3]),
+    excess=st.floats(0.1, 4.0),
+    target=st.integers(1, 10 ** 9),
+    factor=st.floats(0.5, 1.0),
+)
+def test_over_budget_refusal_suggests_the_least_radius(p, excess, target, factor):
+    # past the budget the refusal sums nothing, so any size is cheap to ask for
+    assume((2 * target + 1) ** p - 1 > epstein._MAX_POINTS)
+    s = (p + excess) / 2
+    shell = _shell(p, s, 2 * p * 3 ** (p - 1))
+    tol = factor * shell(target)
+    with pytest.raises(ConvergenceError) as exc:
+        zp_brute(p, s, 1.0, tol=tol)
+    need = exc.value.suggestion
+    assert shell(need) <= tol < shell(need - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    form=st.sampled_from([(1, 0, 1), (1, 0.3, 2), (2, 1, 3), (5, -2, 1)]),
+    excess=st.floats(0.05, 3.0),
+    radius=st.integers(1, 150),
+    target=st.integers(1, 150),
+    between=st.floats(0.0, 0.5),
+)
+def test_a_caller_radius_is_used_or_refused_with_the_least_radius(form, excess, radius, target, between):
+    s = 1 + excess / 2
+    shell = _shell(2, s, 8 * BinaryForm(*form).min_eigenvalue ** (-s))
+    tol = shell(target) + between * (shell(target - 1) - shell(target))
+    try:
+        got = z2_direct(form, s, tol=tol, radius=radius)
+    except ConvergenceError as exc:
+        need = exc.suggestion
+        assert need == target > radius and shell(need) <= tol < shell(need - 1)
+        again = z2_direct(form, s, tol=tol, radius=need)
+        assert again.terms == (2 * need + 1) ** 2 - 1 and again.tail_bound <= tol
+    else:
+        assert radius >= target
+        assert got.terms == (2 * radius + 1) ** 2 - 1 and got.tail_bound <= tol
 
 
 def test_z2_direct_shell_grouping_matches_r2():
