@@ -18,7 +18,7 @@ follow, and are implemented here:
 Built-in data: the weight-2t divisor datum (a_n = sigma_{2t-1}(n),
 lambda = 2 pi n, delta = 2t), diagonal lattice data (r_p counts, read
 from ``exactnum``'s tables), the Jacobi theta datum, a plain sigma datum
-for direct-sum identities, and custom finite tables loadable from JSON.
+for direct-sum identities.
 
 K_nu comes from ``epstein.bessel_k``, and Gamma and the incomplete gamma
 Q(a, x) of the massive tail from ``exactnum.gamma_numeric`` and
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .epstein import bessel_k
 from .exactnum import _coefficients, _lazy, gamma_numeric, zeta_negative_exact
-from .qseries import SeriesValue, _certified_sum, _quad
+from .qseries import SeriesValue, _certified_sum, _first_true, _quad
 
 # relative rounding allowance per Bessel term, sized when bessel_k was within
 # 1.3e-13 of mpmath (it is within 3e-15 up to order 8 and 5e-14 above since
@@ -56,8 +55,6 @@ __all__ = [
     "diagonal_epstein_datum",
     "theta_datum",
     "sigma_datum",
-    "custom_datum",
-    "datum_from_json",
     "phi_direct",
     "residual_B",
     "heat_kernels",
@@ -96,7 +93,6 @@ class DirichletDatum:
     lam_low: tuple = (1.0, 1.0)
     mu_low: tuple = (1.0, 1.0)
     kosh: tuple | None = None
-    finite_n: int | None = None  # coefficients vanish beyond this index
 
     @property
     def supports_modular(self) -> bool:
@@ -121,7 +117,6 @@ class DirichletDatum:
             lam_low=self.mu_low,
             mu_low=self.lam_low,
             kosh=None,
-            finite_n=self.finite_n,
         )
 
 
@@ -234,84 +229,11 @@ def diagonal_epstein_datum(p: int) -> DirichletDatum:
     )
 
 
-def custom_datum(
-    a_table,
-    b_table,
-    lam_table,
-    mu_table,
-    delta: float,
-    residues=(),
-    zero_modes=(0.0, 0.0),
-    name: str = "custom",
-) -> DirichletDatum:
-    """Finite coefficient tables (1-indexed lists); tails vanish exactly."""
-    a_list = list(a_table)
-    b_list = list(b_table)
-
-    def pick(table):
-        def f(n: int) -> float:
-            return float(table[n - 1]) if n <= len(table) else 0.0
-
-        return f
-
-    def pick_seq(table, fallback_slope):
-        def f(n: int) -> float:
-            if n <= len(table):
-                return float(table[n - 1])
-            return float(table[-1]) + fallback_slope * (n - len(table))
-
-        return f
-
-    lam_list = list(lam_table)
-    mu_list = list(mu_table)
-    return DirichletDatum(
-        name=name,
-        a=pick(a_list),
-        b=pick(b_list),
-        lam=pick_seq(lam_list, 1.0),
-        mu=pick_seq(mu_list, 1.0),
-        delta=delta,
-        residues=tuple(tuple(r) for r in residues),
-        zero_modes=tuple(zero_modes),
-        a_bound=(max([abs(x) for x in a_list] + [1.0]), 0.0),
-        b_bound=(max([abs(x) for x in b_list] + [1.0]), 0.0),
-        lam_low=(min(lam_list[0], 1.0), 0.0),
-        mu_low=(min(mu_list[0], 1.0), 0.0),
-        finite_n=max(len(a_list), len(b_list)),
-    )
-
-
-def datum_from_json(doc) -> DirichletDatum:
-    """Load a datum from the JSON spec {kind, params...}."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    kind = doc.get("kind")
-    params = doc.get("params", {})
-    if kind == "eisenstein":
-        return eisenstein_datum(int(params["t"]))
-    if kind == "diagonal_epstein":
-        return diagonal_epstein_datum(int(params["p"]))
-    if kind == "theta":
-        return theta_datum()
-    if kind == "custom":
-        return custom_datum(
-            params["a"],
-            params["b"],
-            params["lam"],
-            params["mu"],
-            float(params["delta"]),
-            residues=params.get("residues", ()),
-            zero_modes=tuple(params.get("zero_modes", (0.0, 0.0))),
-            name=params.get("name", "custom"),
-        )
-    raise DomainError(f"unknown datum kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # direct series and kernels
 # ---------------------------------------------------------------------------
 
-def phi_direct(d: DirichletDatum, s: complex, tol: float = 1e-11, max_terms: int = 600_000) -> SeriesValue:
+def phi_direct(d: DirichletDatum, s: complex, tol: float = 1e-11) -> SeriesValue:
     """Truncated sum a_m lambda_m^{-s} with a certified power tail."""
     s = complex(s)
     if not cmath.isfinite(s):
@@ -319,28 +241,24 @@ def phi_direct(d: DirichletDatum, s: complex, tol: float = 1e-11, max_terms: int
     c_a, p_a = d.a_bound
     c_l, q_l = d.lam_low
     decay = s.real * q_l - p_a
-    if d.finite_n is None and decay <= 1.0:
+    if decay <= 1.0:
         raise DomainError("phi_direct: Re s below the certified convergence range")
 
     def tail(m: int) -> float:
-        if d.finite_n is not None and m >= d.finite_n:
-            return 0.0
         m1 = m + 1
         return c_a * c_l ** (-s.real) * (m1 ** -decay + m1 ** (1 - decay) / (decay - 1))
 
     terms = (d.a(m) * complex(d.lam(m)) ** (-s) for m in itertools.count(1))
-    return _certified_sum(terms, tail, tol, max_terms, "phi_direct", 0j)
+    return _certified_sum(terms, tail, tol, 600_000, "phi_direct", 0j)
 
 
-def _kernel_sum(coef, seq, low, bound, beta: float, tol: float, max_terms: int = 200_000, finite_n=None) -> SeriesValue:
+def _kernel_sum(coef, seq, low, bound, beta: float, tol: float) -> SeriesValue:
     if not beta > 0:  # NaN too; beta = +inf leaves the zero modes alone
         raise DomainError(f"heat kernels require beta > 0, got beta = {beta}")
     c_b, p_b = bound
     c_l, q_l = low
 
     def tail(m: int) -> float:
-        if finite_n is not None and m >= finite_n:
-            return 0.0
         m1 = m + 1
         term_bound = c_b * m1 ** p_b * math.exp(-c_l * m1 ** q_l * beta)
         ratio = ((m1 + 1) / m1) ** p_b * math.exp(
@@ -349,7 +267,7 @@ def _kernel_sum(coef, seq, low, bound, beta: float, tol: float, max_terms: int =
         return term_bound / (1 - ratio) if ratio < 1 else math.inf
 
     terms = (coef(m) * math.exp(-seq(m) * beta) for m in itertools.count(1))
-    return _certified_sum(terms, tail, tol, max_terms, "heat kernel")
+    return _certified_sum(terms, tail, tol, 200_000, "heat kernel")
 
 
 @dataclass(frozen=True)
@@ -361,16 +279,13 @@ class HeatKernelPair:
     def phi(self, beta: float, tol: float = 1e-15) -> float:
         return self.datum.zero_modes[0] + self.phi_series(beta, tol).value.real
 
-    def psi(self, beta: float, tol: float = 1e-15) -> float:
-        return self.datum.zero_modes[1] + self.psi_series(beta, tol).value.real
-
     def phi_series(self, beta: float, tol: float = 1e-15) -> SeriesValue:
         d = self.datum
-        return _kernel_sum(d.a, d.lam, d.lam_low, d.a_bound, beta, tol, finite_n=d.finite_n)
+        return _kernel_sum(d.a, d.lam, d.lam_low, d.a_bound, beta, tol)
 
     def psi_series(self, beta: float, tol: float = 1e-15) -> SeriesValue:
         d = self.datum
-        return _kernel_sum(d.b, d.mu, d.mu_low, d.b_bound, beta, tol, finite_n=d.finite_n)
+        return _kernel_sum(d.b, d.mu, d.mu_low, d.b_bound, beta, tol)
 
 
 def heat_kernels(d: DirichletDatum) -> HeatKernelPair:
@@ -436,13 +351,12 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
     c_lo, q = d.mu_low
     kappa = 2.0 * w * math.sqrt(c_lo)
     pe = p_b + abs(nu) * q / 2.0
-    # q = 0 only for finite custom tables, whose tail stops at finite_n
-    alpha = 2.0 * (pe + 1.0) / q if q else None
+    alpha = 2.0 * (pe + 1.0) / q
     try:
         gam_s = float(gamma_numeric(s).real)
-        gam_alpha = float(gamma_numeric(alpha).real) if q else None
+        gam_alpha = float(gamma_numeric(alpha).real)
     except SingularityError:
-        big = max(s, alpha or 0.0)
+        big = max(s, alpha)
         if big <= 171.0:  # Gamma(x <= 171) is finite away from its poles: s is at one
             raise
         raise ConvergenceError(
@@ -465,8 +379,6 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
             yield term
 
     def tail(n: int) -> float:
-        if finite_n is not None and n >= finite_n:
-            return 0.0
         n1 = n + 1
         x1 = kappa * n1 ** half_q
         two_x1 = 2 * x1
@@ -483,7 +395,7 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
         # the loops' constants, each rounded as the loops would round it
         w2, half_nu, two_w, half_q, nu2 = w * w, nu / 2.0, 2 * w, q / 2.0, nu * nu
         head0 = 2.0 * c_b * (c_lo / w2) ** (abs(nu) / 2.0)
-        abs_gam_s, finite_n = abs(gam_s), d.finite_n
+        abs_gam_s = abs(gam_s)
         series = _certified_sum(terms(), tail, tol, 100_000, "berndt_phi")
     except OverflowError:
         # w^{-2s}, the terms' powers or the Bessel bound's exp(nu^2 / 2x)
@@ -538,31 +450,8 @@ def _kernel_majorant(c_a: float, k: float, c_l: float, q_l: float, nu: float, be
     # (k = p + q_l).  _first_true may search on it: for the built-in data
     # (q_l = 1 or 2, c_a >= 1) it rises, then falls, by a relative 1e-4 or
     # more per step where it crosses 1e-18 at m <= _KERNEL_LAST_M (about
-    # 30/m), far above rounding; for q_l = 0 (custom tables) it never falls
+    # 30/m), far above rounding
     return c_a * (m + 1) ** k * (1 + nu + c_l * (m + 1) ** q_l * beta) * math.exp(-c_l * (m + 1) ** q_l * beta)
-
-
-def _first_true(pred, lo: int, hi: int) -> int | None:
-    """The least m in [lo, hi] with pred(m), or None; pred changes from
-    False to True at most once on [lo, hi] when pred(lo) is False.  Gallops
-    up from lo, then bisects: O(log m) calls of pred."""
-    if pred(lo):
-        return lo
-    step = 1
-    while True:
-        probe = min(lo + step, hi)
-        if pred(probe):
-            break
-        if probe == hi:
-            return None
-        lo, step = probe, 2 * step
-    while probe - lo > 1:  # pred(lo) is False, pred(probe) True
-        mid = (lo + probe) // 2
-        if pred(mid):
-            probe = mid
-        else:
-            lo = mid
-    return probe
 
 
 def _kernel_derivative(d: DirichletDatum, beta: float, a_tab: list, lam_tab: list) -> float:
@@ -570,26 +459,19 @@ def _kernel_derivative(d: DirichletDatum, beta: float, a_tab: list, lam_tab: lis
     for G = beta^nu Phi(beta), nu = delta, summed with fsum: the terms
     cancel massively at small beta.
 
-    The sum stops at finite_n, or at the first m > 4 where the majorant
-    falls below 1e-18, found by ``_first_true``; past ``_KERNEL_LAST_M``
-    it raises ``ConvergenceError``.  ``a_tab`` and ``lam_tab`` hold a_m and
+    The sum stops at the first m > 4 where the majorant falls below 1e-18,
+    found by ``_first_true``; past ``_KERNEL_LAST_M`` it raises
+    ``ConvergenceError``.  ``a_tab`` and ``lam_tab`` hold a_m and
     lambda_m from index 1 (index 0 unused) and are extended in place as far
     as beta needs, so one pair of tables serves every beta of one datum.
     """
     nu = d.delta
     c_a, p_a = d.a_bound
     c_l, q_l = d.lam_low
-    n = d.finite_n
-    if n is not None and n < 5:
-        count = max(n, 1)  # the first term is always summed
-    else:
-        last = _KERNEL_LAST_M if n is None else min(n, _KERNEL_LAST_M)
-        k = p_a + q_l
-        count = _first_true(lambda m: _kernel_majorant(c_a, k, c_l, q_l, nu, beta, m) < 1e-18, 5, last)
-        if count is None:
-            if last != n:
-                raise ConvergenceError("g_prime kernel did not converge")
-            count = n
+    k = p_a + q_l
+    count = _first_true(lambda m: _kernel_majorant(c_a, k, c_l, q_l, nu, beta, m) < 1e-18, 5, _KERNEL_LAST_M)
+    if count is None:
+        raise ConvergenceError("g_prime kernel did not converge")
     grow = range(len(a_tab), count + 1)
     a_tab.extend(map(d.a, grow))
     lam_tab.extend(map(d.lam, grow))

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError
 from .exactnum import _coefficients, _lazy, gamma_numeric, zeta_numeric, zeta_odd_numeric
-from .qseries import SeriesValue, _certified_sum, _divisor_series, _quad
+from .qseries import SeriesValue, _certified_sum, _divisor_series, _first_true, _quad
 
 if TYPE_CHECKING:
     import numpy as np
@@ -244,20 +244,14 @@ def _direct(
         return const * (r1 ** (p - 1 - 2 * s) + r1 ** (p - 2 * s) / (2 * s - p))
 
     if tail == "bound":
-        # past 2^60 the search stops, short of float overflow
-        short = need = 8 if radius is None else radius
-        while bound(need) > tol:
-            if need > 1 << 60:
-                raise ConvergenceError(
-                    f"direct sum: no radius up to 2^60 certifies {tol:.2e} at s = {s}",
-                    suggestion="tail='integral'" if p <= 2 else None,
-                )
-            short, need = need, need * 2
-        # bound(r) falls as r grows, so bisection between the last radius that
-        # fails (short) and the first that holds (need) finds the least one
-        while need - short > 1:
-            mid = (short + need) // 2
-            short, need = (mid, need) if bound(mid) > tol else (short, mid)
+        # bound(r) falls as r grows, so the search finds the least radius; past
+        # 2^60 it stops, short of float overflow
+        need = _first_true(lambda r: bound(r) <= tol, radius or 8, 1 << 60)
+        if need is None:
+            raise ConvergenceError(
+                f"direct sum: no radius up to 2^60 certifies {tol:.2e} at s = {s}",
+                suggestion="tail='integral'" if p <= 2 else None,
+            )
         if radius is not None and need > radius:
             raise ConvergenceError(f"direct sum needs radius {need} to certify {tol:.2e}", suggestion=need)
         radius = need
@@ -356,7 +350,7 @@ def z2_direct(
 # Kober / Bessel expansion of the binary Epstein function
 # ---------------------------------------------------------------------------
 
-def _bessel_series(w: float, u: float, v: float, target: float, max_terms: int = 4000) -> SeriesValue:
+def _bessel_series(w: float, u: float, v: float, target: float) -> SeriesValue:
     """sum_n sigma_{2w}(n) n^{-w} cos(2 pi v n) K_w(2 pi u n) with a
     certified truncation (sigma_{2w}(n) n^{-w} <= 2 n^{1/2+|w|})."""
     k = 2 * w
@@ -378,7 +372,7 @@ def _bessel_series(w: float, u: float, v: float, target: float, max_terms: int =
         ratio = decay * ((nxt + 1) / nxt) ** power
         return bound / (1 - ratio) if ratio < 1 else math.inf
 
-    return _certified_sum(terms, tail, target, max_terms, "Bessel series")
+    return _certified_sum(terms, tail, target, 4000, "Bessel series")
 
 
 def z2_kober(form, w: float, target_tol: float = 1e-12) -> SeriesValue:
@@ -548,7 +542,7 @@ def guinand_gap(w: float, u: float) -> float:
     return lhs - rhs
 
 
-def _derivative_bessel_sum(t: int, u: float, tol: float = 1e-13, max_terms: int = 2000) -> float:
+def _derivative_bessel_sum(t: int, u: float) -> float:
     """A(u) = sum sigma_{2t-1}(n) n^{-(t-1/2)} K_{t-1/2}(2 pi n u) computed
     without Bessel calls, through the termwise closed form
 
@@ -585,7 +579,7 @@ def _derivative_bessel_sum(t: int, u: float, tol: float = 1e-13, max_terms: int 
             1 + 2 * math.pi * n
         ) ** t
 
-    return pref * _certified_sum(terms(), tail, tol, max_terms, "derivative Bessel sum").value
+    return pref * _certified_sum(terms(), tail, 1e-13, 2000, "derivative Bessel sum").value
 
 
 def guinand_lhs_derivative(t: int, u: float) -> float:

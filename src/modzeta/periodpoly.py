@@ -521,13 +521,13 @@ def bol_check(phi: Poly, g: GroupElement, r: int) -> bool:
 # the differential relation constant
 # ---------------------------------------------------------------------------
 
-def diff_relation_constant(t: int, rel_tol: float = 1e-8) -> float:
+def diff_relation_constant(t: int) -> float:
     """Measure c(t) with D^{2t-1} phi_bar_{2t} = c(t) eps_sub_t, D = q d/dq.
 
     The ratio is fitted on a 6-point grid (D^{2t-1} of phi_bar's q-series
     part 4 pi S_t is 4 pi 2^{2t-1} sum sigma_{2t-1}(m) q^{2m}, the divisor
     series of weight 0; the 1/x pole is differentiated in closed form) and
-    must be constant to ``rel_tol``.  The same constant must relate the
+    must be constant to a relative 1e-8.  The same constant must relate the
     translation cocycles: D^{2t-1} P(T) = c(t) E(T) with
     E(T, x) = (-1)^{t+1} (1/2) zeta(1-2t) ((x-i)^{-2t} - x^{-2t}),
     checked at x = 1 - i.  The measured value is 2^{2t+1} pi.
@@ -535,6 +535,7 @@ def diff_relation_constant(t: int, rel_tol: float = 1e-8) -> float:
     from .qseries import _divisor_series, casimir_constant, eps_sub
 
     _check_t(t)
+    rel_tol = 1e-8
     z2t = zeta_even_exact(2 * t).numeric()
     fact = math.factorial(2 * t - 1)
 

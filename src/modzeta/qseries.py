@@ -127,6 +127,31 @@ def _certified_sum(terms, tail, tol: float, max_terms: int, what: str, acc=0.0) 
     )
 
 
+def _first_true(pred, lo: int, hi: int) -> int | None:
+    """The least m in [lo, hi] with pred(m), or None; pred changes from
+    False to True at most once on [lo, hi] when pred(lo) is False.  Gallops
+    up from lo, then bisects: O(log m) calls of pred.  It finds the least
+    certified radius of ``epstein``'s direct lattice sums and the stop index
+    of ``dirichlet``'s kernel derivative G'."""
+    if pred(lo):
+        return lo
+    step = 1
+    while True:
+        probe = min(lo + step, hi)
+        if pred(probe):
+            break
+        if probe == hi:
+            return None
+        lo, step = probe, 2 * step
+    while probe - lo > 1:  # pred(lo) is False, pred(probe) True
+        mid = (lo + probe) // 2
+        if pred(mid):
+            probe = mid
+        else:
+            lo = mid
+    return probe
+
+
 def _point(p) -> complex:
     """The point b of ``p``: Re b > 0 (+inf, where q = 0, included) and a
     finite Im b, else DomainError."""

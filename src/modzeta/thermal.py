@@ -252,9 +252,11 @@ def entropy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
     )
 
 
-def entropy_partial_direct(t: int, pt, n_max: int = 400) -> float:
+def entropy_partial_direct(t: int, pt) -> float:
     """Entropy by the raw double sum (test route):
-    -(1/2pi) sum (n^{2t-2}/m) q^{2mn} - (1/xi) sum n^{2t-1} q^{2mn}."""
+    -(1/2pi) sum (n^{2t-2}/m) q^{2mn} - (1/xi) sum n^{2t-1} q^{2mn}
+    over m n <= 400."""
+    n_max = 400
     xi = _xi(pt)
     q2 = math.exp(-2.0 * math.pi / xi)
     total = 0.0

@@ -90,11 +90,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         ("table f3-grid", "table-f3-grid.csv"),
         # pure Python too: the pole-residue and modular-relation residuals
         ("verify dirichlet --format csv", "verify-dirichlet.csv"),
+        # and every other suite that loads no numpy (kober and massive sum lattices with it)
+        ("verify inversion --format csv", "verify-inversion.csv"),
+        ("verify cocycle --format csv", "verify-cocycle.csv"),
+        ("verify eichler-shimura --format csv", "verify-eichler-shimura.csv"),
+        ("verify bol --format csv", "verify-bol.csv"),
+        ("verify moments --format csv", "verify-moments.csv"),
+        ("verify guinand --format csv", "verify-guinand.csv"),
+        ("verify thermal --format csv", "verify-thermal.csv"),
     ],
 )
 def test_exact_algebra_outputs_are_byte_identical(argv, name, capsys):
     # the full stdout, byte for byte: the period-polynomial commands, the
-    # pure-Python q-series routes and the dirichlet verify suite
+    # pure-Python q-series routes and the numpy-free verify suites
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 

@@ -1,6 +1,5 @@
 """Paired Dirichlet series: modular relation, massive representation, residues."""
 import dataclasses
-import json
 import math
 import subprocess
 import sys
@@ -13,8 +12,6 @@ from modzeta.exactnum import gamma_numeric, zeta_numeric
 from modzeta.dirichlet import (
     berndt_R,
     berndt_phi,
-    custom_datum,
-    datum_from_json,
     diagonal_epstein_datum,
     eisenstein_datum,
     heat_kernels,
@@ -95,11 +92,6 @@ def test_sigma_rearrangement_exact():
     assert abs(lhs - rhs) < 1e-14
 
 
-def test_phi_direct_single_term_datum():
-    d = custom_datum([1.0], [1.0], [2.0], [2.0], 1.0)
-    assert phi_direct(d, 3.0).value == pytest.approx(0.125, abs=0)
-
-
 @pytest.mark.parametrize("k,z", [(1, 4.5), (2, 5.6), (3, 6.4), (4, 7.5), (5, 8.2)])
 def test_sig_identity_random_points(k, z):
     # sum sigma_k(n) n^{-z} = zeta(z) zeta(z - k)
@@ -110,17 +102,17 @@ def test_sig_identity_random_points(k, z):
 
 # ------------------------------------------------------------------ residual B
 def test_residual_B_cases():
-    empty = custom_datum([1.0], [1.0], [1.0], [1.0], 1.0, residues=())
+    empty = dataclasses.replace(theta_datum(), residues=())
     assert residual_B(empty, 1.7) == 0
-    single = custom_datum([1.0], [1.0], [1.0], [1.0], 1.0, residues=[(1.0, 2.0)])
+    single = dataclasses.replace(theta_datum(), residues=((1.0, 2.0),))
     assert complex(residual_B(single, 2.0)).real == pytest.approx(1.0, abs=1e-15)
 
 
 def test_supports_modular_is_having_residues():
     # derived, not stored: no factory or swap can set it apart from residues
     data = [eisenstein_datum(2), theta_datum(), sigma_datum(3), diagonal_epstein_datum(2),
-            custom_datum([1.0], [1.0], [1.0], [1.0], 1.0),
-            custom_datum([1.0], [1.0], [1.0], [1.0], 1.0, residues=[(1.0, 2.0)])]
+            dataclasses.replace(theta_datum(), residues=()),
+            dataclasses.replace(theta_datum(), residues=((1.0, 2.0),))]
     for d in data + [d.swapped() for d in data]:
         assert d.supports_modular == bool(d.residues)
     assert [d.supports_modular for d in data] == [True, True, False, True, False, True]
@@ -245,19 +237,14 @@ def test_pole_residue_t3_sign_resolution():
     assert abs(res.residue - res.closed_form) < 1e-8
 
 
+# theta with alternating signs: phi(s) = sum_m (-1)^m 2 (pi m^2)^{-s}
+# = -2 pi^{-s} eta(2s), which has no pole at delta = 1/2
+_POLELESS_DATUM = 'dataclasses.replace(theta_datum(), name="alternating theta", a=lambda m: -2.0 if m % 2 else 2.0)'
+
+
 def test_pole_residue_zero_for_poleless_datum():
-    d = custom_datum(
-        [1.0, -0.5], [1.0, -0.5], [1.0, 2.0], [1.0, 2.0], 2.0,
-        residues=[(0.0, 0.5)], zero_modes=(-0.5, -0.5),
-    )
-    res = pole_residue(d)
+    res = pole_residue(eval(_POLELESS_DATUM))
     assert abs(res.residue_bochner) < 1e-12
-
-
-_POLELESS_DATUM = (
-    "custom_datum([1.0, -0.5], [1.0, -0.5], [1.0, 2.0], [1.0, 2.0], 2.0,"
-    " residues=[(0.0, 0.5)], zero_modes=(-0.5, -0.5))"
-)
 
 
 @pytest.mark.parametrize(
@@ -279,7 +266,8 @@ def test_pole_residue_memo_does_not_leak_between_calls():
     here = [repr(pole_residue(eval(expr))) for expr in data]
     for expr, got in zip(data, here):
         code = (
-            "from modzeta.dirichlet import custom_datum, eisenstein_datum, pole_residue\n"
+            "import dataclasses\n"
+            "from modzeta.dirichlet import eisenstein_datum, pole_residue, theta_datum\n"
             f"print(repr(pole_residue({expr})))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -299,8 +287,6 @@ def _g_prime_reference(d, beta):
         lam = d.lam(m)
         e = math.exp(-lam * beta)
         terms.append(d.a(m) * (nu - lam * beta) * e)
-        if d.finite_n is not None and m >= d.finite_n:
-            break
         if m > 4 and d.a_bound[0] * (m + 1) ** (d.a_bound[1] + q_l) * (
             1 + nu + c_l * (m + 1) ** q_l * beta
         ) * math.exp(-c_l * (m + 1) ** q_l * beta) < 1e-18:
@@ -370,30 +356,6 @@ def test_koshliakov_closed_form_values():
     assert koshliakov_residue_closed_form(eisenstein_datum(3)) == pytest.approx(
         math.pi ** 6 / 945, rel=1e-13
     )
-
-
-# ------------------------------------------------------------------------ JSON
-def test_datum_from_json():
-    d = datum_from_json({"kind": "eisenstein", "params": {"t": 2}})
-    assert d.delta == 4.0
-    d2 = datum_from_json(json.dumps({"kind": "diagonal_epstein", "params": {"p": 2}}))
-    assert d2.delta == 1.0
-    d3 = datum_from_json(
-        {
-            "kind": "custom",
-            "params": {
-                "a": [1, 2],
-                "b": [1, 2],
-                "lam": [1.0, 2.0],
-                "mu": [1.0, 2.0],
-                "delta": 1.5,
-                "residues": [[0.0, -1.0]],
-            },
-        }
-    )
-    assert d3.finite_n == 2
-    with pytest.raises(DomainError):
-        datum_from_json({"kind": "nope"})
 
 
 def test_heat_kernel_certified_tail():

@@ -15,7 +15,7 @@ from scipy.special import kv
 
 from modzeta import dirichlet, epstein, exactnum
 from modzeta.cli import main
-from modzeta.dirichlet import berndt_phi, custom_datum, diagonal_epstein_datum, eisenstein_datum, theta_datum
+from modzeta.dirichlet import berndt_phi, diagonal_epstein_datum, eisenstein_datum, theta_datum
 from modzeta.errors import ConvergenceError, DomainError, SingularityError
 from modzeta.exactnum import _sieve, gamma_numeric, zeta_numeric
 from modzeta.epstein import (
@@ -617,7 +617,6 @@ BERNDT_PINS = [
     (("eisenstein", 3), 6.5, 0.8, (1.2798921899045269e-05, 158, 9.38028407535687e-13)),
     (("theta",), 1.7, 0.5, (0.28939715003780847, 18, 5.697387684568675e-13)),
     (("theta",), 0.3, 1.0, (-2.9231182522523462, 7, 3.3175502767711734e-13)),
-    (("custom",), 2.3, 0.7, (0.8352018712061023, 1, 0.0)),  # one entry: the tail is 0 at n = 1
 ]
 
 
@@ -627,7 +626,6 @@ def test_berndt_phi_keeps_its_bits(datum, s, w, want, monkeypatch):
         "diagonal": diagonal_epstein_datum,
         "eisenstein": eisenstein_datum,
         "theta": theta_datum,
-        "custom": lambda: custom_datum([1.0], [2.0], [1.0], [1.0], 1.0, residues=((0.0, -1.0), (1.0, 2.0))),
     }
     d = make[datum[0]](*datum[1:])
     sv = berndt_phi(d, s, w)

@@ -8,6 +8,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from modzeta.errors import ConvergenceError, DomainError
@@ -16,6 +18,7 @@ from modzeta.qseries import (
     HalfPlanePoint,
     _certified_sum,
     _divisor_series,
+    _first_true,
     _mellin_kernel,
     casimir_constant,
     eps,
@@ -69,6 +72,28 @@ def test_certified_sum_raises_past_max_terms():
         _certified_sum(terms(), lambda n: math.inf, 1e-12, 25, "divergent")
     assert len(pulled) == 25
     assert exc.value.suggestion == 50
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lo=st.integers(0, 1 << 62), span=st.integers(0, 1 << 62), offset=st.integers(-(1 << 62), 1 << 63))
+@example(lo=5, span=0, offset=0)
+@example(lo=5, span=0, offset=1)
+@example(lo=5, span=10, offset=10)
+@example(lo=5, span=10, offset=11)
+@example(lo=5, span=10, offset=-3)
+def test_first_true_finds_the_least_index_in_log_calls(lo, span, offset):
+    # the search behind the least lattice radius and G''s stop index
+    hi, threshold = lo + span, lo + offset
+    calls = []
+
+    def pred(m):
+        calls.append(m)
+        return m >= threshold
+
+    want = max(lo, threshold)
+    assert _first_true(pred, lo, hi) == (want if want <= hi else None)
+    assert all(lo <= m <= hi for m in calls)
+    assert len(calls) <= 2 * math.log2(hi - lo + 1) + 3
 
 
 # ------------------------------------------------------------------ points
