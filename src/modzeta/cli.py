@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError, ModzetaError, SingularityError
-from .exactnum import _lazy, bernoulli, require_finite
+from .exactnum import _lazy, _pi_power, bernoulli, require_finite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -172,6 +172,8 @@ def _f3_pair(first, second):
 
 
 def _pbar(t, x):
+    if x is not None:
+        _pi_power(2 * t)  # the value at x needs pi^(2t) as a float: refused before B_2t is built
     poly = _lazy("modzeta.periodpoly").pbar(t)
     coeffs = {str(k): str(c) for k, c in enumerate(poly.coeffs) if not c.is_zero()}
     if x is None:
@@ -183,13 +185,17 @@ def _pbar(t, x):
 
 
 def _rbar(t, x):
+    # the pole at x = 0 and a pi^(2t) past the floats are refused before B_2t is
+    # built; t < 2 is left to periodpoly's DomainError
+    if x is not None and t >= 2:
+        if x == 0:
+            raise SingularityError(f"rbar: x = 0 is the pole of its end term 2 zeta({2 * t}) / x")
+        _pi_power(2 * t)
     rp = _lazy("modzeta.periodpoly").rbar(t)
     # numerator coefficient k multiplies x^{k-1}: the extended form starts at 1/x
     coeffs = {str(k - 1): str(c) for k, c in enumerate(rp.num.coeffs) if not c.is_zero()}
     if x is None:
         return coeffs, None
-    if x == 0:
-        raise SingularityError(f"rbar: x = 0 is the pole of its end term 2 zeta({2 * t}) / x")
     return coeffs, require_finite(rp.eval_numeric(complex(x)))
 
 

@@ -34,7 +34,6 @@ from fractions import Fraction
 
 from .errors import (
     ConvergenceError,
-    DiagnosticsError,
     DomainError,
     SingularityError,
 )
@@ -50,14 +49,13 @@ _ROUNDING = 2e-13
 
 __all__ = [
     "DirichletDatum",
-    "HeatKernelPair",
     "eisenstein_datum",
     "diagonal_epstein_datum",
     "theta_datum",
     "sigma_datum",
     "phi_direct",
     "residual_B",
-    "heat_kernels",
+    "heat_kernel",
     "modular_relation_gap",
     "berndt_phi",
     "berndt_R",
@@ -270,26 +268,10 @@ def _kernel_sum(coef, seq, low, bound, beta: float, tol: float) -> SeriesValue:
     return _certified_sum(terms, tail, tol, 200_000, "heat kernel")
 
 
-@dataclass(frozen=True)
-class HeatKernelPair:
-    """Evaluators for the two exponential kernels, zero modes included."""
-
-    datum: DirichletDatum
-
-    def phi(self, beta: float, tol: float = 1e-15) -> float:
-        return self.datum.zero_modes[0] + self.phi_series(beta, tol).value.real
-
-    def phi_series(self, beta: float, tol: float = 1e-15) -> SeriesValue:
-        d = self.datum
-        return _kernel_sum(d.a, d.lam, d.lam_low, d.a_bound, beta, tol)
-
-    def psi_series(self, beta: float, tol: float = 1e-15) -> SeriesValue:
-        d = self.datum
-        return _kernel_sum(d.b, d.mu, d.mu_low, d.b_bound, beta, tol)
-
-
-def heat_kernels(d: DirichletDatum) -> HeatKernelPair:
-    return HeatKernelPair(d)
+def heat_kernel(d: DirichletDatum, beta: float, tol: float = 1e-15) -> SeriesValue:
+    """Phi(beta) = sum a_m e^{-lambda_m beta}, the a side's exponential
+    kernel, certified to tol; the zero mode ``d.zero_modes[0]`` is not in it."""
+    return _kernel_sum(d.a, d.lam, d.lam_low, d.a_bound, beta, tol)
 
 
 def residual_B(d: DirichletDatum, beta: float) -> complex:
@@ -304,9 +286,8 @@ def modular_relation_gap(d: DirichletDatum, beta: float, tol: float = 1e-14) -> 
     exponential kernels (zero modes enter through the pole list)."""
     if not d.supports_modular:
         raise DomainError(f"datum {d.name} carries no functional equation")
-    hk = heat_kernels(d)
-    phi_v = hk.phi_series(beta, tol).value.real
-    psi_v = hk.psi_series(1.0 / beta, tol).value.real
+    phi_v = heat_kernel(d, beta, tol).value.real
+    psi_v = _kernel_sum(d.b, d.mu, d.mu_low, d.b_bound, 1.0 / beta, tol).value.real
     gap = phi_v - beta ** (-d.delta) * psi_v - complex(residual_B(d, beta)).real
     return abs(gap)
 
@@ -495,10 +476,9 @@ def pole_residue(d: DirichletDatum) -> PoleResidueResult:
     if not d.supports_modular:
         raise DomainError(f"datum {d.name} carries no functional equation")
     nu = d.delta
-    hk = heat_kernels(d)
 
     def phi_kernel(beta: float) -> float:
-        return hk.phi_series(beta, 1e-16).value.real
+        return heat_kernel(d, beta, 1e-16).value.real
 
     def g_at(beta: float) -> float:
         return beta ** nu * phi_kernel(beta)
@@ -536,7 +516,7 @@ def pole_residue(d: DirichletDatum) -> PoleResidueResult:
     spread = abs(extr - r0)
     scale = max(abs(r0), abs(g1) / float(gamma_numeric(nu).real), 1e-12)
     if spread > _RESIDUE_STABILITY_TOL * scale:
-        raise DiagnosticsError(
+        raise ConvergenceError(
             f"pole_residue extrapolation unstable: direct {r0:.6e}, extrapolated {extr:.6e}"
         )
     if d.kosh is not None:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ConvergenceError, DomainError, InconsistencyError, SingularityError
+from .errors import ConvergenceError, DomainError, SingularityError
 from .exactnum import _coefficients, _lazy, gamma_numeric, zeta_numeric, zeta_odd_numeric
 from .qseries import SeriesValue, _certified_sum, _divisor_series, _first_true, _quad
 
@@ -231,6 +231,8 @@ def _direct(
     its logarithm instead (const None): the bound is then taken in logs,
     log_const + (p-1-2s) log r + log(1 + r/(2s-p)), and never reported below
     the smallest positive double."""
+    if not tol > 0:  # NaN too
+        raise DomainError(f"direct sum: tol must be > 0, got tol = {tol}")
     p = len(gram)
     if tail not in ("bound", "integral") or (tail == "integral" and p > 2):
         raise DomainError("tail must be 'bound', or 'integral' for p <= 2")
@@ -453,7 +455,7 @@ def z2_quartic(xi: float, tol: float = 1e-11) -> SeriesValue:
         ) from None
     val_b = high_t(1.0 / xi) * xi ** (-4)
     if abs(val_a - val_b) > tol * max(1.0, abs(val_b)):
-        raise InconsistencyError(
+        raise ConvergenceError(
             f"z2_quartic inversion identity violated by {abs(val_a - val_b):.2e}"
         )
     return SeriesValue(val_b, 0, abs(val_a - val_b) + 1e-14)

@@ -21,10 +21,3 @@ class ConvergenceError(ModzetaError, ArithmeticError):
         super().__init__(message)
         self.suggestion = suggestion
 
-
-class InconsistencyError(ModzetaError, AssertionError):
-    """Two internal routes that must agree did not."""
-
-
-class DiagnosticsError(ModzetaError, ArithmeticError):
-    """A numerical extraction was too unstable to trust."""

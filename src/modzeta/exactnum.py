@@ -78,6 +78,15 @@ def require_finite(z: complex) -> complex:
     return z
 
 
+def _pi_power(a: int) -> float:
+    """pi^a as a float; past the floats (a > 620) a ConvergenceError, which
+    a caller may raise before it builds an exact pi^a multiple."""
+    try:
+        return math.pi ** a
+    except OverflowError:
+        raise ConvergenceError(f"pi^{a} overflows a float", suggestion=f"pi power < {a}") from None
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and exact zeta values
 # ---------------------------------------------------------------------------
@@ -460,10 +469,7 @@ class SymScalar:
         """The value as a float, or as a complex when there is an i part."""
         sums = [0.0, 0.0]  # real and i parts, each in term order
         for (a, m, e), q in self._terms.items():
-            try:
-                v = float(q) * math.pi ** a
-            except OverflowError:
-                raise ConvergenceError(f"pi^{a} overflows a float", suggestion=f"pi power < {a}") from None
+            v = float(q) * _pi_power(a)
             if m:
                 v *= zeta_odd_numeric(m)
             sums[e] += v

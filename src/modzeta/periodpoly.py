@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, InconsistencyError
+from .errors import ConvergenceError, DomainError
 from .exactnum import SymScalar, _basis_product, zeta_even_exact
 
 __all__ = [
@@ -370,9 +370,20 @@ def eichler_shimura_check(p_s: RationalPeriodFunction) -> ESResult:
 # the explicit Eisenstein cocycles
 # ---------------------------------------------------------------------------
 
+# the largest t whose exact cocycles are built: their coefficients' pi^(2t)
+# still fits a float (as ``eval pbar --x`` needs), and B_2 ... B_620 take
+# 2.1 s on a 2-core Xeon VM, each step in t more
+_T_MAX = 310
+
+
 def _check_t(t: int):
     if not isinstance(t, int) or t < 2:
         raise DomainError("period polynomials require integer t >= 2")
+    if t > _T_MAX:
+        raise ConvergenceError(
+            f"period polynomials: exact coefficients are built up to t = {_T_MAX}, got t = {t}",
+            suggestion=f"t <= {_T_MAX}",
+        )
 
 
 @dataclass(frozen=True)
@@ -383,48 +394,11 @@ class PolynomialForm:
     t: int
     coeffs: tuple
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval_exact(self, x: Fraction) -> SymScalar:
-        x = Fraction(x)
-        acc = SymScalar()
-        p = Fraction(1)
-        for c in self.coeffs:
-            acc = acc + c * SymScalar.rational(p)
-            p *= x
-        return acc
-
     def eval_numeric(self, x: float) -> float:
         return sum(c.numeric() * float(x) ** k for k, c in enumerate(self.coeffs))
 
     def to_poly(self) -> Poly:
         return Poly(self.coeffs)
-
-    def to_rpf(self) -> RationalPeriodFunction:
-        """x-picture rational period function (denominator 1)."""
-        return RationalPeriodFunction.from_poly(self.to_poly(), 2 * self.t - 2)
-
-    def to_json(self) -> dict:
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            for (a, m, _, q) in c.terms:
-                terms.append(
-                    {"x_power": k, "pi_power": a, "zeta_arg": m, "rational": f"{q}"}
-                )
-        return {"weight_t": self.t, "terms": terms}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PolynomialForm":
-        t = doc["weight_t"]
-        coeffs = [SymScalar() for _ in range(2 * t - 1)]
-        for term in doc["terms"]:
-            k = term["x_power"]
-            coeffs[k] = coeffs[k] + SymScalar.pi_term(
-                Fraction(term["rational"]), term["pi_power"], term["zeta_arg"]
-            )
-        return cls(t, tuple(coeffs))
 
 
 def pbar(t: int) -> PolynomialForm:
@@ -551,7 +525,7 @@ def diff_relation_constant(t: int) -> float:
     c0 = sum(ratios) / len(ratios)
     for r in ratios:
         if abs(r - c0) > rel_tol * abs(c0):
-            raise InconsistencyError(
+            raise ConvergenceError(
                 f"D^(2t-1) phi_bar / eps_sub not constant: spread {max(abs(r - c0) for r in ratios):.2e}"
             )
 
@@ -564,5 +538,5 @@ def diff_relation_constant(t: int) -> float:
         (x0 - 1j) ** (-2 * t) - x0 ** (-2 * t)
     )
     if abs(dpt - c0 * e_t) > rel_tol * max(abs(dpt), 1e-30):
-        raise InconsistencyError("translation cocycle does not share the measured constant")
+        raise ConvergenceError("translation cocycle does not share the measured constant")
     return c0.real

@@ -33,6 +33,7 @@ from .errors import ConvergenceError, DomainError
 from .exactnum import (
     _coefficients,
     _lazy,
+    _pi_power,
     bernoulli,
     gamma_numeric,
     require_finite,
@@ -41,7 +42,6 @@ from .exactnum import (
 )
 
 __all__ = [
-    "HalfPlanePoint",
     "SeriesValue",
     "eps",
     "eps_sub",
@@ -63,36 +63,19 @@ _DEFAULT_TOL = 1e-15
 _MELLIN_T = 40.0
 
 
-def _quad(f, a: float, b: float, epsabs: float = 1e-12, epsrel: float = 1e-12, limit: int = 400) -> tuple[float, float]:
+# QAGS's subdivision limit, the same for every integral
+_QUAD_LIMIT = 400
+
+
+def _quad(f, a: float, b: float, epsabs: float = 1e-12, epsrel: float = 1e-12) -> tuple[float, float]:
     """(value, abserr) of the integral of f over the finite interval [a, b]
     by QUADPACK's QAGS, ported in ``_quadpack``: the bits of
-    ``scipy.integrate.quad``.  Every call bisects one fixed nested grid, so
-    calls over the same interval meet the same nodes.  QUADPACK's error flag
-    (subdivision limit, roundoff, divergence) is not raised: abserr is
-    returned as QAGS estimates it.  An exception raised by f propagates."""
-    return _lazy("modzeta._quadpack")._qags(f, a, b, epsabs, epsrel, limit)[:2]
-
-
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """Point b with Re b > 0; q = exp(-pi b), tau = i b, xi = 1/b."""
-
-    b: complex
-
-    def __post_init__(self):
-        _point(complex(self.b))
-
-    @property
-    def q(self) -> complex:
-        return cmath.exp(-cmath.pi * complex(self.b))
-
-    @property
-    def tau(self) -> complex:
-        return 1j * complex(self.b)
-
-    @property
-    def xi(self) -> complex:
-        return 1.0 / complex(self.b)
+    ``scipy.integrate.quad(..., limit=400)``.  Every call bisects one fixed
+    nested grid, so calls over the same interval meet the same nodes.
+    QUADPACK's error flag (subdivision limit, roundoff, divergence) is not
+    raised: abserr is returned as QAGS estimates it.  An exception raised by
+    f propagates."""
+    return _lazy("modzeta._quadpack")._qags(f, a, b, epsabs, epsrel, _QUAD_LIMIT)[:2]
 
 
 @dataclass(frozen=True)
@@ -153,10 +136,8 @@ def _first_true(pred, lo: int, hi: int) -> int | None:
 
 
 def _point(p) -> complex:
-    """The point b of ``p``: Re b > 0 (+inf, where q = 0, included) and a
+    """The point b = complex(p): Re b > 0 (+inf, where q = 0, included) and a
     finite Im b, else DomainError."""
-    if isinstance(p, HalfPlanePoint):
-        return complex(p.b)
     b = complex(p)
     if not (b.real > 0 and math.isfinite(b.imag)):  # a NaN fails both
         raise DomainError(f"q-series require Re b > 0 and a finite Im b, got b = {b}")
@@ -182,12 +163,12 @@ def _casimir_constant(t: int) -> Fraction:
 
 def _casimir(t: int, what: str = "") -> float:
     """casimir_constant(t) as a float.  From t = 131 on it is past the floats,
-    and a ConvergenceError says that ``what`` (by default the constant) is."""
-    try:
-        return float(casimir_constant(t))
-    except OverflowError:
+    and a ConvergenceError says that ``what`` (by default the constant) is,
+    before B_2t is built (B_1200 alone takes seconds)."""
+    if _check_t(t) > 130:
         what = what or f"the Casimir constant -B_{2 * t}/(4t) at t = {t}"
-        raise ConvergenceError(f"{what} leaves the float range", suggestion=f"t < {t}") from None
+        raise ConvergenceError(f"{what} leaves the float range", suggestion=f"t < {t}")
+    return float(_casimir_constant(t))
 
 
 def _power_series_tail(const_c: float, power: float, r: float, m: int) -> float:
@@ -422,6 +403,7 @@ def phi_bar(t: int, p, tol: float = _DEFAULT_TOL) -> SeriesValue:
         return a
 
     s = _q_series(counted, *_lambert_q2(b), 0, tol / (4 * math.pi), "lambert_S", 0.0 + 0.0j)
+    _pi_power(2 * t)  # zeta(2t) is a pi^(2t) multiple: past the floats, refused before B_2t is built
     z2t = zeta_even_exact(2 * t).numeric()
     val = 4 * math.pi * s.value - 2.0 * z2t / b
     rounding = 4 * math.pi * mag * 2.0 ** -53 * (2.0 + 4 * math.pi * abs(b)) if mag else 0.0

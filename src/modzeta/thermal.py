@@ -40,7 +40,6 @@ from .exactnum import zeta_negative_exact, zeta_odd_numeric
 from .qseries import SeriesValue, _casimir, _certified_sum, _divisor_series, _eps_q
 
 __all__ = [
-    "ThermalPoint",
     "SpectrumSpec",
     "S3_SPEC",
     "SINGLE_MODE",
@@ -54,31 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThermalPoint:
-    """Scaled temperature xi > 0; beta = 2 pi / xi."""
-
-    xi: float
-
-    def __post_init__(self):
-        _xi(float(self.xi))
-
-    @property
-    def beta_scaled(self) -> float:
-        return 2.0 * math.pi / self.xi
-
-    @property
-    def q(self) -> float:
-        return math.exp(-math.pi / self.xi)
-
-    @property
-    def q_prime(self) -> float:
-        return math.exp(-math.pi * self.xi)
-
-
 def _xi(pt) -> float:
-    if isinstance(pt, ThermalPoint):
-        return pt.xi
     xi = float(pt)
     if not 0 < xi < math.inf:  # NaN too
         raise DomainError(f"xi must be finite and > 0, got xi = {xi}")
@@ -148,15 +123,6 @@ class SpectrumSpec:
             return cls(doc.get("label", "spectrum"), tuple(doc["degeneracy_coeffs"]))
         return cls(doc.get("label", "spectrum"), table=tuple((int(n), d) for n, d in doc["table"]))
 
-    def to_json(self) -> dict:
-        if self.table:
-            return {"label": self.label, "omega": "n", "table": [list(x) for x in self.table]}
-        return {
-            "label": self.label,
-            "omega": "n",
-            "degeneracy_coeffs": list(self.degeneracy_coeffs),
-        }
-
 
 def _poly_divmod(a: list, b: list) -> tuple[list, list]:
     """Quotient and remainder of two coefficient lists, constant term first."""
@@ -175,10 +141,13 @@ def _negative_somewhere(coeffs) -> bool:
     """Whether sum_k c_k n^k < 0 at some integer n >= 1, decided exactly.
 
     Sturm's theorem over the square-free part (the same roots, each simple)
-    counts the roots in (a, b] as changes(a) - changes(b).  Past Cauchy's
-    bound on the roots the sign is the leading coefficient's; below it,
-    bisection over the integers splits each interval that holds a root down
-    to one integer, and elsewhere the sign at an interval's end holds on it.
+    counts the roots in (a, b] as changes(a) - changes(b).  Past Fujiwara's
+    bound on the roots (Tohoku Math. J. 10, 1916) the sign is the leading
+    coefficient's; below it, bisection over the integers splits each interval
+    that holds a root down to one integer, lower half first, and elsewhere
+    the sign at an interval's end holds on it.  An interval that spans more
+    than an octave is split at a power of two, in bit length, so coefficients
+    that span the float range cost a few dozen splits, not thousands.
     """
     exact = [Fraction(c) for c in coeffs]
     while exact and exact[-1] == 0:
@@ -202,14 +171,18 @@ def _negative_somewhere(coeffs) -> bool:
         signs = [v for v in (value(p, x) for p in chain) if v]
         return sum((u < 0) != (v < 0) for u, v in zip(signs, signs[1:]))
 
-    top = 2 + max(map(abs, exact)) // exact[-1]  # Cauchy: every root lies below 1 + max |c_k| / c_d
+    # Fujiwara: every root lies below 2 max_k |c_{d-k} / c_d|^(1/k), and
+    # |c_{d-k} / c_d| < 2^(L_{d-k} - L_d + 1) in bit lengths L, so below 2^(e + 1)
+    lead = exact[-1].bit_length()
+    e = max(-((lead - 1 - abs(c).bit_length()) // k) for k, c in enumerate(reversed(exact[:-1]), 1) if c)
+    top = 1 << max(e + 1, 1)
     stack = [(0, top, changes(0), changes(top))]  # (a, b, changes(a), changes(b))
     while stack:
         a, b, at_a, at_b = stack.pop()
         if b - a > 1 and at_a != at_b:
-            mid = (a + b) // 2
+            mid = (a + b) // 2 if b <= 2 * a + 2 else 1 << (a.bit_length() + b.bit_length() - 1) // 2
             at_mid = changes(mid)
-            stack += [(a, mid, at_a, at_mid), (mid, b, at_mid, at_b)]
+            stack += [(mid, b, at_mid, at_b), (a, mid, at_a, at_mid)]
         elif value(exact, b) < 0:
             return True
     return False

@@ -247,7 +247,8 @@ def test_criterion_11_dirichlet_framework():
         d = dmod.eisenstein_datum(t)
         worst = max(worst, max(dmod.modular_relation_gap(d, b) for b in (0.7, 1.0, 1.9)))
     worst = max(worst, dmod.modular_relation_gap(dmod.theta_datum(), 0.7))
-    self_dual = abs(dmod.heat_kernels(dmod.eisenstein_datum(3)).phi(1.0))
+    d = dmod.eisenstein_datum(3)
+    self_dual = abs(d.zero_modes[0] + dmod.heat_kernel(d, 1.0).value.real)
     res_worst = 0.0
     for t in (2, 3):
         res = dmod.pole_residue(dmod.eisenstein_datum(t))

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 import time
@@ -358,6 +359,46 @@ def test_error_contract(argv, code, tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert "OverflowError" not in captured.err  # the route names the failure, not Python
     assert captured.err.startswith("usage error:" if code == 2 else "error:")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("eval eps_sub --t 600 --b 200", "the Casimir constant -B_1200/(4t) at t = 600 leaves the float range"),
+        ("eval eps --t 131 --b 20", "the Casimir constant -B_262/(4t) at t = 131 leaves the float range"),
+        ("eval free_energy --t 600 --xi 0.002", "free energy f_600(0.002) leaves the float range"),
+        ("eval phi_bar --t 600 --b 2", "pi^1200 overflows a float"),
+        ("eval rbar --t 600 --x 1", "pi^1200 overflows a float"),
+        ("eval rbar --t 600 --x 0", "rbar: x = 0 is the pole of its end term 2 zeta(1200) / x"),
+        ("eval pbar --t 800 --x 1", "pi^1600 overflows a float"),
+        ("eval pbar --t 100000", "period polynomials: exact coefficients are built up to t = 310, got t = 100000"),
+        ("eval rbar --t 311", "period polynomials: exact coefficients are built up to t = 310, got t = 311"),
+    ],
+)
+def test_refusals_come_before_the_bernoulli_numbers(argv, message, capsys):
+    # B_1200 alone takes about 18 s on a 2-vCPU VM: each of these is refused before B_2t is built
+    from modzeta import exactnum
+
+    t = int(argv.split()[3])
+    start = time.perf_counter()
+    assert main(argv.split()) == 3
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert len(exactnum._BERNOULLI) <= 2 * t
+
+
+def test_errors_define_only_the_contract_classes():
+    # DomainError exits 2; ConvergenceError and SingularityError exit 3
+    from modzeta import errors
+
+    defined = {name for name, v in vars(errors).items() if isinstance(v, type) and v.__module__ == errors.__name__}
+    assert defined == {"ModzetaError", "DomainError", "SingularityError", "ConvergenceError"}
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(modzeta.__path__)))
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(f"modzeta.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from modzeta.dirichlet import (
     berndt_phi,
     diagonal_epstein_datum,
     eisenstein_datum,
-    heat_kernels,
+    heat_kernel,
     koshliakov_residue_closed_form,
     modular_relation_gap,
     phi_direct,
@@ -140,9 +140,9 @@ def test_modular_relation_diagonal(p):
 def test_weight6_vanishing_at_self_dual_point():
     # a = (-1)^3 = -1 forces the zero-mode-completed kernel to vanish at
     # beta = 1; equivalently sum sigma_5(n) e^{-2 pi n} = 1/504
-    hk = heat_kernels(eisenstein_datum(3))
-    assert abs(hk.phi(1.0)) < 1e-10
-    series = hk.phi_series(1.0).value.real
+    d = eisenstein_datum(3)
+    series = heat_kernel(d, 1.0).value.real
+    assert abs(d.zero_modes[0] + series) < 1e-10
     assert abs(series - 1.0 / 504.0) < 1e-12
 
 
@@ -359,7 +359,6 @@ def test_koshliakov_closed_form_values():
 
 
 def test_heat_kernel_certified_tail():
-    hk = heat_kernels(eisenstein_datum(2))
-    sv = hk.phi_series(0.05)
+    sv = heat_kernel(eisenstein_datum(2), 0.05)
     assert sv.tail_bound < 1e-14
     assert sv.terms > 50  # small beta needs many terms

@@ -241,6 +241,18 @@ def test_lattice_sums_reuse_one_pooled_buffer(monkeypatch):
     assert [b.size for b in epstein._BUFFERS] == [epstein._BLOCK]
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [lambda tol: z2_direct((1, 0, 1), 3.0, tol=tol), lambda tol: zp_brute(2, 3.0, 0.8, tol=tol)],
+    ids=["z2_direct", "zp_brute"],
+)
+def test_direct_sums_refuse_a_tol_that_is_not_positive(call, tol):
+    # no radius certifies it: a search to 2^60 would end in a ConvergenceError
+    with pytest.raises(DomainError):
+        call(tol)
+
+
 @pytest.mark.parametrize(
     "call,radius",
     [

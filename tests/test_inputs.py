@@ -14,6 +14,13 @@ from modzeta.errors import ConvergenceError, DomainError
 
 NAN, INF = math.nan, math.inf
 
+
+def _weight4_kernel(beta):
+    """The weight-4 datum's kernel with its zero mode a_0 = 1/240."""
+    d = dmod.eisenstein_datum(2)
+    return d.zero_modes[0] + dmod.heat_kernel(d, beta).value.real
+
+
 # route: (call at the value, the argument it varies, {value: the limit returned,
 # or the error other than DomainError that the route raises})
 _ROUTES = {
@@ -23,7 +30,6 @@ _ROUTES = {
     "lambert_S": (lambda v: qmod.lambert_S(2, v), "b", {INF: 0.0}),
     "psi_bar": (lambda v: qmod.psi_bar(2, v), "b", {INF: 0.0}),
     "phi_bar": (lambda v: qmod.phi_bar(2, v), "b", {INF: 0.0}),
-    "HalfPlanePoint": (lambda v: qmod.HalfPlanePoint(v).q, "b", {INF: 0.0}),
     "mellin_eps_sub": (lambda v: qmod.mellin_eps_sub(2, v), "b", {}),
     "weyl_integral": (lambda v: qmod.weyl_integral(2, v, 1), "x", {}),
     "z2_direct, form": (lambda v: emod.z2_direct((v, 0.0, 1.0), 2.0), "a", {}),
@@ -46,7 +52,6 @@ _ROUTES = {
     "entropy_partial_direct": (lambda v: tmod.entropy_partial_direct(2, v), "xi", {}),
     "f3_epstein": (tmod.f3_epstein, "xi", {}),
     "f3_modesum": (tmod.f3_modesum, "xi", {}),
-    "ThermalPoint": (lambda v: tmod.ThermalPoint(v).q, "xi", {}),
     "mode_sum_free_energy": (lambda v: tmod.mode_sum_free_energy(tmod.S3_SPEC, v), "beta", {INF: 1 / 240}),
     # per mode, sqrt(w / m) K_1/2(2 pi m w) is inf * 0 at beta = inf
     "thermal_zeta_free_energy": (
@@ -54,7 +59,7 @@ _ROUTES = {
     ),
     "phi_direct": (lambda v: dmod.phi_direct(dmod.eisenstein_datum(2), v), "s", {}),
     "berndt_phi": (lambda v: dmod.berndt_phi(dmod.diagonal_epstein_datum(1), 1.5, v), "w", {INF: 0.0}),
-    "heat kernel": (lambda v: dmod.heat_kernels(dmod.eisenstein_datum(2)).phi(v), "beta", {INF: 1 / 240}),
+    "heat kernel": (_weight4_kernel, "beta", {INF: 1 / 240}),
 }
 
 

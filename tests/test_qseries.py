@@ -15,7 +15,6 @@ from scipy.integrate import quad
 from modzeta.errors import ConvergenceError, DomainError
 from modzeta.exactnum import _coefficients, bernoulli, zeta_even_exact, zeta_odd_numeric
 from modzeta.qseries import (
-    HalfPlanePoint,
     _certified_sum,
     _divisor_series,
     _first_true,
@@ -94,18 +93,6 @@ def test_first_true_finds_the_least_index_in_log_calls(lo, span, offset):
     assert _first_true(pred, lo, hi) == (want if want <= hi else None)
     assert all(lo <= m <= hi for m in calls)
     assert len(calls) <= 2 * math.log2(hi - lo + 1) + 3
-
-
-# ------------------------------------------------------------------ points
-def test_half_plane_point_derived_fields():
-    p = HalfPlanePoint(2.0)
-    assert abs(p.q - math.exp(-2 * math.pi)) < 1e-18
-    assert p.tau == 2j
-    assert p.xi == 0.5
-    with pytest.raises(DomainError):
-        HalfPlanePoint(-1.0)
-    with pytest.raises(DomainError):
-        HalfPlanePoint(1j)
 
 
 # --------------------------------------------------------------------- eps

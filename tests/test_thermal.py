@@ -13,7 +13,6 @@ from modzeta.thermal import (
     S3_SPEC,
     SINGLE_MODE,
     SpectrumSpec,
-    ThermalPoint,
     entropy_partial,
     entropy_partial_direct,
     f3_epstein,
@@ -22,15 +21,6 @@ from modzeta.thermal import (
     mode_sum_free_energy,
     thermal_zeta_free_energy,
 )
-
-
-def test_thermal_point_fields():
-    pt = ThermalPoint(2.0)
-    assert pt.beta_scaled == math.pi
-    assert pt.q == math.exp(-math.pi / 2)
-    assert pt.q_prime == math.exp(-2 * math.pi)
-    with pytest.raises(DomainError):
-        ThermalPoint(-1.0)
 
 
 # ----------------------------------------------------------- partial quantities
@@ -171,12 +161,10 @@ def test_spectrum_spec_validation_and_json():
         SpectrumSpec("bad", (0, -1.0))  # negative degeneracies
     with pytest.raises(DomainError):
         SpectrumSpec("bad", (1,), table=((1, 1.0),))
-    doc = S3_SPEC.to_json()
-    assert doc == {"label": "s3-conformal-scalar", "omega": "n", "degeneracy_coeffs": [0, 0, 1]}
-    back = SpectrumSpec.from_json(doc)
-    assert back.degeneracy(7) == 49.0
-    tab = SpectrumSpec.from_json(SINGLE_MODE.to_json())
-    assert tab.degeneracy(1) == 1.0 and tab.degeneracy(2) == 0.0
+    back = SpectrumSpec.from_json({"label": "s3-conformal-scalar", "omega": "n", "degeneracy_coeffs": [0, 0, 1]})
+    assert back == S3_SPEC and back.degeneracy(7) == 49.0
+    tab = SpectrumSpec.from_json({"label": "single-mode", "omega": "n", "table": [[1, 1.0]]})
+    assert tab == SINGLE_MODE and tab.degeneracy(1) == 1.0 and tab.degeneracy(2) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -188,6 +176,8 @@ def test_spectrum_spec_validation_and_json():
         {"degeneracy_coeffs": (0, float("nan"))},
         # (n - 1000.5)^2 - 3/10: negative on (999.95, 1001.05), at n = 1000 and 1001
         {"degeneracy_coeffs": (Fraction(2001, 2) ** 2 - Fraction(3, 10), -2001, 1)},
+        # the same at n = 2^60 and 2^60 + 1
+        {"degeneracy_coeffs": (Fraction(2 ** 61 + 1, 2) ** 2 - Fraction(3, 10), -(2 ** 61 + 1), 1)},
     ],
 )
 def test_spectrum_spec_refuses_negative_degeneracies_anywhere(kwargs):
@@ -197,10 +187,35 @@ def test_spectrum_spec_refuses_negative_degeneracies_anywhere(kwargs):
 
 def test_spectrum_spec_accepts_polynomials_nonnegative_on_the_integers():
     # (n - 3)(n - 4), (n - 2)(n - 3), (n - 7/2)^2, (n - 3)^2 and
-    # (n - 1000.5)^2 - 1/5 touch or dip below 0 only between integers
+    # (n - 1000.5)^2 - 1/5 and (n - 2^60 - 1/2)^2 - 1/5 touch or dip below 0
+    # only between integers
     near = (Fraction(2001, 2) ** 2 - Fraction(1, 5), -2001, 1)
-    for coeffs in ((12, -7, 1), (6, -5, 1), (12.25, -7, 1), (9, -6, 1), near, (0, 0, 1)):
+    far = (Fraction(2 ** 61 + 1, 2) ** 2 - Fraction(1, 5), -(2 ** 61 + 1), 1)
+    for coeffs in ((12, -7, 1), (6, -5, 1), (12.25, -7, 1), (9, -6, 1), near, far, (0, 0, 1)):
         SpectrumSpec("ok", coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # a root near 1e608 keeps Fujiwara's bound, like Cauchy's, near 2^2021; the
+        # search splits in bit length, lower half first, and meets n = 2 early
+        (1e308, -1e308, 1e308, -1e308, 1e308, -1e308, 1e-300),
+        # Cauchy's bound 1e300 against Fujiwara's 2 (1e300)^(1/3)
+        (0, 0, 1, -1e300, 0, 0, 1),
+    ],
+)
+def test_sign_test_on_coefficients_that_span_the_floats_is_fast(coeffs):
+    # both are negative at n = 2; with Cauchy's bound and bisection in value
+    # the sign test took 2.1 s and 0.12 s on a 2-vCPU VM
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        assert thermal._negative_somewhere(coeffs)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
+    with pytest.raises(DomainError):
+        SpectrumSpec("bad", coeffs)
 
 
 @settings(max_examples=300, deadline=None)
