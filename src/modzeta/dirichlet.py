@@ -29,8 +29,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+import threading
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     ConvergenceError,
@@ -76,6 +79,11 @@ class DirichletDatum:
     Koshliakov numbers (a_0, b_0) = (-phi(0), -psi(0)), and ``kosh`` the
     (a, b) constants of the classical transformation-formula normalization
     when the datum has one.
+
+    ``_tables`` is a cache, not data: ``pole_residue`` keeps its kernel's
+    a_m and lambda_m tables there for every later call on this datum.  It is
+    left out of ``__init__``, so ``swapped()`` and ``dataclasses.replace``
+    start with empty tables, and out of equality and the hash.
     """
 
     name: str
@@ -91,6 +99,7 @@ class DirichletDatum:
     lam_low: tuple = (1.0, 1.0)
     mu_low: tuple = (1.0, 1.0)
     kosh: tuple | None = None
+    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def supports_modular(self) -> bool:
@@ -119,7 +128,11 @@ class DirichletDatum:
 
 
 # ---------------------------------------------------------------------------
-# factories
+# factories.  The three data with a functional equation are made once per
+# process (typed, so that 1.0 never finds an equal int's entry), and the
+# tables pole_residue keeps on them serve every later call.  sigma_datum,
+# which pole_residue refuses, is made afresh: cached, it would keep each
+# non-integer order's coefficient table, which exactnum lets go
 # ---------------------------------------------------------------------------
 
 def _sigma(k):
@@ -131,6 +144,7 @@ def _sigma(k):
     return coef
 
 
+@lru_cache(maxsize=None, typed=True)
 def eisenstein_datum(t: int) -> DirichletDatum:
     """Weight-2t divisor datum in the strict functional-equation
     normalization: a_n = sigma_{2t-1}(n), lambda_n = mu_n = 2 pi n,
@@ -140,8 +154,8 @@ def eisenstein_datum(t: int) -> DirichletDatum:
     poles at 0 (residue phi(0) = zeta(0) zeta(1-2t)) and 2t (residue
     -(-1)^t phi(0), equal to Gamma(2t) (2 pi)^{-2t} zeta(2t)).
     """
-    if t < 2:
-        raise DomainError("eisenstein_datum requires t >= 2")
+    if not (isinstance(t, int) and t >= 2):
+        raise DomainError(f"eisenstein_datum requires an integer t >= 2, got t = {t!r}")
     sign = float((-1) ** t)
     phi0 = float(Fraction(-1, 2) * zeta_negative_exact(1 - 2 * t))
     k = 2 * t - 1
@@ -164,6 +178,7 @@ def eisenstein_datum(t: int) -> DirichletDatum:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def theta_datum() -> DirichletDatum:
     """Jacobi theta datum: a_m = b_m = 2, lambda_m = pi m^2, delta = 1/2."""
     return DirichletDatum(
@@ -203,6 +218,7 @@ def sigma_datum(k: int) -> DirichletDatum:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def diagonal_epstein_datum(p: int) -> DirichletDatum:
     """Diagonal lattice datum: a_n = r_p(n), lambda_n = n,
     b_n = pi^{p/2} r_p(n), mu_n = pi^2 n, delta = p/2."""
@@ -425,6 +441,9 @@ _RESIDUE_STABILITY_TOL = 5e-4
 # the last index G' may sum before it gives up
 _KERNEL_LAST_M = 150_001
 
+# guards the growth of the G' tables a datum shares between calls
+_TABLES_LOCK = threading.Lock()
+
 
 def _kernel_majorant(c_a: float, k: float, c_l: float, q_l: float, nu: float, beta: float, m: int) -> float:
     # bounds the G' terms past m, from a_m <= c_a m^p and lambda_m >= c_l m^q_l
@@ -435,7 +454,7 @@ def _kernel_majorant(c_a: float, k: float, c_l: float, q_l: float, nu: float, be
     return c_a * (m + 1) ** k * (1 + nu + c_l * (m + 1) ** q_l * beta) * math.exp(-c_l * (m + 1) ** q_l * beta)
 
 
-def _kernel_derivative(d: DirichletDatum, beta: float, a_tab: list, lam_tab: list) -> float:
+def _kernel_derivative(d: DirichletDatum, beta: float, a_tab, lam_tab) -> float:
     """G'(beta) = beta^{nu-1} sum_m a_m (nu - lambda_m beta) e^{-lambda_m beta}
     for G = beta^nu Phi(beta), nu = delta, summed with fsum: the terms
     cancel massively at small beta.
@@ -444,7 +463,8 @@ def _kernel_derivative(d: DirichletDatum, beta: float, a_tab: list, lam_tab: lis
     found by ``_first_true``; past ``_KERNEL_LAST_M`` it raises
     ``ConvergenceError``.  ``a_tab`` and ``lam_tab`` hold a_m and
     lambda_m from index 1 (index 0 unused) and are extended in place as far
-    as beta needs, so one pair of tables serves every beta of one datum.
+    as beta needs; ``pole_residue`` keeps the pair in ``d._tables``, so one
+    pair serves every beta of every call on the datum.
     """
     nu = d.delta
     c_a, p_a = d.a_bound
@@ -453,9 +473,15 @@ def _kernel_derivative(d: DirichletDatum, beta: float, a_tab: list, lam_tab: lis
     count = _first_true(lambda m: _kernel_majorant(c_a, k, c_l, q_l, nu, beta, m) < 1e-18, 5, _KERNEL_LAST_M)
     if count is None:
         raise ConvergenceError("g_prime kernel did not converge")
-    grow = range(len(a_tab), count + 1)
-    a_tab.extend(map(d.a, grow))
-    lam_tab.extend(map(d.lam, grow))
+    if count >= len(a_tab):
+        # the pair is shared: grow it under the lock, from its length then,
+        # and only once both new runs are built, so a failing d.a or d.lam
+        # leaves the two tables aligned
+        with _TABLES_LOCK:
+            grow = range(len(a_tab), count + 1)
+            a_new, lam_new = array("d", map(d.a, grow)), array("d", map(d.lam, grow))
+            a_tab.extend(a_new)
+            lam_tab.extend(lam_new)
     terms = [
         a * (nu - lam * beta) * math.exp(-lam * beta)
         for a, lam in zip(a_tab[1 : count + 1], lam_tab[1 : count + 1])
@@ -477,17 +503,19 @@ def pole_residue(d: DirichletDatum) -> PoleResidueResult:
         raise DomainError(f"datum {d.name} carries no functional equation")
     nu = d.delta
 
+    # QAGS (_quad) bisects one fixed nested grid, so the four r_of_h integrals
+    # meet the same betas: both kernels are memoised by beta for this call,
+    # and G''s tables of a_m and lambda_m stay on the datum for every call
+    phi_memo, g_memo = {}, {}
+    a_tab, lam_tab = d._tables.setdefault("g_prime", (array("d", [0.0]), array("d", [0.0])))
+
     def phi_kernel(beta: float) -> float:
-        return heat_kernel(d, beta, 1e-16).value.real
+        if beta not in phi_memo:
+            phi_memo[beta] = heat_kernel(d, beta, 1e-16).value.real
+        return phi_memo[beta]
 
     def g_at(beta: float) -> float:
         return beta ** nu * phi_kernel(beta)
-
-    # QAGS (_quad) bisects one fixed nested grid of [0, 1], so the four r_of_h
-    # integrals meet the same betas: memoised, with the kernel's tables, for
-    # this call only
-    g_memo = {}
-    a_tab, lam_tab = [0.0], [0.0]
 
     def g_prime(beta: float) -> float:
         if beta not in g_memo:
@@ -505,7 +533,8 @@ def pole_residue(d: DirichletDatum) -> PoleResidueResult:
     def r_of_h(h: float) -> float:
         a_int, _ = _quad(lambda beta: beta ** h * g_prime(beta), 0.0, 1.0, epsabs=1e-12)
         a_h = g1 - a_int
-        return (a_h + h * i1(nu + h)) / float(gamma_numeric(nu + h).real)
+        # at h = 0 the I1 term is 0 * I1(nu): not integrated
+        return (a_h + h * i1(nu + h) if h else a_h) / float(gamma_numeric(nu + h).real)
 
     r0 = r_of_h(0.0)
     vals = [r_of_h(h) for h in _RESIDUE_HS]

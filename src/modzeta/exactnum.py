@@ -94,11 +94,22 @@ def _pi_power(a: int) -> float:
 # B_0, B_1, ... as far as any call has needed them; grown in place
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
+# the largest n built: B_620 serves periodpoly's largest t, 310, the most the
+# CLI reaches (``eval pbar --t 310``).  B_2 ... B_620 take about 1.7 s on a
+# 2-core Xeon VM, and each further step costs more than the last
+_BERNOULLI_N_MAX = 620
+
 
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2), exact."""
+    """Bernoulli number B_n (B_1 = -1/2), exact, for n <= 620; past that a
+    ``ConvergenceError``, before any of the numbers is built."""
     if n < 0:
         raise DomainError("bernoulli: n must be >= 0")
+    if n > _BERNOULLI_N_MAX:
+        raise ConvergenceError(
+            f"bernoulli: B_{n} is past B_{_BERNOULLI_N_MAX}, the largest Bernoulli number built",
+            suggestion=f"n <= {_BERNOULLI_N_MAX}",
+        )
     out = _BERNOULLI
     # the binomial recurrence sum_{k<=m} C(m+1,k) B_k = 0, convention B_1 = -1/2
     for m in range(len(out), n + 1):

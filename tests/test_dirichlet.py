@@ -1,8 +1,10 @@
 """Paired Dirichlet series: modular relation, massive representation, residues."""
+import ast
 import dataclasses
 import math
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -247,16 +249,115 @@ def test_pole_residue_zero_for_poleless_datum():
     assert abs(res.residue_bochner) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "t,fields",
-    [
-        (2, (4.0, 1.0823232337111308, 0.0006944444444444399, 1.082323233711138, 2.4438085279910628e-08)),
-        (3, (6.0, 1.017343061984447, 1.65343915343915e-05, 1.017343061984449, 4.370254523663932e-10)),
-    ],
-)
+_PINNED_RESIDUES = [
+    (2, (4.0, 1.0823232337111308, 0.0006944444444444399, 1.082323233711138, 2.4438085279910628e-08)),
+    (3, (6.0, 1.017343061984447, 1.65343915343915e-05, 1.017343061984449, 4.370254523663932e-10)),
+]
+
+
+@pytest.mark.parametrize("t,fields", _PINNED_RESIDUES)
 def test_pole_residue_bits_are_pinned(t, fields):
     res = pole_residue(eisenstein_datum(t))
     assert (res.location, res.residue, res.residue_bochner, res.closed_form, res.spread) == fields
+
+
+def test_pinned_residue_bits_hold_on_every_call_of_a_process():
+    # the cached datum keeps its G' tables: a first call, a second one, and
+    # calls after the other t, in a process where nothing ran before
+    code = (
+        "from modzeta.dirichlet import eisenstein_datum, pole_residue\n"
+        "for t in (2, 2, 3, 3, 2):\n"
+        "    r = pole_residue(eisenstein_datum(t))\n"
+        "    print(repr((t, (r.location, r.residue, r.residue_bochner, r.closed_form, r.spread))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    pinned = dict(_PINNED_RESIDUES)
+    got = [ast.literal_eval(line) for line in proc.stdout.splitlines()]
+    assert got == [(t, pinned[t]) for t in (2, 2, 3, 3, 2)]
+
+
+def test_builtin_factories_return_one_datum_per_argument():
+    assert eisenstein_datum(2) is eisenstein_datum(2)
+    assert diagonal_epstein_datum(1) is diagonal_epstein_datum(1)
+    assert theta_datum() is theta_datum()
+    # the cache is typed: 1.0 finds no entry of an equal int, not even the
+    # one cached under True (True == 1 == 1.0)
+    diagonal_epstein_datum(True)
+    with pytest.raises(DomainError):
+        diagonal_epstein_datum(1.0)
+
+
+@pytest.mark.parametrize("t", [2.0, float("nan"), 2.5, 1, "2"])
+def test_eisenstein_datum_refuses_a_non_integer_t(t):
+    with pytest.raises(DomainError, match="requires an integer t >= 2"):
+        eisenstein_datum(t)
+
+
+def test_swapped_and_replaced_data_start_with_empty_tables():
+    d = eisenstein_datum(2)
+    pole_residue(d)
+    assert len(d._tables["g_prime"][0]) > 1
+    assert d.swapped()._tables == {} and dataclasses.replace(d)._tables == {}
+    assert dataclasses.replace(d) == d and hash(dataclasses.replace(d)) == hash(d)
+
+
+def test_a_second_pole_residue_reads_the_tables_of_the_first():
+    base = eisenstein_datum(2)
+    calls = [0]
+
+    def counting_a(n):
+        calls[0] += 1
+        return base.a(n)
+
+    d = dataclasses.replace(base, a=counting_a)
+    first = repr(pole_residue(d))
+    first_calls, calls[0] = calls[0], 0
+    assert repr(pole_residue(d)) == first == repr(pole_residue(base))
+    a_tab, lam_tab = d._tables["g_prime"]
+    # the heat kernel's calls repeat; the table's entries are not asked again
+    assert first_calls - calls[0] == len(a_tab) - 1 > 1000
+    assert list(a_tab) == [0.0] + [base.a(m) for m in range(1, len(a_tab))]
+    assert list(lam_tab) == [0.0] + [base.lam(m) for m in range(1, len(lam_tab))]
+
+
+def test_a_failing_coefficient_leaves_the_tables_aligned():
+    base = eisenstein_datum(2)
+    failing = [True]
+
+    def flaky_a(n):
+        if failing[0] and n > 100:
+            raise KeyError(n)
+        return base.a(n)
+
+    d = dataclasses.replace(base, a=flaky_a)
+    with pytest.raises(KeyError):
+        pole_residue(d)
+    a_tab, lam_tab = d._tables["g_prime"]
+    assert len(a_tab) == len(lam_tab)
+    failing[0] = False
+    assert repr(pole_residue(d)) == repr(pole_residue(base))
+
+
+def test_threads_sharing_one_datum_grow_its_tables_once():
+    want = repr(pole_residue(eisenstein_datum(3)))  # also fills the sigma table the threads read
+    d = dataclasses.replace(eisenstein_datum(3))
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(repr(pole_residue(d)))) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == [want] * 4
+    a_tab, lam_tab = d._tables["g_prime"]
+    assert list(a_tab) == [0.0] + [d.a(m) for m in range(1, len(a_tab))]
+    assert list(lam_tab) == [0.0] + [d.lam(m) for m in range(1, len(lam_tab))]
 
 
 def test_pole_residue_memo_does_not_leak_between_calls():

@@ -47,6 +47,24 @@ def test_bernoulli_base_and_recurrence_values():
         assert bernoulli(n) == recurrence(n)
 
 
+def test_bernoulli_refuses_past_its_budget_before_building():
+    # B_620 is the most the CLI needs (exact period polynomials up to t = 310)
+    from modzeta import periodpoly
+
+    assert exactnum._BERNOULLI_N_MAX == 2 * periodpoly._T_MAX
+    size = len(exactnum._BERNOULLI)
+    for n in (621, 1600, 10**9):
+        with pytest.raises(ConvergenceError, match=f"B_{n} is past B_620") as err:
+            bernoulli(n)
+        assert err.value.suggestion == "n <= 620"
+    assert len(exactnum._BERNOULLI) == size
+    # the last one built (about 2 s from an empty table); von Staudt-Clausen
+    # gives its denominator 2 * 3 * 5 * 11 * 311, the primes p with (p - 1) | 620
+    b620 = bernoulli(620)
+    primes = [p for p in range(2, 622) if 620 % (p - 1) == 0 and all(p % d for d in range(2, p))]
+    assert b620 < 0 and b620.denominator == math.prod(primes)
+
+
 def test_bernoulli_table_grows_once_and_meets_von_staudt_clausen():
     top = bernoulli(240)
     size = len(exactnum._BERNOULLI)

@@ -110,6 +110,25 @@ def test_casimir_constant_checks_t_before_its_cache():
             casimir_constant(bad)
 
 
+def test_casimir_constant_past_the_bernoulli_budget_refuses_at_once():
+    # B_800 would take seconds to build; a fresh process has no table yet
+    code = (
+        "import time\n"
+        "from modzeta.errors import ConvergenceError\n"
+        "from modzeta.qseries import casimir_constant\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    casimir_constant(400)\n"
+        "except ConvergenceError as e:\n"
+        "    print(e, time.perf_counter() - start)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    message, seconds = proc.stdout.rsplit(" ", 1)
+    assert message == "bernoulli: B_800 is past B_620, the largest Bernoulli number built"
+    assert float(seconds) < 1.0
+
+
 def test_eps_odd_weight_vanishes_at_fixed_point():
     # inversion law at b = 1 with t odd forces eps_3(1) = 0
     assert abs(eps(3, 1.0).value) < 1e-12
