@@ -387,6 +387,11 @@ def gammaincc(a: float, x: float) -> float:
             if term < _TINY * total:
                 return 1.0 - math.exp(log_prefactor) * total / a
     # Q(a, x) = x^a e^-x / Gamma(a) / (x + 1 - a - 1 (1 - a) / (x + 3 - a - ...))
+    prefactor = math.exp(log_prefactor)
+    if prefactor == 0.0:
+        # the fraction's value would be lost in 0.0 * h; far out (x >~ 1e16)
+        # fl(1/b) b can stay 1 - 2^-53 at every step, so it would never stop
+        return 0.0
     b = x + 1.0 - a
     c = 1.0 / _LENTZ_TINY
     d = 1.0 / b
@@ -404,4 +409,4 @@ def gammaincc(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _TINY:
-            return math.exp(log_prefactor) * h
+            return prefactor * h

@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import threading
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +40,7 @@ from .errors import (
     SingularityError,
 )
 from .epstein import bessel_k
-from .exactnum import _coefficients, _lazy, gamma_numeric, zeta_negative_exact
+from .exactnum import _coefficients, _grow, _lazy, gamma_numeric, zeta_negative_exact
 from .qseries import SeriesValue, _certified_sum, _first_true, _quad
 
 # relative rounding allowance per Bessel term, sized when bessel_k was within
@@ -80,10 +79,10 @@ class DirichletDatum:
     (a, b) constants of the classical transformation-formula normalization
     when the datum has one.
 
-    ``_tables`` is a cache, not data: ``pole_residue`` keeps its kernel's
-    a_m and lambda_m tables there for every later call on this datum.  It is
+    ``_g_prime`` is a cache, not data: ``pole_residue`` keeps its kernel's
+    (a_m, lambda_m) pairs there for every later call on this datum.  It is
     left out of ``__init__``, so ``swapped()`` and ``dataclasses.replace``
-    start with empty tables, and out of equality and the hash.
+    start with an empty table, and out of equality and the hash.
     """
 
     name: str
@@ -99,7 +98,7 @@ class DirichletDatum:
     lam_low: tuple = (1.0, 1.0)
     mu_low: tuple = (1.0, 1.0)
     kosh: tuple | None = None
-    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _g_prime: array = field(default_factory=lambda: array("d", [0.0, 0.0]), init=False, compare=False, repr=False)
 
     @property
     def supports_modular(self) -> bool:
@@ -441,9 +440,6 @@ _RESIDUE_STABILITY_TOL = 5e-4
 # the last index G' may sum before it gives up
 _KERNEL_LAST_M = 150_001
 
-# guards the growth of the G' tables a datum shares between calls
-_TABLES_LOCK = threading.Lock()
-
 
 def _kernel_majorant(c_a: float, k: float, c_l: float, q_l: float, nu: float, beta: float, m: int) -> float:
     # bounds the G' terms past m, from a_m <= c_a m^p and lambda_m >= c_l m^q_l
@@ -454,17 +450,17 @@ def _kernel_majorant(c_a: float, k: float, c_l: float, q_l: float, nu: float, be
     return c_a * (m + 1) ** k * (1 + nu + c_l * (m + 1) ** q_l * beta) * math.exp(-c_l * (m + 1) ** q_l * beta)
 
 
-def _kernel_derivative(d: DirichletDatum, beta: float, a_tab, lam_tab) -> float:
+def _kernel_derivative(d: DirichletDatum, beta: float, pairs) -> float:
     """G'(beta) = beta^{nu-1} sum_m a_m (nu - lambda_m beta) e^{-lambda_m beta}
     for G = beta^nu Phi(beta), nu = delta, summed with fsum: the terms
     cancel massively at small beta.
 
     The sum stops at the first m > 4 where the majorant falls below 1e-18,
     found by ``_first_true``; past ``_KERNEL_LAST_M`` it raises
-    ``ConvergenceError``.  ``a_tab`` and ``lam_tab`` hold a_m and
-    lambda_m from index 1 (index 0 unused) and are extended in place as far
-    as beta needs; ``pole_residue`` keeps the pair in ``d._tables``, so one
-    pair serves every beta of every call on the datum.
+    ``ConvergenceError``.  ``pairs`` holds (a_m, lambda_m) interleaved from
+    m = 1 (the pair at 0 unused), grown through ``exactnum._grow`` a run of
+    whole pairs at a time as far as beta needs; ``pole_residue`` keeps it in
+    ``d._g_prime``, so one table serves every beta of every call on the datum.
     """
     nu = d.delta
     c_a, p_a = d.a_bound
@@ -473,19 +469,14 @@ def _kernel_derivative(d: DirichletDatum, beta: float, a_tab, lam_tab) -> float:
     count = _first_true(lambda m: _kernel_majorant(c_a, k, c_l, q_l, nu, beta, m) < 1e-18, 5, _KERNEL_LAST_M)
     if count is None:
         raise ConvergenceError("g_prime kernel did not converge")
-    if count >= len(a_tab):
-        # the pair is shared: grow it under the lock, from its length then,
-        # and only once both new runs are built, so a failing d.a or d.lam
-        # leaves the two tables aligned
-        with _TABLES_LOCK:
-            grow = range(len(a_tab), count + 1)
-            a_new, lam_new = array("d", map(d.a, grow)), array("d", map(d.lam, grow))
-            a_tab.extend(a_new)
-            lam_tab.extend(lam_new)
-    terms = [
-        a * (nu - lam * beta) * math.exp(-lam * beta)
-        for a, lam in zip(a_tab[1 : count + 1], lam_tab[1 : count + 1])
-    ]
+
+    def extend(table, n: int) -> None:
+        grow = range(len(table) // 2, n // 2 + 1)
+        table.extend(array("d", itertools.chain.from_iterable((d.a(m), d.lam(m)) for m in grow)))
+
+    _grow(pairs, 2 * count + 1, extend)
+    run = iter(pairs[2 : 2 * count + 2])  # a_1, lambda_1, a_2, ...: zip(run, run) pairs them
+    terms = [a * (nu - lam * beta) * math.exp(-lam * beta) for a, lam in zip(run, run)]
     return beta ** (nu - 1) * math.fsum(terms)
 
 
@@ -505,9 +496,8 @@ def pole_residue(d: DirichletDatum) -> PoleResidueResult:
 
     # QAGS (_quad) bisects one fixed nested grid, so the four r_of_h integrals
     # meet the same betas: both kernels are memoised by beta for this call,
-    # and G''s tables of a_m and lambda_m stay on the datum for every call
+    # and G''s table of (a_m, lambda_m) stays on the datum for every call
     phi_memo, g_memo = {}, {}
-    a_tab, lam_tab = d._tables.setdefault("g_prime", (array("d", [0.0]), array("d", [0.0])))
 
     def phi_kernel(beta: float) -> float:
         if beta not in phi_memo:
@@ -519,7 +509,7 @@ def pole_residue(d: DirichletDatum) -> PoleResidueResult:
 
     def g_prime(beta: float) -> float:
         if beta not in g_memo:
-            g_memo[beta] = _kernel_derivative(d, beta, a_tab, lam_tab)
+            g_memo[beta] = _kernel_derivative(d, beta, d._g_prime)
         return g_memo[beta]
 
     big_x = 1.0 + 52.0 / d.lam(1)

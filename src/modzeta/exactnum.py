@@ -17,8 +17,9 @@ alternating series and cached for SymScalar evaluation.
 
 Divisor side: ``divisor_sigma`` (pointwise, the reference) and the one
 cache of sigma_k and r_p tables, keyed by kind and order, that every
-series reads its coefficients from: exact Python numbers, each table grown
-in place, every integer order kept, and only the last non-integer order.
+series reads its coefficients from: exact Python numbers, every integer
+order kept, and only the last non-integer order.  These tables, the
+Bernoulli numbers and G''s coefficients grow only through ``_grow``.
 
 Every deferred import goes through ``_lazy``; no module imports scipy.
 """
@@ -28,6 +29,7 @@ import cmath
 import importlib
 import math
 import struct
+import threading
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb
@@ -87,11 +89,28 @@ def _pi_power(a: int) -> float:
         raise ConvergenceError(f"pi^{a} overflows a float", suggestion=f"pi power < {a}") from None
 
 
+# held by every growth of a shared table; reentrant, since building r_p grows
+# r_(p-1) and building G''s table reads sigma
+_GROWING = threading.RLock()
+
+
+def _grow(table, n: int, extend):
+    """``table``, grown to cover index ``n`` by ``extend(table, n)``, which
+    builds the missing run aside and publishes it with one ``table.extend``.
+    Reads take no lock; growth re-reads the length under ``_GROWING``, so a
+    reader sees only final entries and no two callers build the same run."""
+    if n >= len(table):
+        with _GROWING:
+            if n >= len(table):
+                extend(table, n)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and exact zeta values
 # ---------------------------------------------------------------------------
 
-# B_0, B_1, ... as far as any call has needed them; grown in place
+# B_0, B_1, ... as far as any call has needed them, grown by _grow
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
 # the largest n built: B_620 serves periodpoly's largest t, 310, the most the
@@ -100,21 +119,25 @@ _BERNOULLI: list[Fraction] = [Fraction(1)]
 _BERNOULLI_N_MAX = 620
 
 
+def _bernoulli_extend(table: list, n: int) -> None:
+    # the binomial recurrence sum_{k<=m} C(m+1,k) B_k = 0, convention B_1 = -1/2
+    out = table[:]
+    for m in range(len(out), n + 1):
+        out.append(-sum(comb(m + 1, k) * out[k] for k in range(m)) / (m + 1))
+    table.extend(out[len(table) :])
+
+
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2), exact, for n <= 620; past that a
-    ``ConvergenceError``, before any of the numbers is built."""
-    if n < 0:
-        raise DomainError("bernoulli: n must be >= 0")
+    """Bernoulli number B_n (B_1 = -1/2), exact, for integer 0 <= n <= 620;
+    past that a ``ConvergenceError``, before any of the numbers is built."""
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"bernoulli: n must be an integer >= 0, got n = {n!r}")
     if n > _BERNOULLI_N_MAX:
         raise ConvergenceError(
             f"bernoulli: B_{n} is past B_{_BERNOULLI_N_MAX}, the largest Bernoulli number built",
             suggestion=f"n <= {_BERNOULLI_N_MAX}",
         )
-    out = _BERNOULLI
-    # the binomial recurrence sum_{k<=m} C(m+1,k) B_k = 0, convention B_1 = -1/2
-    for m in range(len(out), n + 1):
-        out.append(-sum(comb(m + 1, k) * out[k] for k in range(m)) / (m + 1))
-    return out[n]
+    return _grow(_BERNOULLI, n, _bernoulli_extend)[n]
 
 
 def zeta_even_exact(k: int) -> "SymScalar":
@@ -122,8 +145,8 @@ def zeta_even_exact(k: int) -> "SymScalar":
 
     Uses zeta(2m) = (-1)^{m+1} B_{2m} (2 pi)^{2m} / (2 (2m)!).
     """
-    if k < 2 or k % 2 != 0:
-        raise DomainError("zeta_even_exact: k must be a positive even integer")
+    if not isinstance(k, int) or k < 2 or k % 2 != 0:
+        raise DomainError(f"zeta_even_exact: k must be a positive even integer, got k = {k!r}")
     m = k // 2
     q = Fraction((-1) ** (m + 1)) * bernoulli(2 * m) * Fraction(2) ** (2 * m) / (
         2 * Fraction(math.factorial(2 * m))
@@ -138,10 +161,10 @@ def zeta_negative_exact(n: int) -> Fraction:
     domain error (negative even integers are trivial zeros but are not of
     the 1-2t form this library needs exactly).
     """
+    if not isinstance(n, int) or n > 0 or (n < 0 and n % 2 == 0):
+        raise DomainError(f"zeta_negative_exact: argument must be 0 or a negative odd integer, got {n!r}")
     if n == 0:
         return Fraction(-1, 2)
-    if n > 0 or n % 2 == 0:
-        raise DomainError("zeta_negative_exact: argument must be 0 or a negative odd integer")
     t = (1 - n) // 2
     return -bernoulli(2 * t) / (2 * t)
 
@@ -270,32 +293,35 @@ def sigma_range(k: int, n_max: int) -> list[int]:
 
 
 def _sigma_extend(table: list, k, n_max: int) -> list:
-    """Extend a ``sigma_range`` table in place to cover index ``n_max``:
-    each new entry adds its divisors' powers in increasing order, as a
-    one-shot build of the larger table would."""
+    """Extend a ``sigma_range`` table to cover index ``n_max`` with one
+    ``extend``: each new entry adds its divisors' powers in increasing
+    order, as a one-shot build of the larger table would."""
     done = len(table) - 1
-    table.extend([0] * (n_max - done))
-    for d in range(1, done + 1):  # old divisors first: each entry's powers stay in increasing order
+    first, size = done + 1, n_max - done
+    run = [0] * size  # run[i] is entry first + i
+    for d in range(1, first):  # old divisors first: each entry's powers stay in increasing order
         dk = d ** k
-        for m in range((done // d + 1) * d, n_max + 1, d):
-            table[m] += dk
-    for d in range(done + 1, n_max + 1):
+        for i in range((done // d + 1) * d - first, size, d):
+            run[i] += dk
+    for d in range(first, n_max + 1):
         dk = d ** k
-        for m in range(d, n_max + 1, d):
-            table[m] += dk
+        for i in range(d - first, size, d):
+            run[i] += dk
+    table.extend(run)
     return table
 
 
 def _rp_extend(table: list, p: int, n_max: int) -> list:
-    """Extend an r_p table in place to cover index ``n_max``, one
-    coordinate at a time: r_1 marks the squares, and r_p(n) = r_{p-1}(n)
+    """Extend an r_p table to cover index ``n_max`` with one ``extend``,
+    one coordinate at a time: r_1 marks the squares, and r_p(n) = r_{p-1}(n)
     + 2 sum_{j >= 1} r_{p-1}(n - j^2) sums shifted copies of the cached
     r_{p-1} as fixed-width fields of one integer, keeping the new entries."""
     done = len(table) - 1
     if p == 1:
-        table.extend([0] * (n_max - done))
+        run = [0] * (n_max - done)
         for j in range(math.isqrt(done) + 1, math.isqrt(n_max) + 1):
-            table[j * j] = 2
+            run[j * j - done - 1] = 2
+        table.extend(run)
         return table
     # no field carries into the next: p - 1 coordinates take at most 2 sqrt(n) + 1
     # values each and fix the last one up to its sign, so r_p(n) <= 2 (2 sqrt(n) + 1)^(p-1)
@@ -320,25 +346,27 @@ def _sieve(kind: str, order, n: int) -> list:
     """Coefficient table covering index ``n``: sigma_order (kind "sigma")
     or r_order, the representations as a sum of ``order`` squares (kind
     "rp", orders 1 to 4, with r_p(0) = 1).  The first build covers the
-    request and later builds double, each growing the table in place
-    (``_sigma_extend``, ``_rp_extend``), so sequential access costs
-    O(log n) builds.
+    request and later builds double, each growing the table through
+    ``_grow`` (``_sigma_extend``, ``_rp_extend``), so sequential access
+    costs O(log n) builds.
     """
     store = _SIEVES if isinstance(order, int) else _LAST_NON_INTEGER
     table = store.get((kind, order))
     if table is None:
-        if store is _LAST_NON_INTEGER:
-            store.clear()
-        table = sigma_range(order, n) if kind == "sigma" else _rp_extend([1], order, n)
-        store[(kind, order)] = table
-    elif n >= len(table):
-        (_sigma_extend if kind == "sigma" else _rp_extend)(table, order, max(n, 2 * (len(table) - 1)))
-    return table
+        with _GROWING:
+            table = store.get((kind, order))
+            if table is None:
+                if store is _LAST_NON_INTEGER:
+                    store.clear()
+                table = sigma_range(order, n) if kind == "sigma" else _rp_extend([1], order, n)
+                store[(kind, order)] = table
+    extend = _sigma_extend if kind == "sigma" else _rp_extend
+    return _grow(table, n, lambda t, m: extend(t, order, max(m, 2 * (len(t) - 1))))
 
 
 def _coefficients(kind: str, order):
     """Per-term view n -> table[n] of a ``_sieve`` table.  It keeps the
-    table it was last given (entries never change, tables only grow) and
+    table it was last given (``_grow`` publishes final entries only) and
     asks ``_sieve`` again only for an index beyond it."""
     table = ()
 

@@ -387,6 +387,18 @@ def test_refusals_come_before_the_bernoulli_numbers(argv, message, capsys):
     assert len(exactnum._BERNOULLI) <= 2 * t
 
 
+def test_massive_sum_at_a_huge_mass_exits_0_promptly():
+    # the tail bound's Q(a, x), at x past 1e16, once never returned; the sum is
+    # the lattice's integral pi w^(2-2s) / (s - 1) to double precision
+    argv = ["eval", "zp_massive", "--p", "2", "--s", "2.3", "--w", "1e16", "--format", "json"]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "modzeta.cli", *argv], capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 5.0
+    value = float(json.loads(proc.stdout)["value"]["re"])
+    assert value == pytest.approx(math.pi * 1e16 ** (2 - 2 * 2.3) / 1.3, rel=1e-14)
+
+
 def test_errors_define_only_the_contract_classes():
     # DomainError exits 2; ConvergenceError and SingularityError exit 3
     from modzeta import errors

@@ -5,10 +5,12 @@ import math
 import subprocess
 import sys
 import threading
+from array import array
 
 import pytest
 
 import modzeta.dirichlet as dmod
+from modzeta import exactnum
 from modzeta.errors import ConvergenceError, DomainError, SingularityError
 from modzeta.exactnum import gamma_numeric, zeta_numeric
 from modzeta.dirichlet import (
@@ -297,8 +299,8 @@ def test_eisenstein_datum_refuses_a_non_integer_t(t):
 def test_swapped_and_replaced_data_start_with_empty_tables():
     d = eisenstein_datum(2)
     pole_residue(d)
-    assert len(d._tables["g_prime"][0]) > 1
-    assert d.swapped()._tables == {} and dataclasses.replace(d)._tables == {}
+    assert len(d._g_prime) > 2
+    assert list(d.swapped()._g_prime) == [0.0, 0.0] == list(dataclasses.replace(d)._g_prime)
     assert dataclasses.replace(d) == d and hash(dataclasses.replace(d)) == hash(d)
 
 
@@ -314,7 +316,7 @@ def test_a_second_pole_residue_reads_the_tables_of_the_first():
     first = repr(pole_residue(d))
     first_calls, calls[0] = calls[0], 0
     assert repr(pole_residue(d)) == first == repr(pole_residue(base))
-    a_tab, lam_tab = d._tables["g_prime"]
+    a_tab, lam_tab = d._g_prime[::2], d._g_prime[1::2]
     # the heat kernel's calls repeat; the table's entries are not asked again
     assert first_calls - calls[0] == len(a_tab) - 1 > 1000
     assert list(a_tab) == [0.0] + [base.a(m) for m in range(1, len(a_tab))]
@@ -333,15 +335,21 @@ def test_a_failing_coefficient_leaves_the_tables_aligned():
     d = dataclasses.replace(base, a=flaky_a)
     with pytest.raises(KeyError):
         pole_residue(d)
-    a_tab, lam_tab = d._tables["g_prime"]
-    assert len(a_tab) == len(lam_tab)
+    # whole pairs only, each a_m with its lambda_m: the failing run published nothing
+    assert len(d._g_prime) % 2 == 0
+    a_tab, lam_tab = d._g_prime[::2], d._g_prime[1::2]
+    assert len(a_tab) == len(lam_tab) <= 101
+    assert list(a_tab) == [0.0] + [base.a(m) for m in range(1, len(a_tab))]
+    assert list(lam_tab) == [0.0] + [base.lam(m) for m in range(1, len(lam_tab))]
     failing[0] = False
     assert repr(pole_residue(d)) == repr(pole_residue(base))
 
 
-def test_threads_sharing_one_datum_grow_its_tables_once():
-    want = repr(pole_residue(eisenstein_datum(3)))  # also fills the sigma table the threads read
-    d = dataclasses.replace(eisenstein_datum(3))
+def test_threads_sharing_one_datum_grow_its_tables_once(monkeypatch):
+    want = repr(pole_residue(eisenstein_datum(3)))
+    # a fresh datum on an empty sieve cache: the threads grow sigma_5 too
+    monkeypatch.setattr(exactnum, "_SIEVES", {})
+    d = eisenstein_datum.__wrapped__(3)
     got = []
     threads = [threading.Thread(target=lambda: got.append(repr(pole_residue(d)))) for _ in range(4)]
     interval = sys.getswitchinterval()
@@ -355,7 +363,7 @@ def test_threads_sharing_one_datum_grow_its_tables_once():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert got == [want] * 4
-    a_tab, lam_tab = d._tables["g_prime"]
+    a_tab, lam_tab = d._g_prime[::2], d._g_prime[1::2]
     assert list(a_tab) == [0.0] + [d.a(m) for m in range(1, len(a_tab))]
     assert list(lam_tab) == [0.0] + [d.lam(m) for m in range(1, len(lam_tab))]
 
@@ -411,9 +419,9 @@ def test_kernel_derivative_is_the_per_term_loop_bit_for_bit(expr, monkeypatch):
         majorants[0] += 1
         return real_majorant(*args)
 
-    def recording_kernel(d, beta, a_tab, lam_tab):
+    def recording_kernel(d, beta, pairs):
         majorants[0] = 0
-        value = real_kernel(d, beta, a_tab, lam_tab)
+        value = real_kernel(d, beta, pairs)
         seen.append((beta, value, majorants[0]))
         return value
 
@@ -436,17 +444,17 @@ def test_kernel_derivative_refuses_before_tabulating(monkeypatch):
     calls = []
     real_majorant = dmod._kernel_majorant
     monkeypatch.setattr(dmod, "_kernel_majorant", lambda *args: calls.append(args[-1]) or real_majorant(*args))
-    a_tab, lam_tab = [0.0], [0.0]
+    pairs = array("d", [0.0, 0.0])
     want, terms = _g_prime_reference(d, 1e-9)
     assert 50_000 < terms < 150_000
-    assert dmod._kernel_derivative(d, 1e-9, a_tab, lam_tab).hex() == want.hex()
-    assert len(calls) <= 2 * math.log2(terms) + 3 and len(a_tab) == terms + 1
+    assert dmod._kernel_derivative(d, 1e-9, pairs).hex() == want.hex()
+    assert len(calls) <= 2 * math.log2(terms) + 3 and len(pairs) == 2 * (terms + 1)
     with pytest.raises(ConvergenceError, match="did not converge"):
         _g_prime_reference(d, 1e-11)
-    a_tab, lam_tab = [0.0], [0.0]
+    pairs = array("d", [0.0, 0.0])
     with pytest.raises(ConvergenceError, match="did not converge"):
-        dmod._kernel_derivative(d, 1e-11, a_tab, lam_tab)
-    assert a_tab == [0.0] and lam_tab == [0.0]
+        dmod._kernel_derivative(d, 1e-11, pairs)
+    assert list(pairs) == [0.0, 0.0]
 
 
 def test_koshliakov_closed_form_values():

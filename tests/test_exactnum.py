@@ -2,6 +2,8 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +85,41 @@ def test_bernoulli_table_grows_once_and_meets_von_staudt_clausen():
 def test_bernoulli_rejects_negative():
     with pytest.raises(DomainError):
         bernoulli(-1)
+
+
+@pytest.mark.parametrize(
+    "fn,arg",
+    [(bernoulli, 4.0), (bernoulli, math.nan), (bernoulli, 700.5), (zeta_even_exact, 4.0), (zeta_negative_exact, -3.0)],
+)
+def test_exact_functions_refuse_a_non_integer_argument(fn, arg):
+    size = len(exactnum._BERNOULLI)
+    with pytest.raises(DomainError, match="integer"):
+        fn(arg)
+    assert len(exactnum._BERNOULLI) == size
+
+
+def _in_a_fresh_process(code: str) -> str:
+    # the shared tables are process-wide: a race needs them empty
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_threads_growing_the_bernoulli_table_agree():
+    code = (
+        "import threading\n"
+        "from modzeta import exactnum\n"
+        "got = []\n"
+        "threads = [threading.Thread(target=lambda: got.append(exactnum.bernoulli(400))) for _ in range(4)]\n"
+        "for th in threads:\n"
+        "    th.start()\n"
+        "for th in threads:\n"
+        "    th.join(timeout=60)\n"
+        "assert not any(th.is_alive() for th in threads)\n"
+        "print(len(exactnum._BERNOULLI), *got)\n"
+    )
+    size, *got = _in_a_fresh_process(code).split()
+    assert size == "401" and got == [str(bernoulli(400))] * 4
 
 
 # ------------------------------------------------------------- exact zetas
@@ -260,6 +297,43 @@ def test_rp_table_grown_by_doublings_is_a_one_shot_build(p, monkeypatch):
             new[j * j :] += 2 * counts[: n_max + 1 - j * j]
         counts = new
     assert grown[: n_max + 1] == one_shot == counts.tolist()
+
+
+def test_a_sigma_entry_is_final_once_a_reader_sees_it():
+    # one thread grows sigma_5 from 200,000 to 400,000 while another waits,
+    # with no lock, for index 300,000 to appear and reads it at once
+    code = (
+        "import threading\n"
+        "from modzeta import exactnum\n"
+        "table = exactnum._sieve('sigma', 5, 200_000)\n"
+        "grower = threading.Thread(target=exactnum._sieve, args=('sigma', 5, 400_000))\n"
+        "grower.start()\n"
+        "while len(table) <= 300_000 and grower.is_alive():\n"
+        "    pass\n"
+        "print(table[300_000])\n"
+        "grower.join(timeout=60)\n"
+        "assert not grower.is_alive()\n"
+    )
+    want = 2_519_515_920_168_077_442_005_299_752
+    assert int(_in_a_fresh_process(code)) == want == divisor_sigma(5, 300_000)
+
+
+def test_concurrent_rp_growers_build_the_one_shot_table():
+    code = (
+        "import threading\n"
+        "from modzeta import exactnum\n"
+        "table = exactnum._sieve('rp', 3, 20_000)\n"
+        "sizes = (50_000, 60_000, 70_000, 80_000)\n"
+        "threads = [threading.Thread(target=exactnum._sieve, args=('rp', 3, n)) for n in sizes]\n"
+        "for th in threads:\n"
+        "    th.start()\n"
+        "for th in threads:\n"
+        "    th.join(timeout=60)\n"
+        "assert not any(th.is_alive() for th in threads)\n"
+        "assert exactnum._SIEVES[('rp', 3)] is table and len(table) > 80_000\n"
+        "assert table == exactnum._rp_extend([1], 3, len(table) - 1)\n"
+    )
+    _in_a_fresh_process(code)
 
 
 @pytest.mark.parametrize("k", [2.6, -1.4, 0.37, 5.0000001])

@@ -2,6 +2,8 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -112,3 +114,20 @@ def test_gammaincc_against_mpmath(a_range, x_range):
         assert abs(_special.gammaincc(a, x) - want) <= 1e-13 * want, (a, x)
     assert _special.gammaincc(2.0, 0.0) == 1.0
     assert _special.gammaincc(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+
+
+def test_gammaincc_far_out_returns_at_once():
+    # where x^a e^-x / Gamma(a) underflows, Q(a, x) is 0.0 before the continued
+    # fraction, whose step can stay at 1 - 2^-53 for good past x ~ 1e16; run in
+    # a child, so that a loop that never stops fails this test, not the run
+    code = (
+        "import random\n"
+        "from modzeta._special import gammaincc\n"
+        "assert gammaincc(5.0, 8.885765876316733e300) == 0.0\n"
+        "rng = random.Random(2601)\n"
+        "for _ in range(2000):\n"
+        "    a, x = rng.uniform(0.05, 60.0), 10.0 ** rng.uniform(1.0, 300.0)\n"
+        "    assert 0.0 <= gammaincc(a, x) <= 1.0, (a, x)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
