@@ -21,7 +21,7 @@ incomplete gamma Q(a, x), in pure Python.
 * ``gammaincc``: the power series for P = 1 - Q below x = a + 1, and the
   continued fraction for Q above it, by the modified Lentz method
   (DLMF 8.7.1, 8.9.2), with the prefactor x^a e^-x / Gamma(a) taken in
-  logs.
+  logs; NaN past a = 1e6, where the series would take thousands of steps.
 
 Imports only the standard library (``math``, ``cmath``, ``bisect``,
 ``functools``, ``itertools``).
@@ -364,11 +364,16 @@ def kv(nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 _LENTZ_TINY = 1e-300
+# the largest a taken: near x = a the power series takes about sqrt(a) steps
+# (1e8 at a = 1e16), and every caller's a is below 172, where Gamma(a) leaves
+# the floats
+_GAMMAINCC_A_MAX = 1e6
 
 
 def gammaincc(a: float, x: float) -> float:
-    """Q(a, x) = Gamma(a, x) / Gamma(a) for a > 0 and x >= 0 (NaN outside)."""
-    if not (a > 0.0 and x >= 0.0) or a == math.inf:
+    """Q(a, x) = Gamma(a, x) / Gamma(a) for 0 < a <= 1e6 and x >= 0 (NaN
+    outside)."""
+    if not (0.0 < a <= _GAMMAINCC_A_MAX and x >= 0.0):
         return math.nan
     if x == 0.0:
         return 1.0

@@ -20,15 +20,13 @@ summation orders, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
 
 from .errors import ConvergenceError, DomainError, ModzetaError, SingularityError
 from .exactnum import _lazy, _pi_power, bernoulli, require_finite
@@ -59,7 +57,7 @@ def _number(text: str, flag: str) -> float:
     return x
 
 
-def _route(module: str, name: str) -> Callable:
+def _route(module: str, name: str):
     """The function ``modzeta.<module>.<name>``, looked up when called."""
     return lambda *args, **kwargs: getattr(_lazy(f"modzeta.{module}"), name)(*args, **kwargs)
 
@@ -199,16 +197,11 @@ def _rbar(t, x):
     return coeffs, require_finite(rp.eval_numeric(complex(x)))
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(namedtuple("Quantity", "params route render options", defaults=(_series, _tol_as("tol")))):
     """An ``eval`` quantity: the flags it reads, as (name, reader) pairs in
     route-argument order; the route; how its result is shown; and the
     route keywords taken from the remaining flags."""
 
-    params: tuple
-    route: Callable
-    render: Callable = _series
-    options: Callable = _tol_as("tol")
 
 
 _F3E, _F3M = _route("thermal", "f3_epstein"), _route("thermal", "f3_modesum")
@@ -386,6 +379,8 @@ def _rows_text(header, rows, fmt: str) -> str:
     """Rows as CSV under a header line, or as a JSON list of objects."""
     if fmt == "json":
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    import csv  # CSV output alone needs it
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()

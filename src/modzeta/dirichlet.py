@@ -30,7 +30,7 @@ import cmath
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -67,8 +67,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DirichletDatum:
+class DirichletDatum(namedtuple(
+    "DirichletDatum",
+    "name a b lam mu delta residues zero_modes a_bound b_bound lam_low mu_low kosh",
+    defaults=((), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1.0), None),
+)):
     """Coefficients, exponent sequences and analytic data of a pair.
 
     ``residues`` lists the simple poles of chi(s) = Gamma(s) phi(s) as
@@ -81,24 +84,18 @@ class DirichletDatum:
 
     ``_g_prime`` is a cache, not data: ``pole_residue`` keeps its kernel's
     (a_m, lambda_m) pairs there for every later call on this datum.  It is
-    left out of ``__init__``, so ``swapped()`` and ``dataclasses.replace``
-    start with an empty table, and out of equality and the hash.
+    an attribute, not a field, so ``swapped()`` and ``_replace`` start with
+    an empty table, and it is out of equality, the hash and the repr.
     """
 
-    name: str
-    a: object
-    b: object
-    lam: object
-    mu: object
-    delta: float
-    residues: tuple = ()
-    zero_modes: tuple = (0.0, 0.0)
-    a_bound: tuple = (1.0, 0.0)
-    b_bound: tuple = (1.0, 0.0)
-    lam_low: tuple = (1.0, 1.0)
-    mu_low: tuple = (1.0, 1.0)
-    kosh: tuple | None = None
-    _g_prime: array = field(default_factory=lambda: array("d", [0.0, 0.0]), init=False, compare=False, repr=False)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._g_prime = array("d", [0.0, 0.0])
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace starts an empty table too
+        return cls(*iterable)
 
     @property
     def supports_modular(self) -> bool:
@@ -364,12 +361,13 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
 
     def terms():
         nonlocal mag
+        b_of, mu_of = d.b, d.mu  # a record field read costs more than a local's
         for n in itertools.count(1):
-            b = d.b(n)
+            b = b_of(n)
             if b == 0:  # r_p(n) = 0 for most n at p <= 2
                 yield 0.0
                 continue
-            mu = d.mu(n)
+            mu = mu_of(n)
             term = 2.0 * b * (mu / w2) ** half_nu * bessel_k(nu, two_w * math.sqrt(mu))
             mag += abs(term)
             yield term
@@ -382,9 +380,18 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
         first = head * n1 ** pe * math.exp(-x1)
         if first / abs_gam_s > tol:  # rest >= 0 cannot bring the tail under tol
             return first / abs_gam_s
+        scale = head * (2.0 / q) * kappa ** (-alpha)
+        if alpha >= 2.0:
+            # Gamma(a, x) >= x^(a-1) e^-x (1 + (a-1)/x) for a >= 2 (by parts).  A
+            # tail above tol only keeps the sum going, so where this lower bound
+            # is already above tol, Q(a, x) is not needed; the factor 0.999999
+            # covers both forms' rounding, so the stop index keeps its bits
+            low = scale * math.exp((alpha - 1.0) * math.log(x1) - x1) * (1.0 + (alpha - 1.0) / x1)
+            bound = (first + 0.999999 * low) / abs_gam_s
+            if bound > tol:
+                return bound
         q_alpha = _lazy("modzeta._special").gammaincc(alpha, x1)
-        rest = head * (2.0 / q) * kappa ** (-alpha) * q_alpha * gam_alpha
-        return (first + rest) / abs_gam_s
+        return (first + scale * q_alpha * gam_alpha) / abs_gam_s
 
     try:
         r = berndt_R(d, s, w)
@@ -411,13 +418,11 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
 # pole residue extraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PoleResidueResult:
-    location: float
-    residue: float          # Koshliakov normalization (series in n^{-s})
-    residue_bochner: float  # normalization of the datum's lambda sequence
-    closed_form: float | None
-    spread: float
+class PoleResidueResult(namedtuple("PoleResidueResult", "location residue residue_bochner closed_form spread")):
+    """``residue`` in the Koshliakov normalization (series in n^{-s}),
+    ``residue_bochner`` in that of the datum's lambda sequence;
+    ``closed_form`` is None where the datum has none."""
+
 
 
 def koshliakov_residue_closed_form(d: DirichletDatum) -> float:

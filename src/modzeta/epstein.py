@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, SingularityError
@@ -59,18 +59,19 @@ _MAX_POINTS = (2 * 8192 + 1) ** 2 - 1  # the largest sum z2_direct admitted: rad
 _BLOCK = 1 << 20  # lattice points per streamed block
 _BUFFERS: list = []  # block buffers between lattice sums, one per concurrent caller
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(namedtuple("BinaryForm", "a b c")):
     """Positive-definite a m^2 + 2b mn + c n^2; u = sqrt(det)/a, v = b/a."""
 
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # a NaN entry or det fails the comparisons
-        if not (self.a > 0 and self.det > 0 and all(map(math.isfinite, (self.a, self.b, self.c)))):
+        if not (self.a > 0 and self.det > 0 and all(map(math.isfinite, self))):
             raise DomainError("BinaryForm must be finite and positive definite (a > 0, ac - b^2 > 0)")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks too
+        return cls(*iterable)
 
     @property
     def det(self) -> float:

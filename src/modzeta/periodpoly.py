@@ -22,7 +22,7 @@ powers of ``-i`` (``Poly.twist_to_tau``).  Both forms are exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -206,18 +206,18 @@ class Poly:
 # group elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "a b c d")):
     """Integer matrix (a b; c d) with ad - bc = 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.a * self.d - self.b * self.c != 1:
             raise DomainError("GroupElement must have determinant 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks too
+        return cls(*iterable)
 
     def __mul__(self, o: "GroupElement") -> "GroupElement":
         return GroupElement(
@@ -341,12 +341,9 @@ def cocycle_compose(generators: dict, word: list) -> RationalPeriodFunction:
     return acc
 
 
-@dataclass(frozen=True)
-class ESResult:
-    """Outcome of the two Eichler-Shimura relations."""
-
-    first: bool   # P|(1 + S) = 0
-    second: bool  # P|(1 + TS + (TS)^2) = 0
+class ESResult(namedtuple("ESResult", "first second")):
+    """Outcome of the two Eichler-Shimura relations: ``first`` is
+    P|(1 + S) = 0, ``second`` P|(1 + TS + (TS)^2) = 0."""
 
     def __bool__(self):
         return self.first and self.second
@@ -386,13 +383,9 @@ def _check_t(t: int):
         )
 
 
-@dataclass(frozen=True)
-class PolynomialForm:
+class PolynomialForm(namedtuple("PolynomialForm", "t coeffs")):
     """Degree-(2t-2) obstruction polynomial in the real-axis variable x,
     with real SymScalar coefficients (index = power of x)."""
-
-    t: int
-    coeffs: tuple
 
     def eval_numeric(self, x: float) -> float:
         return sum(c.numeric() * float(x) ** k for k, c in enumerate(self.coeffs))

@@ -25,7 +25,7 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -78,13 +78,9 @@ def _quad(f, a: float, b: float, epsabs: float = 1e-12, epsrel: float = 1e-12) -
     return _lazy("modzeta._quadpack")._qags(f, a, b, epsabs, epsrel, _QUAD_LIMIT)[:2]
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    """Numeric result with its truncation certificate."""
-
-    value: complex
-    terms: int
-    tail_bound: float
+class SeriesValue(namedtuple("SeriesValue", "value terms tail_bound")):
+    """Numeric result (complex) with its truncation certificate: the terms
+    summed, and the bound (float) on what they leave out."""
 
     def __complex__(self):
         return complex(self.value)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .epstein import bessel_k
@@ -60,22 +60,19 @@ def _xi(pt) -> float:
     return xi
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
+class SpectrumSpec(namedtuple("SpectrumSpec", "label degeneracy_coeffs table", defaults=((), ()))):
     """Frequencies omega_n = n with degeneracies d_n.
 
     Either polynomial (d_n = sum_k c_k n^k, degree <= 6) or a finite
-    table {n: d_n}.  zeta_M(s) = sum d_n n^{-2s}; for polynomial
+    table ((n, d_n), ...).  zeta_M(s) = sum d_n n^{-2s}; for polynomial
     degeneracies zeta_M(-1/2) = sum_k c_k zeta(-1-k) reduces to exact
-    negative-zeta values (odd k terms vanish).
+    negative-zeta values (odd k terms vanish).  ``_degeneracies``, the
+    table as {n: d_n}, is an attribute, out of equality, the hash and the
+    repr.
     """
 
-    label: str
-    degeneracy_coeffs: tuple = ()
-    table: tuple = ()  # ((n, d_n), ...)
-    _degeneracies: dict = field(init=False, repr=False, compare=False)  # the table as {n: d_n}
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if bool(self.degeneracy_coeffs) == bool(self.table):
             raise DomainError("SpectrumSpec needs coefficients or a table, not both")
         if len(self.degeneracy_coeffs) > 7:
@@ -86,7 +83,12 @@ class SpectrumSpec:
         negative = any(d < 0 for d in values) if self.table else _negative_somewhere(values)
         if negative:
             raise DomainError("degeneracies must be nonnegative")
-        object.__setattr__(self, "_degeneracies", {n: float(d) for (n, d) in self.table})
+        self._degeneracies = {n: float(d) for (n, d) in self.table}
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks, and rebuilds _degeneracies
+        return cls(*iterable)
 
     def degeneracy(self, n: int) -> float:
         if self.table:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import dirichlet as dmod
@@ -23,13 +23,7 @@ from .exactnum import bernoulli, gamma_numeric, zeta_even_exact, zeta_odd_numeri
 __all__ = ["CheckResult", "SUITES", "run_suites", "suite_names"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    residual: float
-    tol: float
-
+class CheckResult(namedtuple("CheckResult", "suite name residual tol")):
     @property
     def passed(self) -> bool:
         return self.residual <= self.tol

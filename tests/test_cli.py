@@ -568,8 +568,17 @@ ROUTE_MODULES = {
 }
 
 
+# standard-library modules the library does without: dataclasses, and the
+# inspect it imports, at every import; csv unless the output is CSV
+SPARED = {"dataclasses", "inspect", "csv"}
+
+
 def _modzeta_loaded_after(code: str) -> set:
-    out = _fresh_process(f"import sys; {code}; print(sorted(n for n in sys.modules if n.split('.')[0] == 'modzeta'))")
+    """The modzeta modules, and those of SPARED, that ``code`` leaves loaded."""
+    out = _fresh_process(
+        f"import sys; {code}; "
+        f"print(sorted(n for n in sys.modules if n.split('.')[0] == 'modzeta' or n in {sorted(SPARED)!r}))"
+    )
     return set(ast.literal_eval(out.splitlines()[-1]))
 
 
@@ -582,11 +591,21 @@ def test_importing_the_cli_loads_no_route_module():
 def test_eval_loads_only_the_modules_its_route_needs(quantity):
     argv = ["eval", quantity, *SMOKE[quantity].split()]
     loaded = _modzeta_loaded_after(f"import modzeta.cli; modzeta.cli.main({argv!r})")
-    assert loaded == CLI_MODULES | {f"modzeta.{name}" for name in ROUTE_MODULES[quantity]}
+    # numpy, which only z2's lattice sum loads, imports inspect itself
+    numpy_loads = {"inspect"} if quantity == "z2" else set()
+    assert loaded == CLI_MODULES | {f"modzeta.{name}" for name in ROUTE_MODULES[quantity]} | numpy_loads
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_only_csv_output_loads_csv(fmt):
+    argv = ["eval", "zp_massive", "--p", "2", "--s", "2.1", "--w", "0.8", "--format", fmt]
+    loaded = _modzeta_loaded_after(f"import modzeta.cli; modzeta.cli.main({argv!r})")
+    assert SPARED & loaded == ({"csv"} if fmt == "csv" else set())
 
 
 def test_importing_verify_loads_neither_scipy_nor_numpy():
     assert _scipy_numpy_loaded_after("import modzeta.verify") == "[]"
+    assert not SPARED & _modzeta_loaded_after("import modzeta.verify")
 
 
 @pytest.mark.parametrize(

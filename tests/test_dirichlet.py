@@ -1,6 +1,5 @@
 """Paired Dirichlet series: modular relation, massive representation, residues."""
 import ast
-import dataclasses
 import math
 import subprocess
 import sys
@@ -106,21 +105,21 @@ def test_sig_identity_random_points(k, z):
 
 # ------------------------------------------------------------------ residual B
 def test_residual_B_cases():
-    empty = dataclasses.replace(theta_datum(), residues=())
+    empty = theta_datum()._replace(residues=())
     assert residual_B(empty, 1.7) == 0
-    single = dataclasses.replace(theta_datum(), residues=((1.0, 2.0),))
+    single = theta_datum()._replace(residues=((1.0, 2.0),))
     assert complex(residual_B(single, 2.0)).real == pytest.approx(1.0, abs=1e-15)
 
 
 def test_supports_modular_is_having_residues():
     # derived, not stored: no factory or swap can set it apart from residues
     data = [eisenstein_datum(2), theta_datum(), sigma_datum(3), diagonal_epstein_datum(2),
-            dataclasses.replace(theta_datum(), residues=()),
-            dataclasses.replace(theta_datum(), residues=((1.0, 2.0),))]
+            theta_datum()._replace(residues=()),
+            theta_datum()._replace(residues=((1.0, 2.0),))]
     for d in data + [d.swapped() for d in data]:
         assert d.supports_modular == bool(d.residues)
     assert [d.supports_modular for d in data] == [True, True, False, True, False, True]
-    assert "supports_modular" not in {f.name for f in dataclasses.fields(data[0])}
+    assert "supports_modular" not in data[0]._fields
 
 
 # ------------------------------------------------------------ modular relation
@@ -243,7 +242,7 @@ def test_pole_residue_t3_sign_resolution():
 
 # theta with alternating signs: phi(s) = sum_m (-1)^m 2 (pi m^2)^{-s}
 # = -2 pi^{-s} eta(2s), which has no pole at delta = 1/2
-_POLELESS_DATUM = 'dataclasses.replace(theta_datum(), name="alternating theta", a=lambda m: -2.0 if m % 2 else 2.0)'
+_POLELESS_DATUM = 'theta_datum()._replace(name="alternating theta", a=lambda m: -2.0 if m % 2 else 2.0)'
 
 
 def test_pole_residue_zero_for_poleless_datum():
@@ -300,8 +299,8 @@ def test_swapped_and_replaced_data_start_with_empty_tables():
     d = eisenstein_datum(2)
     pole_residue(d)
     assert len(d._g_prime) > 2
-    assert list(d.swapped()._g_prime) == [0.0, 0.0] == list(dataclasses.replace(d)._g_prime)
-    assert dataclasses.replace(d) == d and hash(dataclasses.replace(d)) == hash(d)
+    assert list(d.swapped()._g_prime) == [0.0, 0.0] == list(d._replace()._g_prime)
+    assert d._replace() == d and hash(d._replace()) == hash(d)
 
 
 def test_a_second_pole_residue_reads_the_tables_of_the_first():
@@ -312,7 +311,7 @@ def test_a_second_pole_residue_reads_the_tables_of_the_first():
         calls[0] += 1
         return base.a(n)
 
-    d = dataclasses.replace(base, a=counting_a)
+    d = base._replace(a=counting_a)
     first = repr(pole_residue(d))
     first_calls, calls[0] = calls[0], 0
     assert repr(pole_residue(d)) == first == repr(pole_residue(base))
@@ -332,7 +331,7 @@ def test_a_failing_coefficient_leaves_the_tables_aligned():
             raise KeyError(n)
         return base.a(n)
 
-    d = dataclasses.replace(base, a=flaky_a)
+    d = base._replace(a=flaky_a)
     with pytest.raises(KeyError):
         pole_residue(d)
     # whole pairs only, each a_m with its lambda_m: the failing run published nothing
@@ -375,7 +374,6 @@ def test_pole_residue_memo_does_not_leak_between_calls():
     here = [repr(pole_residue(eval(expr))) for expr in data]
     for expr, got in zip(data, here):
         code = (
-            "import dataclasses\n"
             "from modzeta.dirichlet import eisenstein_datum, pole_residue, theta_datum\n"
             f"print(repr(pole_residue({expr})))"
         )

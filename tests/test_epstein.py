@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import kv
 
-from modzeta import dirichlet, epstein, exactnum
+from modzeta import _special, dirichlet, epstein, exactnum
 from modzeta.cli import main
 from modzeta.dirichlet import berndt_phi, diagonal_epstein_datum, eisenstein_datum, theta_datum
 from modzeta.errors import ConvergenceError, DomainError, SingularityError
@@ -138,6 +138,8 @@ def test_z2_direct_certified_mode_errors():
         BinaryForm(1.0, 2.0, 1.0)  # indefinite
     with pytest.raises(DomainError):
         BinaryForm(1e200, 1e200, 1e200)  # degenerate; ac - b^2 is inf - inf
+    with pytest.raises(DomainError):
+        BinaryForm(1.0, 0.0, 1.0)._replace(b=2.0)  # _replace checks as the constructor does
 
 
 @pytest.mark.parametrize(
@@ -646,6 +648,16 @@ def test_berndt_phi_keeps_its_bits(datum, s, w, want, monkeypatch):
     monkeypatch.setattr(dirichlet, "_ROUNDING", 0.0)
     sv = berndt_phi(d, s, w)
     assert (sv.value, sv.terms, sv.tail_bound) == want
+
+
+def test_berndt_phi_asks_q_only_where_its_lower_bound_cannot_decide(monkeypatch):
+    # a tail the closed-form lower bound on Gamma(a, x) keeps above tol needs no
+    # Q(a, x): on this point only the stop index asks for it (26 calls without)
+    real, calls = _special.gammaincc, []
+    monkeypatch.setattr(_special, "gammaincc", lambda a, x: calls.append(x) or real(a, x))
+    sv = berndt_phi(diagonal_epstein_datum(3), 2.6, 0.5)
+    assert (sv.value, sv.terms) == (6.462939390302423, 222)
+    assert len(calls) == 1
 
 
 def _massive_oracle(mpmath, p, s, w):

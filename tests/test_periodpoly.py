@@ -40,6 +40,8 @@ def test_group_element_algebra():
         from modzeta.periodpoly import GroupElement
 
         GroupElement(1, 1, 1, 1)
+    with pytest.raises(DomainError):
+        T._replace(c=1)  # _replace checks as the constructor does
 
 
 def GroupElementNeg():

@@ -1,5 +1,4 @@
 """q-series values, inversion/translation laws, oracles and transforms."""
-import dataclasses
 import math
 import random
 import subprocess
@@ -304,7 +303,7 @@ def test_lambert_divisor_form_cross_check_fires(monkeypatch):
 
     def perturbed(*args):
         s = exact(*args)
-        return dataclasses.replace(s, value=s.value * (1 + 1e-6))
+        return s._replace(value=s.value * (1 + 1e-6))
 
     monkeypatch.setattr(qseries, "_divisor_series", perturbed)
     assert not _lambert_divisor_check().passed

@@ -131,3 +131,30 @@ def test_gammaincc_far_out_returns_at_once():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_gammaincc_past_its_a_cap_is_nan_at_once():
+    # near x = a the power series takes about sqrt(a) steps, 1e8 at a = 1e16;
+    # run in a child, so that a loop that runs on fails this test, not the run
+    code = (
+        "import math, time\n"
+        "from modzeta._special import gammaincc\n"
+        "start = time.perf_counter()\n"
+        "assert math.isnan(gammaincc(1e16, 1e16 - 1e8))\n"
+        "assert 0.0 < gammaincc(1e6, 1e6) < 1.0\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
+
+
+def test_upper_incomplete_gamma_lower_bound_by_parts():
+    # berndt_phi's tail takes Gamma(a, x) >= x^(a-1) e^-x (1 + (a-1)/x), a >= 2,
+    # scaled by 0.999999, as deciding nothing Q(a, x) Gamma(a) would not
+    for i in range(57):
+        a = 2.0 + 3.0 * i
+        for j in range(60):
+            x = 1e-3 * (7e5) ** (j / 59)
+            low = math.exp((a - 1.0) * math.log(x) - x) * (1.0 + (a - 1.0) / x)
+            assert 0.999999 * low <= _special.gammaincc(a, x) * math.gamma(a), (a, x)

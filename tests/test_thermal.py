@@ -167,6 +167,19 @@ def test_spectrum_spec_validation_and_json():
     assert tab == SINGLE_MODE and tab.degeneracy(1) == 1.0 and tab.degeneracy(2) == 0.0
 
 
+def test_spectrum_spec_replace_checks_and_rebuilds_its_table():
+    with pytest.raises(DomainError):
+        S3_SPEC._replace(degeneracy_coeffs=(0, -1.0))
+    with pytest.raises(DomainError):
+        SINGLE_MODE._replace(degeneracy_coeffs=(1,))  # coefficients and a table
+    two = SINGLE_MODE._replace(table=((2, 3.0),))
+    assert two.degeneracy(2) == 3.0 and two.degeneracy(1) == 0.0
+    assert two._degeneracies == {2: 3.0} and SINGLE_MODE._degeneracies == {1: 1.0}
+    # a cache, not data: out of equality, the hash and the repr
+    assert two == ("single-mode", (), ((2, 3.0),)) and hash(two) == hash(tuple(two))
+    assert repr(two) == "SpectrumSpec(label='single-mode', degeneracy_coeffs=(), table=((2, 3.0),))"
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
