@@ -404,7 +404,9 @@ def _g_prime_reference(d, beta):
 
 
 @pytest.mark.parametrize(
-    "expr", ["eisenstein_datum(2)", "eisenstein_datum(3)", "eisenstein_datum(4)", "theta_datum()", _POLELESS_DATUM]
+    "expr",
+    ["eisenstein_datum(2)", "eisenstein_datum(3)", "eisenstein_datum(4)", "theta_datum()",
+     pytest.param(_POLELESS_DATUM, id="alternating_theta")],
 )
 def test_kernel_derivative_is_the_per_term_loop_bit_for_bit(expr, monkeypatch):
     # every beta that pole_residue's QAGS visits, with the tables the call shares
