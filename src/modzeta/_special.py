@@ -242,18 +242,20 @@ def _trapezoid_grid() -> tuple[tuple, tuple, tuple]:
     return tuple(nodes), tuple(neg_c), tuple(thresholds)
 
 
-def _trapezoid_weights(mu: float, count: int) -> tuple[list, list]:
+def _trapezoid_weights(mu: float, count: int) -> tuple[tuple, tuple]:
     """cosh(mu t_j) and cosh((mu + 1) t_j) on at least the first count grid
     nodes (the first halved; the step h is applied to the sums), extended as
-    larger counts are asked for."""
-    weights = _TRAPEZOID.get(mu)
-    if weights is None:
-        weights = _remember(_TRAPEZOID, mu, ([0.5], [0.5]))
+    larger counts are asked for.  A grown pair is stored whole, as new
+    tuples in one assignment, so a concurrent caller reads one pair or the
+    other and never a column grown twice or alone."""
+    weights = _TRAPEZOID.get(mu) or _remember(_TRAPEZOID, mu, ((0.5,), (0.5,)))
     a, b = weights
     if len(a) < count:
         nodes = _trapezoid_grid()[0][len(a):count]
-        a += map(math.cosh, map(mu.__mul__, nodes))
-        b += map(math.cosh, map((mu + 1.0).__mul__, nodes))
+        weights = _TRAPEZOID[mu] = (
+            a + tuple(map(math.cosh, map(mu.__mul__, nodes))),
+            b + tuple(map(math.cosh, map((mu + 1.0).__mul__, nodes))),
+        )
     return weights
 
 

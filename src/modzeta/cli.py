@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError, ModzetaError, SingularityError
-from .exactnum import _lazy, _pi_power, bernoulli, require_finite
+from .exactnum import _Record, _lazy, _pi_power, bernoulli, require_finite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -197,7 +197,7 @@ def _rbar(t, x):
     return coeffs, require_finite(rp.eval_numeric(complex(x)))
 
 
-class Quantity(namedtuple("Quantity", "params route render options", defaults=(_series, _tol_as("tol")))):
+class Quantity(_Record, namedtuple("Quantity", "params route render options", defaults=(_series, _tol_as("tol")))):
     """An ``eval`` quantity: the flags it reads, as (name, reader) pairs in
     route-argument order; the route; how its result is shown; and the
     route keywords taken from the remaining flags."""
@@ -379,10 +379,8 @@ def _rows_text(header, rows, fmt: str) -> str:
     """Rows as CSV under a header line, or as a JSON list of objects."""
     if fmt == "json":
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-    import csv  # CSV output alone needs it
-
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    _lazy("csv").writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
 
 

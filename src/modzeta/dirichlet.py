@@ -39,8 +39,7 @@ from .errors import (
     DomainError,
     SingularityError,
 )
-from .epstein import bessel_k
-from .exactnum import _coefficients, _grow, _lazy, gamma_numeric, zeta_negative_exact
+from .exactnum import _Record, _coefficients, _grow, _lazy, gamma_numeric, zeta_negative_exact
 from .qseries import SeriesValue, _certified_sum, _first_true, _quad
 
 # relative rounding allowance per Bessel term, sized when bessel_k was within
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 
-class DirichletDatum(namedtuple(
+class DirichletDatum(_Record, namedtuple(
     "DirichletDatum",
     "name a b lam mu delta residues zero_modes a_bound b_bound lam_low mu_low kosh",
     defaults=((), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1.0), None),
@@ -92,10 +91,6 @@ class DirichletDatum(namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         self._g_prime = array("d", [0.0, 0.0])
         return self
-
-    @classmethod
-    def _make(cls, iterable):  # so _replace starts an empty table too
-        return cls(*iterable)
 
     @property
     def supports_modular(self) -> bool:
@@ -357,6 +352,7 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
             suggestion="smaller |s|",
         ) from None
 
+    bessel_k = _lazy("modzeta.epstein").bessel_k
     mag = 0.0  # sum of |term| over the terms summed
 
     def terms():
@@ -418,7 +414,7 @@ def berndt_phi(d: DirichletDatum, s: float, w: float, tol: float = 1e-12) -> Ser
 # pole residue extraction
 # ---------------------------------------------------------------------------
 
-class PoleResidueResult(namedtuple("PoleResidueResult", "location residue residue_bochner closed_form spread")):
+class PoleResidueResult(_Record, namedtuple("PoleResidueResult", "location residue residue_bochner closed_form spread")):
     """``residue`` in the Koshliakov normalization (series in n^{-s}),
     ``residue_bochner`` in that of the datum's lambda sequence;
     ``closed_form`` is None where the datum has none."""

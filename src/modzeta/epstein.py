@@ -34,7 +34,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .exactnum import _coefficients, _lazy, gamma_numeric, zeta_numeric, zeta_odd_numeric
+from .exactnum import _Record, _coefficients, _lazy, gamma_numeric, zeta_numeric, zeta_odd_numeric
 from .qseries import SeriesValue, _certified_sum, _divisor_series, _first_true, _quad
 
 if TYPE_CHECKING:
@@ -59,7 +59,7 @@ _MAX_POINTS = (2 * 8192 + 1) ** 2 - 1  # the largest sum z2_direct admitted: rad
 _BLOCK = 1 << 20  # lattice points per streamed block
 _BUFFERS: list = []  # block buffers between lattice sums, one per concurrent caller
 
-class BinaryForm(namedtuple("BinaryForm", "a b c")):
+class BinaryForm(_Record, namedtuple("BinaryForm", "a b c")):
     """Positive-definite a m^2 + 2b mn + c n^2; u = sqrt(det)/a, v = b/a."""
 
     def __new__(cls, *args, **kwargs):
@@ -68,10 +68,6 @@ class BinaryForm(namedtuple("BinaryForm", "a b c")):
         if not (self.a > 0 and self.det > 0 and all(map(math.isfinite, self))):
             raise DomainError("BinaryForm must be finite and positive definite (a > 0, ac - b^2 > 0)")
         return self
-
-    @classmethod
-    def _make(cls, iterable):  # so _replace checks too
-        return cls(*iterable)
 
     @property
     def det(self) -> float:
@@ -496,8 +492,7 @@ def zp_massive(p: int, s: float, w: float, target_tol: float = 1e-11) -> SeriesV
     The series is ``dirichlet.berndt_phi`` on the diagonal datum, which
     certifies its truncation against ``target_tol``.
     """
-    from . import dirichlet  # dirichlet imports this module
-
+    dirichlet = _lazy("modzeta.dirichlet")
     return dirichlet.berndt_phi(dirichlet.diagonal_epstein_datum(p), s, w, tol=target_tol)
 
 

@@ -21,7 +21,12 @@ series reads its coefficients from: exact Python numbers, every integer
 order kept, and only the last non-integer order.  These tables, the
 Bernoulli numbers and G''s coefficients grow only through ``_grow``.
 
-Every deferred import goes through ``_lazy``; no module imports scipy.
+Records: ``_Record`` is the first base of the library's ten namedtuple
+records; its ``_replace`` goes through the constructor, and tuple
+arithmetic on a record raises TypeError.
+
+Every deferred import goes through ``_lazy``; no function imports a module
+itself, and no module imports scipy.
 """
 from __future__ import annotations
 
@@ -65,12 +70,38 @@ _REFLECT_BELOW = -0.5
 def _lazy(name: str):
     """The module ``name``, imported on the first call.  Every use of numpy,
     of ``modzeta._special`` and of ``modzeta._quadpack`` goes through here,
-    and so does ``cli``'s every use of a route module (``qseries``,
-    ``periodpoly``, ``epstein``, ``thermal``) and of ``verify``: importing
-    numpy is most of a process's start-up, compiling a module where no
-    bytecode cache is written costs milliseconds, and a one-shot ``eval``
-    calls into one route module."""
+    and so do ``cli``'s every use of a route module and of ``verify``, its
+    use of ``csv``, and the calls between route modules that their imports
+    would make cyclic or load for one function (``epstein.bessel_k`` from
+    ``dirichlet`` and ``thermal``, ``dirichlet`` from ``epstein``,
+    ``qseries`` from ``periodpoly``): importing numpy is most of a
+    process's start-up, compiling a module where no bytecode cache is
+    written costs milliseconds, and a one-shot ``eval`` calls into one
+    route module."""
     return importlib.import_module(name)
+
+
+class _Record:
+    """First base of every record the library returns or takes, ahead of its
+    namedtuple: ``class R(_Record, namedtuple("R", ...))``.
+
+    ``_make`` calls the class, so ``_replace`` runs the record's ``__new__``
+    checks and starts its caches afresh.  ``+`` and ``*`` return
+    NotImplemented, so record + record, record + tuple, ``2 * record`` and
+    ``record * 2`` raise TypeError where a tuple would concatenate or
+    repeat.  ``tuple + record`` still concatenates: tuple's own ``+`` runs
+    first and accepts any tuple."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
 
 
 def require_finite(z: complex) -> complex:

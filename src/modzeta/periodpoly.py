@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
-from .exactnum import SymScalar, _basis_product, zeta_even_exact
+from .exactnum import SymScalar, _Record, _basis_product, _lazy, zeta_even_exact
 
 __all__ = [
     "Poly",
@@ -206,7 +206,7 @@ class Poly:
 # group elements
 # ---------------------------------------------------------------------------
 
-class GroupElement(namedtuple("GroupElement", "a b c d")):
+class GroupElement(_Record, namedtuple("GroupElement", "a b c d")):
     """Integer matrix (a b; c d) with ad - bc = 1."""
 
     def __new__(cls, *args, **kwargs):
@@ -215,11 +215,9 @@ class GroupElement(namedtuple("GroupElement", "a b c d")):
             raise DomainError("GroupElement must have determinant 1")
         return self
 
-    @classmethod
-    def _make(cls, iterable):  # so _replace checks too
-        return cls(*iterable)
-
     def __mul__(self, o: "GroupElement") -> "GroupElement":
+        if not isinstance(o, GroupElement):
+            return NotImplemented
         return GroupElement(
             self.a * o.a + self.b * o.c,
             self.a * o.b + self.b * o.d,
@@ -341,7 +339,7 @@ def cocycle_compose(generators: dict, word: list) -> RationalPeriodFunction:
     return acc
 
 
-class ESResult(namedtuple("ESResult", "first second")):
+class ESResult(_Record, namedtuple("ESResult", "first second")):
     """Outcome of the two Eichler-Shimura relations: ``first`` is
     P|(1 + S) = 0, ``second`` P|(1 + TS + (TS)^2) = 0."""
 
@@ -383,7 +381,7 @@ def _check_t(t: int):
         )
 
 
-class PolynomialForm(namedtuple("PolynomialForm", "t coeffs")):
+class PolynomialForm(_Record, namedtuple("PolynomialForm", "t coeffs")):
     """Degree-(2t-2) obstruction polynomial in the real-axis variable x,
     with real SymScalar coefficients (index = power of x)."""
 
@@ -499,22 +497,21 @@ def diff_relation_constant(t: int) -> float:
     E(T, x) = (-1)^{t+1} (1/2) zeta(1-2t) ((x-i)^{-2t} - x^{-2t}),
     checked at x = 1 - i.  The measured value is 2^{2t+1} pi.
     """
-    from .qseries import _divisor_series, casimir_constant, eps_sub
-
     _check_t(t)
+    qseries = _lazy("modzeta.qseries")
     rel_tol = 1e-8
     z2t = zeta_even_exact(2 * t).numeric()
     fact = math.factorial(2 * t - 1)
 
     def d_phi_bar(x: float) -> float:
-        ds = 2.0 ** (2 * t - 1) * _divisor_series(2 * t - 1, 0, math.exp(-2 * math.pi * x)).value
+        ds = 2.0 ** (2 * t - 1) * qseries._divisor_series(2 * t - 1, 0, math.exp(-2 * math.pi * x)).value
         pole = -2.0 * z2t * fact * math.pi ** (1 - 2 * t) * x ** (-2 * t)
         return 4 * math.pi * ds + pole
 
     # keep clear of x = 1: the inversion law makes eps_sub vanish there
     # for odd t, so the ratio would be 0/0
     grid = [0.6, 0.75, 0.9, 1.2, 1.5, 1.9]
-    ratios = [complex(d_phi_bar(x)) / eps_sub(t, x).value for x in grid]
+    ratios = [complex(d_phi_bar(x)) / qseries.eps_sub(t, x).value for x in grid]
     c0 = sum(ratios) / len(ratios)
     for r in ratios:
         if abs(r - c0) > rel_tol * abs(c0):
@@ -527,7 +524,7 @@ def diff_relation_constant(t: int) -> float:
     dpt = -2.0 * z2t * fact * math.pi ** (1 - 2 * t) * (
         (x0 - 1j) ** (-2 * t) - x0 ** (-2 * t)
     )
-    e_t = (-1) ** (t + 1) * float(casimir_constant(t)) * (
+    e_t = (-1) ** (t + 1) * float(qseries.casimir_constant(t)) * (
         (x0 - 1j) ** (-2 * t) - x0 ** (-2 * t)
     )
     if abs(dpt - c0 * e_t) > rel_tol * max(abs(dpt), 1e-30):

@@ -31,6 +31,7 @@ from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
 from .exactnum import (
+    _Record,
     _coefficients,
     _lazy,
     _pi_power,
@@ -78,16 +79,9 @@ def _quad(f, a: float, b: float, epsabs: float = 1e-12, epsrel: float = 1e-12) -
     return _lazy("modzeta._quadpack")._qags(f, a, b, epsabs, epsrel, _QUAD_LIMIT)[:2]
 
 
-class SeriesValue(namedtuple("SeriesValue", "value terms tail_bound")):
+class SeriesValue(_Record, namedtuple("SeriesValue", "value terms tail_bound")):
     """Numeric result (complex) with its truncation certificate: the terms
     summed, and the bound (float) on what they leave out."""
-
-    def __complex__(self):
-        return complex(self.value)
-
-    @property
-    def real(self) -> float:
-        return complex(self.value).real
 
 
 def _certified_sum(terms, tail, tol: float, max_terms: int, what: str, acc=0.0) -> SeriesValue:

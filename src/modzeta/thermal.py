@@ -34,9 +34,8 @@ import numbers
 from collections import namedtuple
 from fractions import Fraction
 
-from .epstein import bessel_k
 from .errors import ConvergenceError, DomainError
-from .exactnum import zeta_negative_exact, zeta_odd_numeric
+from .exactnum import _Record, _lazy, zeta_negative_exact, zeta_odd_numeric
 from .qseries import SeriesValue, _casimir, _certified_sum, _divisor_series, _eps_q
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "SINGLE_MODE",
     "free_energy_partial",
     "entropy_partial",
-    "entropy_partial_direct",
     "f3_epstein",
     "f3_modesum",
     "mode_sum_free_energy",
@@ -60,7 +58,7 @@ def _xi(pt) -> float:
     return xi
 
 
-class SpectrumSpec(namedtuple("SpectrumSpec", "label degeneracy_coeffs table", defaults=((), ()))):
+class SpectrumSpec(_Record, namedtuple("SpectrumSpec", "label degeneracy_coeffs table", defaults=((), ()))):
     """Frequencies omega_n = n with degeneracies d_n.
 
     Either polynomial (d_n = sum_k c_k n^k, degree <= 6) or a finite
@@ -85,10 +83,6 @@ class SpectrumSpec(namedtuple("SpectrumSpec", "label degeneracy_coeffs table", d
             raise DomainError("degeneracies must be nonnegative")
         self._degeneracies = {n: float(d) for (n, d) in self.table}
         return self
-
-    @classmethod
-    def _make(cls, iterable):  # so _replace checks, and rebuilds _degeneracies
-        return cls(*iterable)
 
     def degeneracy(self, n: int) -> float:
         if self.table:
@@ -227,23 +221,6 @@ def entropy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
     )
 
 
-def entropy_partial_direct(t: int, pt) -> float:
-    """Entropy by the raw double sum (test route):
-    -(1/2pi) sum (n^{2t-2}/m) q^{2mn} - (1/xi) sum n^{2t-1} q^{2mn}
-    over m n <= 400."""
-    n_max = 400
-    xi = _xi(pt)
-    q2 = math.exp(-2.0 * math.pi / xi)
-    total = 0.0
-    for m in range(1, n_max):
-        for n in range(1, n_max):
-            if m * n > n_max:
-                break
-            w = q2 ** (m * n)
-            total += -(n ** (2 * t - 2) / m) * w / (2 * math.pi) - n ** (2 * t - 1) * w / xi
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the two F3 routes
 # ---------------------------------------------------------------------------
@@ -358,6 +335,7 @@ def thermal_zeta_free_energy(spec: SpectrumSpec, beta: float, tol: float = 1e-12
     mode n's series gets tol beta / (4 max(d_n, 1)) times 6 / (pi n)^2, so
     the inner tails stay within tol / 2, and the mode sum takes the other
     half."""
+    bessel_k = _lazy("modzeta.epstein").bessel_k
     inner_tails = []
 
     def term(n: int, d: float) -> float:

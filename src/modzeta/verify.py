@@ -18,12 +18,12 @@ from . import periodpoly as pmod
 from . import qseries as qmod
 from . import thermal as tmod
 from .errors import DomainError
-from .exactnum import bernoulli, gamma_numeric, zeta_even_exact, zeta_odd_numeric
+from .exactnum import _Record, bernoulli, gamma_numeric, zeta_even_exact, zeta_odd_numeric
 
 __all__ = ["CheckResult", "SUITES", "run_suites", "suite_names"]
 
 
-class CheckResult(namedtuple("CheckResult", "suite name residual tol")):
+class CheckResult(_Record, namedtuple("CheckResult", "suite name residual tol")):
     @property
     def passed(self) -> bool:
         return self.residual <= self.tol

@@ -396,6 +396,21 @@ def test_massive_integral_tail_within_its_estimate(s, w):
     assert abs(zb.value - zm.value) <= zb.tail_bound + zm.tail_bound
 
 
+@pytest.mark.parametrize("s,w", [(1.0, 1.0), (0.75, 0.5), (2.3, 2.0)])
+def test_massive_integral_tail_in_one_dimension(s, w):
+    # p = 1 has its own exterior integral; sum_{m != 0} (m^2 + 1)^-1 = pi coth pi - 1.
+    # mpmath's default nsum acceleration misses the slow series by 0.027 at
+    # (0.75, 0.5), so the oracle sums by Euler-Maclaurin
+    got = zp_brute(1, s, w, tail="integral")
+    if (s, w) == (1.0, 1.0):
+        want = math.pi / math.tanh(math.pi) - 1
+    else:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = float(2 * mpmath.nsum(lambda m: (m * m + w * w) ** -s, [1, mpmath.inf], method="euler-maclaurin"))
+    assert abs(got.value - want) <= got.tail_bound
+
+
 def test_kober_matches_certified_direct_high_exponent():
     for form, w in (((1, 0, 1), 2.5), ((2, 1, 3), 2.25), ((1, 0.3, 2), 2.0)):
         d = z2_direct(form, w + 0.5, tol=1e-10)

@@ -1,6 +1,8 @@
 """Exact scalars, Bernoulli numbers and the numeric zeta/gamma kernels."""
 import cmath
+import importlib
 import math
+import pkgutil
 import random
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modzeta
 from modzeta import exactnum
 from modzeta.errors import ConvergenceError, DomainError, SingularityError
 from modzeta.exactnum import (
@@ -440,3 +443,52 @@ def test_symscalar_rational_roundtrip():
     assert zeta_even_exact(2) / q == SymScalar.pi_term(Fraction(-7, 30), 2)
     with pytest.raises(DomainError):
         q / zeta_even_exact(2)
+
+
+# ------------------------------------------------------------------ records
+def _records() -> list:
+    """One instance of each of the library's records."""
+    from modzeta import cli, dirichlet, epstein, periodpoly, qseries, thermal, verify
+
+    return [
+        qseries.SeriesValue(1.0, 2, 0.1),
+        cli.QUANTITIES["eps"],
+        epstein.BinaryForm(1, 0, 1),
+        dirichlet.eisenstein_datum(2),
+        dirichlet.PoleResidueResult(4.0, 0.5, 0.5, None, 0.0),
+        thermal.SINGLE_MODE,
+        periodpoly.T,
+        periodpoly.ESResult(True, False),
+        periodpoly.pbar(2),
+        verify.CheckResult("suite", "name", 0.0, 1e-12),
+    ]
+
+
+def test_every_namedtuple_of_the_library_is_a_listed_record():
+    found = set()
+    for info in pkgutil.iter_modules(modzeta.__path__):
+        module = importlib.import_module(f"modzeta.{info.name}")
+        found |= {
+            obj for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
+        }
+    assert found == {type(r) for r in _records()}
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_refuse_tuple_arithmetic_and_replace_through_the_constructor(record):
+    # a tuple would concatenate or repeat; a record is not a number to add
+    for op in (lambda r: r + r, lambda r: r + (1,), lambda r: 2 * r, lambda r: r * 2):
+        with pytest.raises(TypeError):
+            op(record)
+    seen = []
+
+    class Probe(type(record)):
+        def __new__(cls, *args, **kwargs):
+            seen.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    probe = Probe(*record)
+    replaced = probe._replace()
+    assert type(replaced) is Probe and replaced == record
+    assert seen == [tuple(record)] * 2  # the checks and fresh caches of __new__ run again

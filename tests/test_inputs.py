@@ -49,7 +49,6 @@ _ROUTES = {
     "xi_completed": (emod.xi_completed, "z", {}),
     "free_energy_partial": (lambda v: tmod.free_energy_partial(2, v), "xi", {}),
     "entropy_partial": (lambda v: tmod.entropy_partial(2, v), "xi", {}),
-    "entropy_partial_direct": (lambda v: tmod.entropy_partial_direct(2, v), "xi", {}),
     "f3_epstein": (tmod.f3_epstein, "xi", {}),
     "f3_modesum": (tmod.f3_modesum, "xi", {}),
     "mode_sum_free_energy": (lambda v: tmod.mode_sum_free_energy(tmod.S3_SPEC, v), "beta", {INF: 1 / 240}),

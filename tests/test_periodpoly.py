@@ -42,6 +42,10 @@ def test_group_element_algebra():
         GroupElement(1, 1, 1, 1)
     with pytest.raises(DomainError):
         T._replace(c=1)  # _replace checks as the constructor does
+    with pytest.raises(TypeError):
+        T * 2  # not a tuple repeated
+    with pytest.raises(TypeError):
+        2 * T
 
 
 def GroupElementNeg():

@@ -56,6 +56,40 @@ def test_kv_regions_meet_at_their_seams():
                 assert abs(_special.kv(nu, x) - want) <= 3e-15 * want, (nu, x)
 
 
+def test_trapezoid_tables_stay_whole_while_threads_grow_them():
+    # six threads grow the same fresh orders' tables node by node (x falls
+    # from 19.5 to 0.5), switching every microsecond; each table must come
+    # out as two columns of one length, every node's cosh(mu t_j) once.  A
+    # child process starts with no tables and keeps its switch interval
+    code = (
+        "import math, random, sys, threading\n"
+        "from modzeta import _special\n"
+        "rng = random.Random(2901)\n"
+        "orders = [rng.uniform(0.01, 0.49) for _ in range(200)]\n"
+        "start = threading.Barrier(6)\n"
+        "def grow():\n"
+        "    for mu in orders:\n"
+        "        start.wait(30)\n"
+        "        for k in range(39):\n"
+        "            _special.kv(mu, 19.5 - 0.5 * k)\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "threads = [threading.Thread(target=grow) for _ in range(6)]\n"
+        "for th in threads:\n"
+        "    th.start()\n"
+        "for th in threads:\n"
+        "    th.join(60)\n"
+        "assert not any(th.is_alive() for th in threads)\n"
+        "nodes = _special._trapezoid_grid()[0]\n"
+        "for mu in orders:\n"
+        "    a, b = _special._TRAPEZOID[mu]\n"
+        "    assert len(a) == len(b), (mu, len(a), len(b))\n"
+        "    for nu, column in ((mu, a), (mu + 1.0, b)):\n"
+        "        assert list(column) == [0.5] + [math.cosh(nu * t) for t in nodes[1:len(column)]], (mu, len(column))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_hankel_reaches_every_order_up_to_three_halves_at_its_edge():
     # kv's reduction to orders mu and mu + 1 relies on it
     for i in range(301):
