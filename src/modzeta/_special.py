@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice
 
 # ---------------------------------------------------------------------------
@@ -121,30 +121,20 @@ _RGAMMA1 = (
     7.782263439905071e-12, -3.6968056186422057e-12,
 )
 
-# per-order tables, built on first use; each dict is cleared when it
-# passes _MAX_ORDERS entries, so a sweep over orders stays bounded
+# per-order tables, built on first use and kept for at most _MAX_ORDERS
+# orders each, so a sweep over orders stays bounded.  The trapezoid weights
+# grow as larger counts are asked for, so they keep a dict, cleared when full
 _MAX_ORDERS = 256
-_HANKEL: dict[float, tuple] = {}
 _TRAPEZOID: dict[float, tuple] = {}
-_TEMME: dict[float, tuple] = {}
 
 
-def _remember(table: dict, key: float, value):
-    if len(table) >= _MAX_ORDERS:
-        table.clear()
-    table[key] = value
-    return value
-
-
+@lru_cache(maxsize=_MAX_ORDERS)
 def _hankel_ladder(nu: float) -> tuple:
     """((x_from, [a_n, ..., a_1, a_0]), ...) for n = 8, 12, ... 32 terms of
     Hankel's expansion at order nu.  With n terms, x >= x_from
     keeps the first omitted term below _TINY; x >= nu^2 / 2 and n <= 2x keep
     every term at most 1, so Horner's rule rounds to a few ulps.  The bound
     needs n >= nu - 1/2; a count below it is left out."""
-    ladder = _HANKEL.get(nu)
-    if ladder is not None:
-        return ladder
     four_nu2 = 4.0 * nu * nu
     # a_k = prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (8j)
     a = [1.0]
@@ -157,7 +147,7 @@ def _hankel_ladder(nu: float) -> tuple:
     for n in _HANKEL_TERMS:
         if n >= nu - 0.5:
             rungs.append((max(floor, (abs(a[n + 1]) / _TINY) ** (1.0 / (n + 1))), a[n::-1]))
-    return _remember(_HANKEL, nu, rungs)
+    return rungs
 
 
 def _hankel(nu: float, x: float) -> float | None:
@@ -172,10 +162,8 @@ def _hankel(nu: float, x: float) -> float | None:
     return None
 
 
+@lru_cache(maxsize=_MAX_ORDERS)
 def _temme_constants(mu: float) -> tuple:
-    consts = _TEMME.get(mu)
-    if consts is not None:
-        return consts
     # 1/Gamma(1 + mu), 1/Gamma(1 - mu), and Temme's
     # gamma_1 = (1/Gamma(1 - mu) - 1/Gamma(1 + mu)) / (2 mu),
     # gamma_2 = (1/Gamma(1 - mu) + 1/Gamma(1 + mu)) / 2 from the same series
@@ -192,7 +180,7 @@ def _temme_constants(mu: float) -> tuple:
     ratio = pimu / math.sin(pimu) if mu else 1.0
     # the series' step i as (i, 1 / (i^2 - mu^2), 1 / i, 1 / (i - mu), 1 / (i + mu))
     steps = tuple((float(i), 1.0 / (i * i - mu * mu), 1.0 / i, 1.0 / (i - mu), 1.0 / (i + mu)) for i in range(1, 40))
-    return _remember(_TEMME, mu, (ratio, gamma1, gamma2, plus, minus, steps))
+    return ratio, gamma1, gamma2, plus, minus, steps
 
 
 def _temme(mu: float, x: float) -> tuple[float, float]:
@@ -248,7 +236,11 @@ def _trapezoid_weights(mu: float, count: int) -> tuple[tuple, tuple]:
     larger counts are asked for.  A grown pair is stored whole, as new
     tuples in one assignment, so a concurrent caller reads one pair or the
     other and never a column grown twice or alone."""
-    weights = _TRAPEZOID.get(mu) or _remember(_TRAPEZOID, mu, ((0.5,), (0.5,)))
+    weights = _TRAPEZOID.get(mu)
+    if weights is None:
+        if len(_TRAPEZOID) >= _MAX_ORDERS:
+            _TRAPEZOID.clear()
+        weights = _TRAPEZOID[mu] = ((0.5,), (0.5,))
     a, b = weights
     if len(a) < count:
         nodes = _trapezoid_grid()[0][len(a):count]
@@ -330,12 +322,14 @@ def _integer_orders(x: float, n: int) -> tuple[float, float]:
 
 def _climb(k0: float, k1: float, mu: float, n: int, x: float) -> float:
     """K_mu+n(x) from K_mu(x) and K_mu+1(x) (any common scale), by the upward
-    recurrence."""
+    recurrence; K grows with the order, so the climb stops once it is inf."""
     if n == 0:
         return k0
     two_over_x = 2.0 / x
     for k in range(1, n):
         k0, k1 = k1, k0 + (mu + k) * two_over_x * k1
+        if k1 == math.inf:
+            break
     return k1
 
 

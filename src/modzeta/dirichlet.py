@@ -17,8 +17,7 @@ follow, and are implemented here:
 
 Built-in data: the weight-2t divisor datum (a_n = sigma_{2t-1}(n),
 lambda = 2 pi n, delta = 2t), diagonal lattice data (r_p counts, read
-from ``exactnum``'s tables), the Jacobi theta datum, a plain sigma datum
-for direct-sum identities.
+from ``exactnum``'s tables) and the Jacobi theta datum.
 
 K_nu comes from ``epstein.bessel_k``, and Gamma and the incomplete gamma
 Q(a, x) of the massive tail from ``exactnum.gamma_numeric`` and
@@ -53,7 +52,6 @@ __all__ = [
     "eisenstein_datum",
     "diagonal_epstein_datum",
     "theta_datum",
-    "sigma_datum",
     "phi_direct",
     "residual_B",
     "heat_kernel",
@@ -68,18 +66,18 @@ __all__ = [
 
 class DirichletDatum(_Record, namedtuple(
     "DirichletDatum",
-    "name a b lam mu delta residues zero_modes a_bound b_bound lam_low mu_low kosh",
-    defaults=((), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1.0), None),
+    "name a b lam mu delta residues a_bound b_bound lam_low mu_low kosh",
+    defaults=((), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1.0), None),
 )):
     """Coefficients, exponent sequences and analytic data of a pair.
 
     ``residues`` lists the simple poles of chi(s) = Gamma(s) phi(s) as
     (location, residue).  ``a_bound = (C, p)`` certifies |a_m| <= C m^p,
     and ``lam_low = (c, q)`` certifies lambda_m >= c m^q (same for the b
-    side); these drive every truncation.  ``zero_modes`` are the
-    Koshliakov numbers (a_0, b_0) = (-phi(0), -psi(0)), and ``kosh`` the
-    (a, b) constants of the classical transformation-formula normalization
-    when the datum has one.
+    side); these drive every truncation.  ``kosh`` is the scale b of the
+    classical transformation-formula normalization (series in n^{-s},
+    lambda_n = b n) when the datum has one, else None.  ``zero_modes`` is
+    derived, not stored: the Koshliakov numbers read from the pole list.
 
     ``_g_prime`` is a cache, not data: ``pole_residue`` keeps its kernel's
     (a_m, lambda_m) pairs there for every later call on this datum.  It is
@@ -91,6 +89,13 @@ class DirichletDatum(_Record, namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         self._g_prime = array("d", [0.0, 0.0])
         return self
+
+    @property
+    def zero_modes(self) -> tuple[float, float]:
+        """The Koshliakov numbers (a_0, b_0) = (-phi(0), -psi(0)), read from
+        the pole list as (-Res chi(0), Res chi(delta)); 0.0 without a pole."""
+        res = dict(self.residues)
+        return (-res[0.0] if 0.0 in res else 0.0, res.get(self.delta, 0.0))
 
     @property
     def supports_modular(self) -> bool:
@@ -109,7 +114,6 @@ class DirichletDatum(_Record, namedtuple(
             mu=self.lam,
             delta=self.delta,
             residues=tuple((self.delta - s0, -r) for (s0, r) in self.residues),
-            zero_modes=(self.zero_modes[1], self.zero_modes[0]),
             a_bound=self.b_bound,
             b_bound=self.a_bound,
             lam_low=self.mu_low,
@@ -121,19 +125,8 @@ class DirichletDatum(_Record, namedtuple(
 # ---------------------------------------------------------------------------
 # factories.  The three data with a functional equation are made once per
 # process (typed, so that 1.0 never finds an equal int's entry), and the
-# tables pole_residue keeps on them serve every later call.  sigma_datum,
-# which pole_residue refuses, is made afresh: cached, it would keep each
-# non-integer order's coefficient table, which exactnum lets go
+# tables pole_residue keeps on them serve every later call
 # ---------------------------------------------------------------------------
-
-def _sigma(k):
-    sigma = _coefficients("sigma", k)
-
-    def coef(n: int) -> float:
-        return float(sigma(n))
-
-    return coef
-
 
 @lru_cache(maxsize=None, typed=True)
 def eisenstein_datum(t: int) -> DirichletDatum:
@@ -151,7 +144,11 @@ def eisenstein_datum(t: int) -> DirichletDatum:
     phi0 = float(Fraction(-1, 2) * zeta_negative_exact(1 - 2 * t))
     k = 2 * t - 1
     zk = 1.21  # sigma_{2t-1}(n) <= zeta(2t-1) n^{2t-1} <= 1.21 n^{2t-1}
-    sig = _sigma(k)
+    sigma = _coefficients("sigma", k)
+
+    def sig(n: int) -> float:
+        return float(sigma(n))
+
     return DirichletDatum(
         name=f"eisenstein_{t}",
         a=sig,
@@ -160,12 +157,11 @@ def eisenstein_datum(t: int) -> DirichletDatum:
         mu=lambda n: 2.0 * math.pi * n,
         delta=float(2 * t),
         residues=((0.0, phi0), (float(2 * t), -sign * phi0)),
-        zero_modes=(-phi0, sign * phi0 * -1.0),
         a_bound=(zk, float(k)),
         b_bound=(zk, float(k)),
         lam_low=(2.0 * math.pi, 1.0),
         mu_low=(2.0 * math.pi, 1.0),
-        kosh=(sign, 2.0 * math.pi),
+        kosh=2.0 * math.pi,
     )
 
 
@@ -180,32 +176,10 @@ def theta_datum() -> DirichletDatum:
         mu=lambda m: math.pi * m * m,
         delta=0.5,
         residues=((0.0, -1.0), (0.5, 1.0)),
-        zero_modes=(1.0, 1.0),
         a_bound=(2.0, 0.0),
         b_bound=(2.0, 0.0),
         lam_low=(math.pi, 2.0),
         mu_low=(math.pi, 2.0),
-        kosh=None,
-    )
-
-
-def sigma_datum(k: int) -> DirichletDatum:
-    """Plain divisor-sum datum a_n = sigma_k(n), lambda_n = n; carries no
-    functional equation (direct sums and the zeta(s) zeta(s-k) identity
-    only)."""
-    zk = 1.21 if k >= 2 else 2.0
-    return DirichletDatum(
-        name=f"sigma_{k}",
-        a=_sigma(k),
-        b=_sigma(k),
-        lam=float,
-        mu=float,
-        delta=float(k + 1),
-        residues=(),
-        a_bound=(zk, k + (0.5 if k < 2 else 0.0)),
-        b_bound=(zk, k + (0.5 if k < 2 else 0.0)),
-        lam_low=(1.0, 1.0),
-        mu_low=(1.0, 1.0),
     )
 
 
@@ -225,12 +199,10 @@ def diagonal_epstein_datum(p: int) -> DirichletDatum:
         mu=lambda n: math.pi * math.pi * n,
         delta=p / 2.0,
         residues=((0.0, -1.0), (p / 2.0, pref)),
-        zero_modes=(1.0, pref),
         a_bound=(3.0 ** p, p / 2.0),
         b_bound=(pref * 3.0 ** p, p / 2.0),
         lam_low=(1.0, 1.0),
         mu_low=(math.pi * math.pi, 1.0),
-        kosh=None,
     )
 
 
@@ -422,15 +394,12 @@ class PoleResidueResult(_Record, namedtuple("PoleResidueResult", "location resid
 
 
 def koshliakov_residue_closed_form(d: DirichletDatum) -> float:
-    """-psi(0) a b^nu / Gamma(nu) with (a, b) the classical constants."""
+    """b_0 b^nu / Gamma(nu), nu = delta, with b_0 = Res chi(delta) and b
+    the classical scale ``d.kosh``."""
     if d.kosh is None:
         raise DomainError("datum carries no classical (a, b) normalization")
-    a_k, b_k = d.kosh
-    # the datum stores the Bochner-normalized zero mode b0 = -psi_B(0)
-    # with psi_B(0) = a psi(0); bridge back to the classical psi(0)
-    psi0 = -d.zero_modes[1] / a_k
     nu = d.delta
-    return -psi0 * a_k * b_k ** nu / float(gamma_numeric(nu).real)
+    return d.zero_modes[1] * d.kosh ** nu / float(gamma_numeric(nu).real)
 
 
 # the Richardson cross-check's steps, each half the last (its two steps
@@ -540,8 +509,7 @@ def pole_residue(d: DirichletDatum) -> PoleResidueResult:
             f"pole_residue extrapolation unstable: direct {r0:.6e}, extrapolated {extr:.6e}"
         )
     if d.kosh is not None:
-        b_k = d.kosh[1]
-        res_kosh = b_k ** nu * r0
+        res_kosh = d.kosh ** nu * r0
         closed = koshliakov_residue_closed_form(d)
     else:
         res_kosh = r0

@@ -124,15 +124,16 @@ def _bessel_k_half_integer(m: int, x: float) -> float:
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel K_nu(x) for x > 0, real order.
 
-    Half-integer orders use the finite closed form; every other order goes
-    to ``_special.kv`` (power series, Temme's series, the trapezoidal rule
-    or Hankel's expansion, by argument and order).
+    Half-integer orders up to 134.5 use the finite closed form (its
+    largest integer ratio, (2m)!/m!, leaves the floats from m = 135); every
+    other order goes to ``_special.kv`` (power series, Temme's series, the
+    trapezoidal rule or Hankel's expansion, by argument and order).
     """
     if not (x > 0 and math.isfinite(nu)):  # NaN fails both tests
         raise DomainError(f"bessel_k requires a finite order and x > 0, got order {nu}, x = {x}")
     nu = abs(float(nu))  # K is even in its order
     half = nu - 0.5
-    if abs(half - round(half)) < 1e-14 and half >= -0.25:
+    if abs(half - round(half)) < 1e-14 and -0.25 <= half < 134.5:
         return _bessel_k_half_integer(int(round(half)), x)
     return _lazy("modzeta._special").kv(nu, x)
 

@@ -197,7 +197,7 @@ def free_energy_partial(t: int, pt, tol: float = 1e-15) -> SeriesValue:
     xi = _xi(pt)
     q2 = math.exp(-2.0 * math.pi / xi)
     scale = xi / (2 * math.pi)
-    series = _divisor_series(2 * t - 1, 1.0, q2, min(tol, tol / scale))
+    series = _divisor_series(2 * t - 1, 1.0, q2, tol / max(scale, 1.0))
     what = f"free energy f_{t}({xi:g})"
     val = _casimir(t, what) - scale * series.value
     if not math.isfinite(val):
@@ -249,7 +249,7 @@ def f3_epstein(pt, tol: float = 1e-15) -> SeriesValue:
     scales = (xi / (4 * math.pi ** 3), xi * xi / (2 * math.pi ** 2), xi ** 3 / (2 * math.pi))
     # each series keeps its tail times its prefactor within tol/3
     chi, t_series, u_series = (
-        _divisor_series(3, weight, q2p, min(tol, tol / (3 * scale)))
+        _divisor_series(3, weight, q2p, tol / max(3 * scale, 1.0))
         for weight, scale in zip((3.0, 2.0, 1.0), scales)
     )
     z3 = zeta_odd_numeric(3)

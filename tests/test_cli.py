@@ -911,3 +911,46 @@ def test_lattice_mellin_mode_sum_and_exact_routes_stay_in_the_error_contract(arg
     if code == 0 and "value" in json.loads(out):
         value = json.loads(out)["value"]
         assert math.isfinite(float(value["re"])) and math.isfinite(float(value["im"]))
+
+
+# every float flag of a quantity's SMOKE argv, one at a time, and --tol, take
+# each value of this grid; --b also as each part of 're,im', --form as each of
+# a, b, c; the integer flags take 0 and -1
+_EXTREMES = ("0", "5e-324", "-5e-324", "1e-300", "1e300", "-1e300", "0.7", "2.5")
+# what main's ArithmeticError fallback would print as the exception's name
+_FALLBACK_NAMES = ("ArithmeticError", "FloatingPointError", "OverflowError", "ZeroDivisionError")
+
+
+def _extreme_argvs(quantity: str):
+    words = SMOKE[quantity].split()
+    flags = dict(zip(words[::2], words[1::2]))
+    for flag in [*flags, "--tol"]:
+        if flag in ("--t", "--p"):
+            values = ["0", "-1"]
+        elif flag == "--form":
+            values = [",".join(v if i == j else part for j, part in enumerate(flags[flag].split(",")))
+                      for v in _EXTREMES for i in range(3)]
+        elif flag == "--b":
+            values = [form for v in _EXTREMES for form in (v, f"1,{v}", f"{v},1")]
+        elif flag == "--spectrum":
+            continue
+        else:
+            values = _EXTREMES
+        rest = [word for other, value in flags.items() if other != flag for word in (other, value)]
+        for value in values:
+            yield ["eval", quantity, *rest, f"{flag}={value}"]
+
+
+@pytest.mark.parametrize("quantity", list(QUANTITIES))
+def test_eval_extreme_value_sweep_stays_in_the_error_contract(quantity):
+    # 0, subnormals, 1e-300 and +-1e300 reach the routes as finite floats: each
+    # is a value (exit 0), a usage error (2) or a named failure (3), never a
+    # raw arithmetic exception caught by main's fallback
+    bad = []
+    for argv in _extreme_argvs(quantity):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code not in (0, 2, 3) or any(name in err.getvalue() for name in ("Traceback", *_FALLBACK_NAMES)):
+            bad.append((argv, code, err.getvalue()))
+    assert not bad, bad

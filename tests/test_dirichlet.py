@@ -23,7 +23,6 @@ from modzeta.dirichlet import (
     phi_direct,
     pole_residue,
     residual_B,
-    sigma_datum,
     theta_datum,
 )
 
@@ -64,21 +63,37 @@ def _sigma_shifted_sum(k: int, s: float, c: float, cut: int = 48, j_max: int = 2
 
 
 # ----------------------------------------------------------------- direct sums
+def _sigma_series(k: int, z: float, tol: float) -> float:
+    """sum sigma_k(n) n^{-z} over n <= N, with N where the tail is below tol:
+    sigma_k(n) <= c n^p with (c, p) = (zeta(2) < 1.65, k) for k >= 2, and
+    (2, 3/2) for k = 1 (sigma_1(n) <= n (1 + ln n) <= 2 n^{3/2}), so the
+    terms past N sum to at most c N^{1+p-z} / (z - p - 1)."""
+    c, p = (1.65, k) if k >= 2 else (2.0, 1.5)
+    e = z - p - 1
+    cut = math.ceil((c / (e * tol)) ** (1 / e))
+    sigma = exactnum._coefficients("sigma", k)
+    return math.fsum(sigma(n) * n ** -z for n in range(1, cut + 1))
+
+
 def test_phi_direct_eisenstein_series_identity():
-    # sum sigma_3(n) n^{-6} = zeta(6) zeta(3)
-    got = phi_direct(sigma_datum(3), 6.0)
+    # sum sigma_3(n) n^{-6} = zeta(6) zeta(3), summed directly, and through
+    # phi_direct on the weight-4 datum, whose lambda_n = 2 pi n scales it by
+    # (2 pi)^{-6}
     expect = zeta_numeric(6).real * zeta_numeric(3).real
-    assert abs(got.value.real - expect) < 1e-11
-    assert got.tail_bound < 1e-11
+    assert abs(_sigma_series(3, 6.0, 1e-11) - expect) < 1e-11
+    scale = (2 * math.pi) ** -6
+    got = phi_direct(eisenstein_datum(2), 6.0, tol=1e-11 * scale)
+    assert got.tail_bound < 1e-11 * scale
+    assert abs(got.value.real / scale - expect) < 1e-11
 
 
-def test_phi_direct_sigma2_identity():
+def test_sigma2_identity_by_direct_sum():
     # (sig) with w = 1, s = 3: sum sigma_2(n) n^{-4} = zeta(4) zeta(2).
-    # The certified tail of the raw sum decays like 1/N here, so the
-    # analytic limit is checked at the feasible tolerance while the
-    # divisor-rearrangement content is checked exactly below.
-    got = phi_direct(sigma_datum(2), 4.0, tol=1e-5)
-    assert abs(got.value.real - zeta_numeric(4).real * zeta_numeric(2).real) < 1e-5
+    # The tail of the raw sum decays like 1/N here, so the analytic limit
+    # is checked at the feasible tolerance while the divisor-rearrangement
+    # content is checked exactly below.
+    got = _sigma_series(2, 4.0, 1e-5)
+    assert abs(got - zeta_numeric(4).real * zeta_numeric(2).real) < 1e-5
 
 
 def test_sigma_rearrangement_exact():
@@ -98,9 +113,9 @@ def test_sigma_rearrangement_exact():
 @pytest.mark.parametrize("k,z", [(1, 4.5), (2, 5.6), (3, 6.4), (4, 7.5), (5, 8.2)])
 def test_sig_identity_random_points(k, z):
     # sum sigma_k(n) n^{-z} = zeta(z) zeta(z - k)
-    got = phi_direct(sigma_datum(k), z, tol=1e-11)
+    got = _sigma_series(k, z, 1e-11)
     expect = zeta_numeric(z).real * zeta_numeric(z - k).real
-    assert abs(got.value.real - expect) < 1e-10
+    assert abs(got - expect) < 1e-10
 
 
 # ------------------------------------------------------------------ residual B
@@ -113,12 +128,12 @@ def test_residual_B_cases():
 
 def test_supports_modular_is_having_residues():
     # derived, not stored: no factory or swap can set it apart from residues
-    data = [eisenstein_datum(2), theta_datum(), sigma_datum(3), diagonal_epstein_datum(2),
+    data = [eisenstein_datum(2), theta_datum(), diagonal_epstein_datum(2),
             theta_datum()._replace(residues=()),
             theta_datum()._replace(residues=((1.0, 2.0),))]
     for d in data + [d.swapped() for d in data]:
         assert d.supports_modular == bool(d.residues)
-    assert [d.supports_modular for d in data] == [True, True, False, True, False, True]
+    assert [d.supports_modular for d in data] == [True, True, True, False, True]
     assert "supports_modular" not in data[0]._fields
 
 
@@ -157,9 +172,9 @@ def test_swap_invariance():
         assert modular_relation_gap(ds, 1.0 / beta) < 1e-10
 
 
-def test_sigma_datum_rejects_modular_ops():
+def test_poleless_datum_rejects_modular_ops():
     with pytest.raises(DomainError):
-        modular_relation_gap(sigma_datum(3), 1.0)
+        modular_relation_gap(theta_datum()._replace(residues=()), 1.0)
 
 
 # --------------------------------------------------------------------- Berndt
@@ -457,8 +472,36 @@ def test_kernel_derivative_refuses_before_tabulating(monkeypatch):
     assert list(pairs) == [0.0, 0.0]
 
 
+# (datum, zero modes, Koshliakov closed form) as float.hex(), as the data
+# stored them when the zero modes were a field and kosh the pair (a, b)
+_PINNED_ZERO_MODES = [
+    ("eisenstein_datum(2)", ("0x1.1111111111111p-8", "0x1.1111111111111p-8"), "0x1.151322ac7d847p+0"),
+    ("eisenstein_datum(2).swapped()", ("0x1.1111111111111p-8", "0x1.1111111111111p-8"), None),
+    ("eisenstein_datum(3)", ("-0x1.0410410410410p-9", "0x1.0410410410410p-9"), "0x1.0470984c09244p+0"),
+    ("eisenstein_datum(3).swapped()", ("0x1.0410410410410p-9", "-0x1.0410410410410p-9"), None),
+    ("theta_datum()", ("0x1.0000000000000p+0", "0x1.0000000000000p+0"), None),
+    ("theta_datum().swapped()", ("0x1.0000000000000p+0", "0x1.0000000000000p+0"), None),
+    ("diagonal_epstein_datum(1)", ("0x1.0000000000000p+0", "0x1.c5bf891b4ef6ap+0"), None),
+    ("diagonal_epstein_datum(1).swapped()", ("0x1.c5bf891b4ef6ap+0", "0x1.0000000000000p+0"), None),
+    ("diagonal_epstein_datum(4)", ("0x1.0000000000000p+0", "0x1.3bd3cc9be45dep+3"), None),
+    ("diagonal_epstein_datum(4).swapped()", ("0x1.3bd3cc9be45dep+3", "0x1.0000000000000p+0"), None),
+]
+
+
+@pytest.mark.parametrize("expr,zero_modes,closed", _PINNED_ZERO_MODES)
+def test_zero_modes_and_closed_form_read_from_the_pole_list_keep_their_bits(expr, zero_modes, closed):
+    d = eval(expr)
+    assert "zero_modes" not in d._fields and len(d._fields) == 12
+    assert tuple(z.hex() for z in d.zero_modes) == zero_modes
+    if closed is None:
+        with pytest.raises(DomainError, match="no classical"):
+            koshliakov_residue_closed_form(d)
+    else:
+        assert koshliakov_residue_closed_form(d).hex() == closed
+
+
 def test_koshliakov_closed_form_values():
-    # -psi(0) a b^nu / Gamma(nu) for t = 2, 3
+    # b_0 b^nu / Gamma(nu) = -psi(0) b^nu / Gamma(nu) for t = 2, 3
     assert koshliakov_residue_closed_form(eisenstein_datum(2)) == pytest.approx(
         math.pi ** 4 / 90, rel=1e-13
     )

@@ -77,6 +77,37 @@ def test_bessel_against_mpmath():
         assert abs(bessel_k(nu, x) - want) <= 1e-12 * want, (nu, x)
 
 
+# past half-integer order 134.5 the closed form's (2m)!/m! leaves the floats,
+# and past 2^52 every order reads as a half-integer: these go to kv
+_LARGE_ORDERS = [(134.5, 50.0), (135.5, 50.0), (135.5, 300.0), (170.5, 20.0), (200.5, 30.0), (300.5, 400.0)]
+
+
+@pytest.mark.parametrize("nu,x", _LARGE_ORDERS)
+def test_bessel_at_large_orders_against_mpmath(nu, x):
+    mpmath = pytest.importorskip("mpmath")
+    want = []
+    for dps in (30, 45):
+        with mpmath.workdps(dps):
+            want.append(float(mpmath.besselk(nu, x)))
+    assert want[0] == want[1]
+    assert abs(bessel_k(nu, x) - want[1]) <= 1e-14 * want[1]
+    if nu <= 134.5:  # the closed form, bit for bit
+        assert bessel_k(nu, x) == epstein._bessel_k_half_integer(round(nu - 0.5), x)
+
+
+@pytest.mark.parametrize("nu,x", [(1e30, 7.25), (1e8, 0.05), (400.5, 2.0)])
+def test_bessel_past_the_floats_is_inf_at_once(nu, x):
+    # K grows with the order: once the upward recurrence reaches inf it
+    # stops, where it took 1e8 steps at (1e8, 0.05)
+    mpmath = pytest.importorskip("mpmath")
+    for dps in (30, 45):
+        with mpmath.workdps(dps):
+            assert mpmath.besselk(nu, x) > mpmath.mpf("1e309")
+    start = time.perf_counter()
+    assert bessel_k(nu, x) == math.inf
+    assert time.perf_counter() - start < 1.0
+
+
 def test_bessel_heaviside_integral():
     # int_0^inf y^{s-1} K_w(2 pi y) dy = (1/4) pi^{-s} G((s+w)/2) G((s-w)/2)
     s, w = 3.0, 1.0
